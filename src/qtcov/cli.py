@@ -2,18 +2,18 @@
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .doa import estimate_frequencies, frequency_mse
 from .errors import QtcovError
-from .estimators import (EstimationReport, qscm, qtscm,
-                         quantized_sample_covariance, relative_spectral_error)
-from .harness import (config_to_text, default_config, parse_config,
-                      resolve_ruler, run_experiment, write_outputs)
+from .estimators import EstimationReport, relative_spectral_error
+from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, config_to_text, default_config,
+                      parse_config, qspa_from_batch, resolve_ruler, run_experiment,
+                      write_outputs)
 from .quantizer import QuantizationSpec, quantize_batch
-from .qspa import qspa_solve
 from .rulers import coverage_coefficient
 from .sampling import (load_batch, random_toeplitz_covariance,
                        sample_complex_gaussian, save_batch)
@@ -27,15 +27,31 @@ def _add_common(p):
 
 
 def _parse_delta(text):
-    parts = text.split(",")
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise QtcovError(f"--delta expects delta_r,delta_i or one value, got {text!r}") from None
     if len(parts) == 1:
-        return float(parts[0]), float(parts[0])
-    return float(parts[0]), float(parts[1])
+        parts *= 2
+    return parts[0], parts[1]
 
 
 def _load_truth(path):
-    gens = np.loadtxt(path, dtype=complex, ndmin=1)
+    try:
+        gens = np.loadtxt(path, dtype=complex, ndmin=1)
+    except ValueError as err:
+        raise QtcovError(f"truth file {path} is not a list of complex generators: {err}") from None
     return HermitianToeplitz(gens)
+
+
+def _traced_qspa(path):
+    """The qspa table entry, also writing the solver's per-iteration trace to `path`."""
+    def solve(batch, opts):
+        sol = qspa_from_batch(batch, opts)
+        with open(path, "w") as fh:
+            fh.write(sol.trace_csv())
+        return sol.T_breve
+    return solve
 
 
 def cmd_ruler(args):
@@ -48,15 +64,17 @@ def cmd_ruler(args):
     return 0
 
 
+def _simulate(T, args):
+    """Quantized batch of args.n draws from CN(0, T) on args.ruler."""
+    raw = sample_complex_gaussian(T, resolve_ruler(args.ruler, T.dim), args.n, args.seed)
+    return quantize_batch(raw, QuantizationSpec(*_parse_delta(args.delta), args.bits))
+
+
 def cmd_simulate(args):
     T = random_toeplitz_covariance(args.d, args.cov_seed)
-    ruler = resolve_ruler(args.ruler, args.d)
-    raw = sample_complex_gaussian(T, ruler, args.n, args.seed)
-    dr, di = _parse_delta(args.delta)
-    spec = QuantizationSpec(dr, di, args.bits)
-    batch = quantize_batch(raw, spec)
+    batch = _simulate(T, args)
     save_batch(batch, args.out)
-    print(f"wrote {args.out}: n={args.n}, ruler={ruler.to_string()}, {spec}")
+    print(f"wrote {args.out}: n={args.n}, ruler={batch.ruler.to_string()}, {batch.spec}")
     if args.truth_out:
         np.savetxt(args.truth_out, T.generators)
         print(f"wrote ground-truth generators to {args.truth_out}")
@@ -66,21 +84,12 @@ def cmd_simulate(args):
 def cmd_estimate(args):
     batch = load_batch(args.batch)
     truth = _load_truth(args.truth) if args.truth else None
+    estimators = ESTIMATORS
+    if args.qspa_trace:
+        estimators = {**ESTIMATORS, "qspa": _traced_qspa(args.qspa_trace)}
     rows = [EstimationReport.CSV_HEADER]
     for name in args.estimator:
-        if name == "qtscm":
-            est = qtscm(batch)
-        elif name == "qscm":
-            est = qscm(batch)
-        elif name == "qspa":
-            sol = qspa_solve(quantized_sample_covariance(batch), batch.ruler,
-                             batch.spec, n=batch.count)
-            if args.qspa_trace:
-                with open(args.qspa_trace, "w") as fh:
-                    fh.write(sol.trace_csv())
-            est = sol.T_breve
-        else:
-            raise QtcovError(f"unknown estimator {name!r}")
+        est = estimators[name](batch, None)
         err = relative_spectral_error(est, truth) if truth is not None else None
         report = EstimationReport(est, name, batch.spec, batch.ruler,
                                   batch.count, batch.seed, err)
@@ -99,12 +108,12 @@ def cmd_experiment(args):
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         if args.profile:
-            cfg = cfg.__class__(**{**cfg.__dict__, "profile": args.profile})
+            cfg = replace(cfg, profile=args.profile)
     else:
         cfg = default_config(args.preset, profile=args.profile or "ci",
                              outdir=args.outdir or "results")
     if args.seed is not None:
-        cfg = cfg.__class__(**{**cfg.__dict__, "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     if args.show_config:
         sys.stdout.write(config_to_text(cfg))
         return 0
@@ -122,21 +131,8 @@ def cmd_doa(args):
         if scene is None:
             raise QtcovError("scene config lacks scene_* keys")
     else:
-        from .harness import FIVE_SOURCE_SCENE
         scene = FIVE_SOURCE_SCENE
-    ruler = resolve_ruler(args.ruler, scene.d)
-    R = scene.covariance()
-    raw = sample_complex_gaussian(R, ruler, args.n, args.seed)
-    dr, di = _parse_delta(args.delta)
-    spec = QuantizationSpec(dr, di, args.bits)
-    batch = quantize_batch(raw, spec)
-    if args.estimator == "qtscm":
-        est = qtscm(batch)
-    elif args.estimator == "qscm":
-        est = qscm(batch)
-    else:
-        est = qspa_solve(quantized_sample_covariance(batch), ruler, spec,
-                         n=args.n).T_breve
+    est = ESTIMATORS[args.estimator](_simulate(scene.covariance(), args), None)
     resolved, freqs = estimate_frequencies(est, scene.k_sources, args.grid)
     print("estimated frequencies:", " ".join(f"{f:.6f}" for f in freqs))
     if not resolved:
@@ -177,7 +173,7 @@ def build_parser():
     pe = sub.add_parser("estimate", help="estimate a covariance from a batch file")
     pe.add_argument("--batch", required=True)
     pe.add_argument("--estimator", nargs="+", default=["qtscm"],
-                    choices=["qtscm", "qscm", "qspa"])
+                    choices=list(ESTIMATORS))
     pe.add_argument("--truth", default=None, help="file of true generators")
     pe.add_argument("--out", "-o", default=None)
     pe.add_argument("--qspa-trace", default=None,
@@ -202,7 +198,7 @@ def build_parser():
     pd.add_argument("--n", type=int, default=1000)
     pd.add_argument("--delta", default="2,2")
     pd.add_argument("--bits", type=int, default=2)
-    pd.add_argument("--estimator", default="qspa", choices=["qtscm", "qscm", "qspa"])
+    pd.add_argument("--estimator", default="qspa", choices=list(ESTIMATORS))
     pd.add_argument("--grid", type=int, default=4096)
     _add_common(pd)
     pd.set_defaults(func=cmd_doa)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import KOutOfRange, LengthMismatch, QtcovError
-from .toeplitz import HermitianToeplitz, steering_vector, vandermonde_synthesize
+from .toeplitz import HermitianToeplitz, as_dense, steering_vector, vandermonde_synthesize
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,8 @@ class DoaScene:
         return HermitianToeplitz(gens)
 
 
-def _dense(T_est):
-    return T_est.dense if isinstance(T_est, HermitianToeplitz) else np.asarray(T_est)
-
-
 def _noise_subspace(T_est, K):
-    M = _dense(T_est)
+    M = as_dense(T_est)
     d = M.shape[0]
     if not 1 <= K < d:
         raise KOutOfRange(f"need 1 <= K < d = {d}, got K = {K}")
@@ -72,7 +68,7 @@ def music_spectrum(T_est, K, grid_size):
     Returns:
         Real vector of length grid_size.
     """
-    d = _dense(T_est).shape[0]
+    d = as_dense(T_est).shape[0]
     if grid_size < 8 * d:
         raise QtcovError(f"grid_size {grid_size} < 8d = {8 * d}")
     En = _noise_subspace(T_est, K)

@@ -76,6 +76,10 @@ class NonPositiveGamma0(QtcovError):
     pass
 
 
+class BatchFormatError(QtcovError):
+    """A batch file that save_batch could not have written."""
+
+
 # --- estimators -------------------------------------------------------------
 
 class NotFullRuler(QtcovError):

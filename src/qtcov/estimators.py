@@ -15,7 +15,7 @@ import numpy as np
 from .errors import EmptyBatch, NotFullRuler, QtcovError
 from .quantizer import QuantizationSpec
 from .rulers import Ruler
-from .toeplitz import HermitianToeplitz, toeplitz_adjoint_project
+from .toeplitz import HermitianToeplitz, as_dense, toeplitz_adjoint_project
 
 
 @dataclass
@@ -82,6 +82,5 @@ def qscm(batch, spec=None):
 
 def relative_spectral_error(estimate, truth):
     """||estimate - truth||_2 / ||truth||_2 with dense spectral norms."""
-    est = estimate.dense if isinstance(estimate, HermitianToeplitz) else np.asarray(estimate)
-    tru = truth.dense if isinstance(truth, HermitianToeplitz) else np.asarray(truth)
-    return float(np.linalg.norm(est - tru, 2) / np.linalg.norm(tru, 2))
+    tru = as_dense(truth)
+    return float(np.linalg.norm(as_dense(estimate) - tru, 2) / np.linalg.norm(tru, 2))

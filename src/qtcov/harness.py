@@ -1,11 +1,14 @@
 """Monte Carlo experiment runner: configs, trials, CSV tables, SVG plots.
 
 Protocol shared by all experiments: one ground-truth covariance is drawn from
-the config seed, and `trials` independent trials are run with trial t seeded
-as seed XOR t.  Within a trial, the full-dimension raw sample block is drawn
-once and every (ruler, n, level) grid cell works from restrictions of it, so
-grid cells are compared under common random numbers while trials stay
-independent.  Runs are sequential and deterministic: re-running a config
+the config seed per dimension (or taken from the DOA scene), and `trials`
+independent trials are run with trial t seeded as seed XOR t.  Trials are the
+outer loop: for each (d, n, trial) the full-dimension raw sample block is
+drawn once, and every (ruler, bits, level) grid cell of that (d, n) works from
+its ruler columns, so grid cells are compared under common random numbers
+while trials stay independent.  One runner serves both metrics; only the truth
+and the scoring function (relative spectral error, or MUSIC frequency MSE)
+differ.  Runs are sequential and deterministic: re-running a config
 byte-reproduces its CSV.
 """
 
@@ -27,6 +30,7 @@ from .qspa import QspaOptions, qspa_solve
 from .rulers import Ruler, full_ruler, parse_ruler_spec
 from .sampling import SampleBatch, random_toeplitz_covariance, sample_complex_gaussian
 from .svgplot import emit_plot
+from .toeplitz import as_dense
 
 CONFIG_FORMAT = "qtcov-config 1"
 
@@ -37,6 +41,20 @@ RULER_ALIASES = {
 }
 
 FIVE_SOURCE_SCENE = DoaScene(16, (0.08, 0.21, 0.37, 0.68, 0.81), (1.0,) * 5, 0.1)
+
+
+def qspa_from_batch(batch, opts=None):
+    """The qspa fit to a quantized batch's sample covariance (a QspaSolution)."""
+    return qspa_solve(quantized_sample_covariance(batch), batch.ruler, batch.spec,
+                      opts, n=batch.count)
+
+
+# name -> fn(quantized batch, QspaOptions or None) -> covariance estimate
+ESTIMATORS = {
+    "qtscm": lambda batch, opts: qtscm(batch),
+    "qscm": lambda batch, opts: qscm(batch),
+    "qspa": lambda batch, opts: qspa_from_batch(batch, opts).T_breve,
+}
 
 PLOT_KINDS = {"exp1": "heatmap", "exp2": "line-loglog", "exp3a": "line-loglog",
               "exp3b": "line-linear", "exp4": "line-linear", "exp4b": "line-loglog",
@@ -77,13 +95,15 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         for est in self.estimators:
-            if est not in ("qtscm", "qscm", "qspa"):
+            if est not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}")
         if self.level_rule not in ("fixed", "tail_bound", "datadriven"):
             raise ConfigError(f"unknown level rule {self.level_rule!r}")
         for dd in self.d_values or (self.d,):
             for rspec in self.rulers:
                 resolve_ruler(rspec, dd)
+        if not self.n_values:
+            raise ConfigError("n_values must list at least one sample size")
         cap = 10_000 if self.profile == "ci" else 1_000_000
         if max(self.n_values) > cap:
             raise ConfigError(f"n up to {max(self.n_values)} exceeds the "
@@ -183,49 +203,50 @@ def parse_config(text):
     scene_kv = {}
     qspa_kv = {}
     for key, val in kv.items():
-        if key.startswith("scene_"):
-            scene_kv[key] = val
-        elif key in _QSPA_FLOAT_KEYS:
-            name = key[len("qspa_"):]
-            qspa_kv[name] = None if val.lower() == "auto" else float(val)
-        elif key in _QSPA_INT_KEYS:
-            qspa_kv[key[len("qspa_"):]] = int(val)
-        elif key in _LIST_KEYS:
-            cfg = replace(cfg, **{key: tuple(s.strip() for s in val.split(",") if s.strip())})
-        elif key in _INT_LIST_KEYS:
-            cfg = replace(cfg, **{key: tuple(int(s) for s in val.split(",") if s.strip())})
-        elif key in _INT_KEYS:
-            cfg = replace(cfg, **{key: int(val)})
-        elif key in _FLOAT_KEYS:
-            cfg = replace(cfg, **{key: float(val)})
-        elif key in _BOOL_KEYS:
-            cfg = replace(cfg, **{key: val.lower() in ("1", "true", "yes")})
-        elif key == "deltas":
-            pairs = []
-            for tok in val.split(","):
-                if not tok.strip():
-                    continue
-                parts = tok.split(":")
-                if len(parts) == 1:
-                    pairs.append((float(parts[0]), float(parts[0])))
-                else:
-                    pairs.append((float(parts[0]), float(parts[1])))
-            cfg = replace(cfg, deltas=tuple(pairs))
-        elif key == "bits":
-            cfg = replace(cfg, bits=tuple(None if s.strip() == "inf" else int(s)
-                                          for s in val.split(",") if s.strip()))
-        elif key in ("level_rule", "outdir", "profile"):
-            cfg = replace(cfg, **{key: val})
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            if key in ("scene_freqs", "scene_powers"):
+                scene_kv[key] = tuple(float(s) for s in val.split(","))
+            elif key == "scene_noise_var":
+                scene_kv[key] = float(val)
+            elif key in _QSPA_FLOAT_KEYS:
+                qspa_kv[key[len("qspa_"):]] = None if val.lower() == "auto" else float(val)
+            elif key in _QSPA_INT_KEYS:
+                qspa_kv[key[len("qspa_"):]] = int(val)
+            elif key in _LIST_KEYS:
+                cfg = replace(cfg, **{key: tuple(s.strip() for s in val.split(",") if s.strip())})
+            elif key in _INT_LIST_KEYS:
+                cfg = replace(cfg, **{key: tuple(int(s) for s in val.split(",") if s.strip())})
+            elif key in _INT_KEYS:
+                cfg = replace(cfg, **{key: int(val)})
+            elif key in _FLOAT_KEYS:
+                cfg = replace(cfg, **{key: float(val)})
+            elif key in _BOOL_KEYS:
+                cfg = replace(cfg, **{key: val.lower() in ("1", "true", "yes")})
+            elif key == "deltas":
+                pairs = [[float(x) for x in tok.split(":")]
+                         for tok in val.split(",") if tok.strip()]
+                cfg = replace(cfg, deltas=tuple((p[0], p[1] if len(p) > 1 else p[0])
+                                                for p in pairs))
+            elif key == "bits":
+                cfg = replace(cfg, bits=tuple(None if s.strip() == "inf" else int(s)
+                                              for s in val.split(",") if s.strip()))
+            elif key in ("level_rule", "outdir", "profile"):
+                cfg = replace(cfg, **{key: val})
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+        except QtcovError:
+            raise
+        except ValueError as err:
+            raise ConfigError(f"config key {key!r}: cannot parse {val!r} ({err})") from None
     if qspa_kv:
         cfg = replace(cfg, qspa=replace(cfg.qspa, **qspa_kv))
     if scene_kv:
-        cfg = replace(cfg, scene=DoaScene(
-            cfg.d,
-            tuple(float(s) for s in scene_kv["scene_freqs"].split(",")),
-            tuple(float(s) for s in scene_kv["scene_powers"].split(",")),
-            float(scene_kv.get("scene_noise_var", "0.1"))))
+        for key in ("scene_freqs", "scene_powers"):
+            if key not in scene_kv:
+                raise ConfigError(f"scene config needs {key}")
+        cfg = replace(cfg, scene=DoaScene(cfg.d, scene_kv["scene_freqs"],
+                                          scene_kv["scene_powers"],
+                                          scene_kv.get("scene_noise_var", 0.1)))
     return cfg.validate()
 
 
@@ -238,8 +259,6 @@ def config_to_text(cfg):
         if f.name == "qspa":
             for opt in fields(val):
                 ov = getattr(val, opt.name)
-                if opt.name == "gridfree":
-                    continue
                 out.append(f"qspa_{opt.name} = " + ("auto" if ov is None else str(ov)))
             continue
         if f.name == "deltas":
@@ -321,18 +340,26 @@ def _cell_spec(cfg, raw, k, delta_pair, gamma0):
     return QuantizationSpec(*delta_pair)
 
 
-def _estimate(estimator, batch, truth_dense, cfg):
-    """Relative spectral error of one estimator on one quantized batch."""
-    if estimator == "qtscm":
-        est = qtscm(batch).dense
-    elif estimator == "qscm":
-        est = qscm(batch)
-    else:
-        sol = qspa_solve(quantized_sample_covariance(batch), batch.ruler,
-                         batch.spec, cfg.qspa, n=batch.count)
-        est = sol.T_breve.dense
-    return float(np.linalg.norm(est - truth_dense, 2)
-                 / np.linalg.norm(truth_dense, 2))
+def _problems(cfg):
+    """(d, truth, metric, score) per dimension: the DOA scene scored by MUSIC
+    frequency MSE, or one random Toeplitz truth per d scored by relative
+    spectral error."""
+    if cfg.experiment == "exp5" or cfg.scene is not None:
+        scene = cfg.scene or FIVE_SOURCE_SCENE
+
+        def freq_mse(est):
+            _, freqs = estimate_frequencies(est, scene.k_sources, cfg.music_grid)
+            return frequency_mse(freqs, scene.freqs)
+        yield scene.d, scene.covariance(), "freq_mse", freq_mse
+        return
+    for d in cfg.d_values or (cfg.d,):
+        T = random_toeplitz_covariance(d, cfg.seed)
+        truth = T.dense
+        norm = np.linalg.norm(truth, 2)
+
+        def rel_error(est, truth=truth, norm=norm):
+            return float(np.linalg.norm(as_dense(est) - truth, 2) / norm)
+        yield d, T, "rel_error_spectral", rel_error
 
 
 def _append_stats(table, cfg, proto_row, values):
@@ -346,102 +373,50 @@ def _append_stats(table, cfg, proto_row, values):
             table.append(replace(proto_row, stat=f"trial:{t}", value=float(v)))
 
 
-def _cov_grid(cfg):
-    """(d, ruler_spec, bits_or_None, delta_pair, n) cells of a covariance run."""
-    for d in (cfg.d_values or (cfg.d,)):
-        for rspec in cfg.rulers:
-            for k in (cfg.bits or (None,)):
-                for delta_pair in cfg.deltas:
-                    for n in cfg.n_values:
-                        yield d, rspec, k, delta_pair, n
-
-
-def _run_covariance(cfg):
-    table = ResultTable()
-    truths = {}
-    for d, rspec, k, delta_pair, n in _cov_grid(cfg):
-        if d not in truths:
-            truths[d] = random_toeplitz_covariance(d, cfg.seed)
-        T = truths[d]
-        truth_dense = T.dense
-        gamma0 = T.generators[0].real
-        ruler = resolve_ruler(rspec, d)
-        for estimator in cfg.estimators:
-            if estimator == "qscm" and not ruler.is_full():
-                continue
-            proto = Row(cfg.experiment, estimator, d, n, delta_pair[0],
-                        delta_pair[1], k, rspec, "mean", "rel_error_spectral", 0.0)
-            try:
-                errs = []
-                row_spec = None
-                for t in range(cfg.trials):
-                    ts = rng.trial_seed(cfg.seed, t)
-                    raw_full = sample_complex_gaussian(T, full_ruler(d), n, ts)
-                    raw = SampleBatch(d, n, ruler, raw_full.data[:, ruler.positions],
-                                      "raw", ts)
-                    spec = _cell_spec(cfg, raw, k, delta_pair, gamma0)
-                    row_spec = row_spec or spec
-                    batch = quantize_batch(raw, spec)
-                    errs.append(_estimate(estimator, batch, truth_dense, cfg))
-                proto = replace(proto, delta_r=row_spec.delta_r, delta_i=row_spec.delta_i)
-                _append_stats(table, cfg, proto, errs)
-            except QtcovError as err:
-                table.append(replace(proto, stat="mean", value=math.nan,
-                                     note=f"{type(err).__name__}: {err}"))
-    return table
-
-
-def _run_doa(cfg):
-    scene = cfg.scene or FIVE_SOURCE_SCENE
-    table = ResultTable()
-    R = scene.covariance()
-    gamma0 = R.generators[0].real
-    K = scene.k_sources
-    for rspec in cfg.rulers:
-        ruler = resolve_ruler(rspec, scene.d)
-        for k in (cfg.bits or (None,)):
-            for delta_pair in cfg.deltas:
-                for n in cfg.n_values:
-                    for estimator in cfg.estimators:
-                        if estimator == "qscm" and not ruler.is_full():
-                            continue
-                        proto = Row(cfg.experiment, estimator, scene.d, n,
-                                    delta_pair[0], delta_pair[1], k, rspec,
-                                    "mean", "freq_mse", 0.0)
-                        try:
-                            mses = []
-                            row_spec = None
-                            for t in range(cfg.trials):
-                                ts = rng.trial_seed(cfg.seed, t)
-                                raw = sample_complex_gaussian(R, ruler, n, ts)
-                                spec = _cell_spec(cfg, raw, k, delta_pair, gamma0)
-                                row_spec = row_spec or spec
-                                batch = quantize_batch(raw, spec)
-                                if estimator == "qtscm":
-                                    est = qtscm(batch)
-                                elif estimator == "qscm":
-                                    est = qscm(batch)
-                                else:
-                                    est = qspa_solve(
-                                        quantized_sample_covariance(batch),
-                                        ruler, spec, cfg.qspa, n=n).T_breve
-                                _, freqs = estimate_frequencies(est, K, cfg.music_grid)
-                                mses.append(frequency_mse(freqs, scene.freqs))
-                            proto = replace(proto, delta_r=row_spec.delta_r,
-                                            delta_i=row_spec.delta_i)
-                            _append_stats(table, cfg, proto, mses)
-                        except QtcovError as err:
-                            table.append(replace(proto, stat="mean", value=math.nan,
-                                                 note=f"{type(err).__name__}: {err}"))
-    return table
-
-
 def run_experiment(config):
-    """Run a config; returns the ResultTable (deterministic in the config)."""
-    config.validate()
-    if config.experiment == "exp5" or config.scene is not None:
-        return _run_doa(config)
-    return _run_covariance(config)
+    """Run a config; returns the ResultTable (deterministic in the config).
+
+    A row's first QtcovError makes it one nan row carrying that error's note;
+    an error in the shared (d, n, trial) draw does so for every row of that (d, n).
+    """
+    cfg = config.validate()
+    table = ResultTable()
+    for d, truth, metric, score in _problems(cfg):
+        gamma0 = truth.generators[0].real
+        full = full_ruler(d)
+        rulers = {rspec: resolve_ruler(rspec, d) for rspec in cfg.rulers}
+        rows = [Row(cfg.experiment, est, d, n, pair[0], pair[1], k, rspec, "mean", metric, 0.0)
+                for rspec in cfg.rulers for k in (cfg.bits or (None,)) for pair in cfg.deltas
+                for n in cfg.n_values for est in cfg.estimators
+                if est != "qscm" or rulers[rspec].is_full()]
+        values = [[] for _ in rows]
+        specs, notes = {}, {}  # row index -> first trial's spec / first error's note
+        for n in dict.fromkeys(cfg.n_values):
+            for t in range(cfg.trials):
+                ts = rng.trial_seed(cfg.seed, t)
+                live = [i for i, row in enumerate(rows) if row.n == n and i not in notes]
+                try:
+                    block = sample_complex_gaussian(truth, full, n, ts).data
+                except QtcovError as err:
+                    notes.update((i, f"{type(err).__name__}: {err}") for i in live)
+                    continue
+                for i in live:
+                    row, ruler = rows[i], rulers[rows[i].ruler]
+                    try:
+                        raw = SampleBatch(d, n, ruler, block[:, ruler.positions], "raw", ts)
+                        spec = _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0)
+                        specs.setdefault(i, spec)
+                        batch = quantize_batch(raw, spec)
+                        values[i].append(score(ESTIMATORS[row.estimator](batch, cfg.qspa)))
+                    except QtcovError as err:
+                        notes[i] = f"{type(err).__name__}: {err}"
+        for i, row in enumerate(rows):
+            if i in notes:
+                table.append(replace(row, value=math.nan, note=notes[i]))
+            else:
+                _append_stats(table, cfg, replace(row, delta_r=specs[i].delta_r,
+                                                  delta_i=specs[i].delta_i), values[i])
+    return table
 
 
 def write_outputs(cfg, table, outdir=None):

@@ -58,7 +58,6 @@ class QspaOptions:
     newton_tol: float = 1e-8
     max_outer: int = 40
     max_inner: int = 50
-    gridfree: bool = True  # fitting runs in generator coordinates (gridless)
 
 
 @dataclass
@@ -325,8 +324,6 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
     out, in which case the best iterate found is returned.
     """
     opts = opts or QspaOptions()
-    if not opts.gridfree:
-        raise NotImplementedError("only the gridless generator-coordinate solver exists")
     Rhat = np.asarray(Rhat, dtype=np.complex128)
     eps = auto_epsilon(Rhat, n) if opts.epsilon_reg is None else float(opts.epsilon_reg)
     Rwork = regularize_sample_cov(Rhat, eps) if eps > 0 else Rhat

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Duplicate, LagOutOfRange, MissingLag, NotARuler, OutOfRange
+from .errors import Duplicate, LagOutOfRange, MissingLag, NotARuler, OutOfRange, QtcovError
 
 
 class Ruler:
@@ -46,10 +46,12 @@ class Ruler:
         order = np.lexsort((rows, lags))
         lags, rows, cols = lags[order], rows[order], cols[order]
 
-        sizes = np.bincount(lags, minlength=dim)
-        missing = np.flatnonzero(sizes == 0)
-        if missing.size:
-            raise MissingLag(missing[0], dim)
+        # first gap in the covered lags, found without a dim-sized array
+        covered, sizes = np.unique(lags, return_counts=True)
+        gaps = np.flatnonzero(covered != np.arange(covered.size))
+        first_missing = gaps[0] if gaps.size else covered.size
+        if first_missing < dim:
+            raise MissingLag(first_missing, dim)
 
         self.dim = dim
         self.indices = idx
@@ -160,6 +162,11 @@ def parse_ruler_spec(spec, d):
     text = spec.strip().lower()
     if text == "full":
         return full_ruler(d)
-    if text.startswith("alpha:"):
-        return make_ruler_alpha(d, float(text.split(":", 1)[1]))
-    return Ruler.from_string(spec, d)
+    try:
+        if text.startswith("alpha:"):
+            return make_ruler_alpha(d, float(text.split(":", 1)[1]))
+        return Ruler.from_string(spec, d)
+    except QtcovError:
+        raise
+    except ValueError:
+        raise NotARuler(f"cannot parse ruler spec {spec!r}") from None

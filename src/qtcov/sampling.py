@@ -9,11 +9,12 @@ in `qtcov.rng`.
 import numpy as np
 
 from . import rng
-from .errors import EmptyBatch, NotPSD, OutOfRange, QtcovError
+from .errors import BatchFormatError, EmptyBatch, NotPSD, OutOfRange, QtcovError
 from .rulers import Ruler
 from .toeplitz import vandermonde_synthesize
 
 BATCH_FORMAT = "qtcov-batch 1"
+_REQUIRED_FIELDS = ("d", "n", "ruler", "stage", "seed", "payload")
 
 
 class SampleBatch:
@@ -132,7 +133,7 @@ def save_batch(batch, path):
 
 
 def load_batch(path):
-    """Read a batch written by save_batch."""
+    """Read a batch written by save_batch; a malformed file raises BatchFormatError."""
     from .quantizer import QuantizationSpec, codes_to_values
 
     with open(path, "rb") as fh:
@@ -140,20 +141,34 @@ def load_batch(path):
     head, _, payload = blob.partition(b"\n\n")
     lines = head.decode("latin-1").splitlines()
     if not lines or lines[0] != BATCH_FORMAT:
-        raise QtcovError(f"unrecognized batch format in {path}")
-    fields = dict(line.split("=", 1) for line in lines[1:])
-    d = int(fields["d"])
-    n = int(fields["n"])
-    ruler = Ruler.from_string(fields["ruler"], d)
-    spec = None
-    if "delta_r" in fields:
-        bits = int(fields["bits_k"]) if "bits_k" in fields else None
-        spec = QuantizationSpec(float(fields["delta_r"]), float(fields["delta_i"]), bits)
+        raise BatchFormatError(f"unrecognized batch format in {path}")
+    try:
+        fields = dict(line.split("=", 1) for line in lines[1:])
+        missing = [key for key in _REQUIRED_FIELDS if key not in fields]
+        if missing:
+            raise BatchFormatError(f"batch header in {path} lacks {', '.join(missing)}")
+        d, n, seed = int(fields["d"]), int(fields["n"]), int(fields["seed"])
+        ruler = Ruler.from_string(fields["ruler"], d)
+        spec = None
+        if "delta_r" in fields:
+            bits = int(fields["bits_k"]) if "bits_k" in fields else None
+            spec = QuantizationSpec(float(fields["delta_r"]), float(fields["delta_i"]), bits)
+    except QtcovError:
+        raise
+    except (ValueError, KeyError) as err:
+        raise BatchFormatError(f"bad batch header in {path}: {err!r}") from None
+    kind = fields["payload"]
+    if kind not in ("codes", "complex128") or (kind == "codes" and spec is None):
+        raise BatchFormatError(f"payload kind {kind!r} in {path} does not fit its header")
+    # 16 bytes per entry either way: one complex128, or two int64 codes
+    if n < 0 or len(payload) != 16 * n * ruler.size:
+        raise BatchFormatError(f"payload of {len(payload)} bytes in {path} does not hold "
+                               f"n={n} x |ruler|={ruler.size} entries")
     shape = (n, ruler.size)
-    if fields["payload"] == "codes":
+    if kind == "codes":
         flat = np.frombuffer(payload, dtype="<i8")
         half = flat.size // 2
         data = codes_to_values((flat[:half].reshape(shape), flat[half:].reshape(shape)), spec)
     else:
         data = np.frombuffer(payload, dtype="<c16").reshape(shape).copy()
-    return SampleBatch(d, n, ruler, data, fields["stage"], int(fields["seed"]), spec)
+    return SampleBatch(d, n, ruler, data, fields["stage"], seed, spec)

@@ -54,6 +54,11 @@ class HermitianToeplitz:
         return f"HermitianToeplitz(d={self.dim}, gamma0={self.generators[0].real:g})"
 
 
+def as_dense(M):
+    """Dense array of a HermitianToeplitz or of an array-like matrix."""
+    return M.dense if isinstance(M, HermitianToeplitz) else np.asarray(M)
+
+
 def toeplitz_from_generators(generators):
     """Build a HermitianToeplitz from gamma_0..gamma_{d-1} (gamma_0 real)."""
     return HermitianToeplitz(generators)

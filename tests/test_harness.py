@@ -41,6 +41,14 @@ class TestConfig:
             cfg.validate()
         replace(cfg, profile="full").validate()
 
+    def test_rejects_unknown_scene_key(self):
+        with pytest.raises(ConfigError, match="scene_freq"):
+            parse_config("qtcov-config 1\nexperiment = custom\nscene_freq = 0.1\n")
+
+    def test_rejects_empty_n_values(self):
+        with pytest.raises(ConfigError, match="n_values"):
+            parse_config("qtcov-config 1\nexperiment = custom\nn_values =\n")
+
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ConfigError):
             tiny_config(estimators=("magic",)).validate()
@@ -210,6 +218,55 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "estimated frequencies:" in r.stdout
         assert "frequency mse:" in r.stdout
+
+
+class TestInputErrors:
+    """Bad input exits with code 1 and a one-line message, never a traceback."""
+
+    run_cli = TestCli.run_cli
+
+    def assert_clean_failure(self, r, *words):
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        for word in words:
+            assert word in r.stderr
+
+    def test_non_integer_config_value(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("qtcov-config 1\nexperiment = custom\nd = abc\n")
+        self.assert_clean_failure(self.run_cli("experiment", "--config", str(cfg)),
+                                  "'d'", "abc")
+
+    def test_scene_powers_without_freqs(self, tmp_path):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text("qtcov-config 1\nexperiment = custom\nscene_powers = 1, 1\n")
+        self.assert_clean_failure(self.run_cli("experiment", "--config", str(cfg)),
+                                  "scene_freqs")
+
+    def test_non_numeric_truth_file(self, tmp_path):
+        batch, truth = tmp_path / "b.qtb", tmp_path / "t.txt"
+        r = self.run_cli("simulate", "--d", "4", "--n", "20", "-o", str(batch))
+        assert r.returncode == 0, r.stderr
+        truth.write_text("not a number\n")
+        r = self.run_cli("estimate", "--batch", str(batch), "--truth", str(truth))
+        self.assert_clean_failure(r, str(truth))
+
+    def test_non_numeric_delta(self, tmp_path):
+        r = self.run_cli("simulate", "--d", "4", "--delta", "abc",
+                         "-o", str(tmp_path / "b.qtb"))
+        self.assert_clean_failure(r, "--delta", "abc")
+
+    def test_unparsable_ruler_spec(self):
+        self.assert_clean_failure(self.run_cli("ruler", "--d", "16", "--ruler", "alpha:abc"),
+                                  "alpha:abc")
+
+    def test_truncated_batch_file(self, tmp_path):
+        batch = tmp_path / "b.qtb"
+        r = self.run_cli("simulate", "--d", "16", "--n", "100", "-o", str(batch))
+        assert r.returncode == 0, r.stderr
+        batch.write_bytes(batch.read_bytes()[:700])
+        self.assert_clean_failure(self.run_cli("estimate", "--batch", str(batch)),
+                                  "payload")
 
 
 class TestOutputs:

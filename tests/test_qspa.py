@@ -138,11 +138,6 @@ class TestSolve:
         assert lines[0] == "iteration,mu,objective,kkt_residual"
         assert len(lines) == len(sol.trace) + 1
 
-    def test_gridfree_flag_guard(self, rng):
-        Rhat = wishart_rhat(rng, 2, 20)
-        with pytest.raises(NotImplementedError):
-            qspa_solve(Rhat, full_ruler(2), DELTA11, QspaOptions(gridfree=False))
-
 
 class TestBarrierCalculus:
     @pytest.mark.parametrize("trial", range(50))

@@ -1,11 +1,16 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtcov import (QuantizationSpec, full_ruler, load_batch,
                    min_eigenvalue, quantize_batch, random_toeplitz_covariance,
                    sample_complex_gaussian, save_batch, toeplitz_from_generators,
                    validate_ruler)
-from qtcov.errors import NotPSD
+from qtcov.errors import BatchFormatError, NotPSD, QtcovError
 
 
 class TestRandomCovariance:
@@ -100,3 +105,84 @@ class TestBatchSerialization:
         back = load_batch(path)
         np.testing.assert_array_equal(back.data, raw.data)
         assert back.stage == "raw" and back.spec is None
+
+
+def _simulated_batch(d, n, bits, delta, seed, quantized=True):
+    T = random_toeplitz_covariance(d, seed)
+    raw = sample_complex_gaussian(T, full_ruler(d), n, seed)
+    if not quantized:
+        return raw
+    spec = QuantizationSpec(delta, delta, bits) if bits else QuantizationSpec(delta, 0.5 * delta)
+    return quantize_batch(raw, spec)
+
+
+def _saved_blob(batch):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.qtb")
+        save_batch(batch, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _load_blob(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.qtb")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return load_batch(path)
+
+
+batches = st.builds(_simulated_batch, d=st.integers(1, 6), n=st.integers(1, 12),
+                    bits=st.sampled_from([None, 1, 2, 5]),
+                    delta=st.floats(0.05, 4.0), seed=st.integers(0, 2**32),
+                    quantized=st.booleans())
+
+
+class TestBatchFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(batches)
+    def test_roundtrip_is_bit_exact(self, batch):
+        back = _load_blob(_saved_blob(batch))
+        assert back.data.tobytes() == batch.data.tobytes()
+        assert back.spec == batch.spec and back.ruler == batch.ruler
+        assert (back.dim, back.count, back.stage, back.seed) == \
+               (batch.dim, batch.count, batch.stage, batch.seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches, st.data())
+    def test_truncated_file_raises_typed_error(self, batch, data):
+        blob = _saved_blob(batch)
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(QtcovError):
+            _load_blob(blob[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches, st.data())
+    def test_fuzzed_file_raises_only_typed_errors(self, batch, data):
+        blob = bytearray(_saved_blob(batch))
+        header_end = blob.index(b"\n\n") + 2
+        for _ in range(data.draw(st.integers(1, 4))):
+            pos = data.draw(st.integers(0, header_end - 1))
+            blob[pos] = data.draw(st.integers(0, 255))
+        try:
+            _load_blob(bytes(blob))
+        except QtcovError:
+            pass
+
+    def test_cut_payload_is_batch_format_error(self):
+        blob = _saved_blob(_simulated_batch(16, 100, None, 1.0, 3))
+        with pytest.raises(BatchFormatError, match="payload"):
+            _load_blob(blob[:700])
+
+    def test_huge_dimension_fails_before_allocating(self):
+        blob = _saved_blob(_simulated_batch(1, 3, None, 1.0, 3))
+        blob = blob.replace(b"d=1\n", b"d=1000000000000\n", 1)
+        with pytest.raises(QtcovError, match="lag 1 is not covered"):
+            _load_blob(blob)
+
+    def test_missing_field_is_batch_format_error(self):
+        blob = _saved_blob(_simulated_batch(4, 10, 2, 1.0, 3))
+        head, payload = blob.split(b"\n\n", 1)
+        head = b"\n".join(ln for ln in head.split(b"\n") if not ln.startswith(b"n="))
+        with pytest.raises(BatchFormatError, match="lacks n"):
+            _load_blob(head + b"\n\n" + payload)
