@@ -48,13 +48,22 @@ class DoaScene:
         return HermitianToeplitz(gens)
 
 
-def _noise_subspace(T_est, K):
+def _noise_subspace(T_est, K, grid_size):
     M = as_dense(T_est)
     d = M.shape[0]
+    if grid_size < 8 * d:
+        raise QtcovError(f"grid_size {grid_size} < 8d = {8 * d}")
     if not 1 <= K < d:
         raise KOutOfRange(f"need 1 <= K < d = {d}, got K = {K}")
     _, vec = np.linalg.eigh(M)
     return vec[:, :d - K]  # eigenvectors of the d-K smallest eigenvalues
+
+
+def _grid_spectrum(En, grid_size):
+    theta = np.arange(grid_size) / grid_size
+    A = np.exp(2j * np.pi * np.outer(np.arange(En.shape[0]), theta))
+    denom = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
+    return 1.0 / denom
 
 
 def music_spectrum(T_est, K, grid_size):
@@ -68,14 +77,7 @@ def music_spectrum(T_est, K, grid_size):
     Returns:
         Real vector of length grid_size.
     """
-    d = as_dense(T_est).shape[0]
-    if grid_size < 8 * d:
-        raise QtcovError(f"grid_size {grid_size} < 8d = {8 * d}")
-    En = _noise_subspace(T_est, K)
-    theta = np.arange(grid_size) / grid_size
-    A = np.exp(2j * np.pi * np.outer(np.arange(d), theta))
-    denom = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
-    return 1.0 / denom
+    return _grid_spectrum(_noise_subspace(T_est, K, grid_size), grid_size)
 
 
 def _golden_refine(fun, lo, hi, iters=60):
@@ -109,8 +111,8 @@ def estimate_frequencies(T_est, K, grid_size=4096):
         (resolved, freqs): resolved is False for padded/degenerate output;
         freqs is sorted ascending, values in [0, 1).
     """
-    spectrum = music_spectrum(T_est, K, grid_size)
-    En = _noise_subspace(T_est, K)
+    En = _noise_subspace(T_est, K, grid_size)
+    spectrum = _grid_spectrum(En, grid_size)
     d = En.shape[0]
 
     left = np.roll(spectrum, 1)

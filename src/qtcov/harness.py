@@ -376,8 +376,9 @@ def _append_stats(table, cfg, proto_row, values):
 def run_experiment(config):
     """Run a config; returns the ResultTable (deterministic in the config).
 
-    A row's first QtcovError makes it one nan row carrying that error's note;
-    an error in the shared (d, n, trial) draw does so for every row of that (d, n).
+    A row's first QtcovError or numpy LinAlgError makes it one nan row carrying
+    that error's note; an error in the shared (d, n, trial) draw does so for
+    every row of that (d, n).
     """
     cfg = config.validate()
     table = ResultTable()
@@ -408,7 +409,7 @@ def run_experiment(config):
                         specs.setdefault(i, spec)
                         batch = quantize_batch(raw, spec)
                         values[i].append(score(ESTIMATORS[row.estimator](batch, cfg.qspa)))
-                    except QtcovError as err:
+                    except (QtcovError, np.linalg.LinAlgError) as err:
                         notes[i] = f"{type(err).__name__}: {err}"
         for i, row in enumerate(rows):
             if i in notes:

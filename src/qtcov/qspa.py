@@ -21,32 +21,23 @@ coordinates with a path-following log barrier
 
 using damped Newton steps; mu shrinks geometrically.  Gradients reduce to
 per-lag sums of Hermitian weight matrices (the adjoint of the generator-to-
-matrix map), and Hessians are assembled from the same sparse lag bases.
+matrix map).  Hessian entries tr(X E_a Y E_b) over lag directions E_a depend
+only on lag-shifted products of X and Y, so they come from one 2-D FFT
+cross-correlation over the signed lags, in O(d^2 log d) for any ruler.
+
+All linear algebra goes through numpy.  numpy and scipy wheels each bundle
+their own OpenBLAS with its own thread pool; alternating small calls between
+the two pools costs milliseconds per call where one pool takes microseconds.
 """
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import InfeasibleU, QtcovError, SingularRhat
 from .rulers import full_ruler
 from .toeplitz import HermitianToeplitz, toeplitz_adjoint_project
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
-
-
-def _single_threaded_blas():
-    # The solver iterates on matrices of at most 64 x 64; multi-threaded BLAS
-    # only adds thread-pool handoff latency at that size.
-    if threadpool_limits is None:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1, user_api="blas")
 
 
 @dataclass
@@ -130,20 +121,6 @@ def _lag_index_matrix(ruler):
     return (pos[None, :] - pos[:, None]) + ruler.dim - 1
 
 
-def _lag_bases(ruler):
-    """Hermitian direction matrices dA/dv_a on the ruler block, shape (2d-1, m, m)."""
-    d, m = ruler.dim, ruler.size
-    E = np.zeros((2 * d - 1, m, m), dtype=np.complex128)
-    E[0] = np.eye(m)
-    for s in range(1, d):
-        sel = ruler.pair_lags == s
-        P = np.zeros((m, m))
-        P[ruler.pair_rows[sel], ruler.pair_cols[sel]] = 1.0
-        E[2 * s - 1] = P + P.T
-        E[2 * s] = 1j * (P - P.T)
-    return E
-
-
 def _lag_sums(W, ruler):
     """h[s] = sum of W over ordered lag-s pairs (the unnormalized adjoint)."""
     vals = W[ruler.pair_rows, ruler.pair_cols]
@@ -159,12 +136,39 @@ def _grad_from_lag_sums(h):
     return g
 
 
-def _pairwise_traces(X, Y):
-    """Re tr(X_a Y_b) for stacks of matrices, as one BLAS product."""
-    p, m, _ = X.shape
-    Xf = X.reshape(p, m * m)
-    Yf = Y.transpose(0, 2, 1).reshape(p, m * m)
-    return (Xf @ Yf.T).real
+def _lag_hessian(terms):
+    """H[a, b] = Re sum over (X, Y, ruler) in terms of tr(X E_a Y E_b).
+
+    E_a = dA/dv_a is the direction matrix of generator coordinate a on the
+    ruler block.  With F_l the signed-lag indicator (F_l[j, k] = 1 iff
+    k - j = l), E_0 = F_0, E(Re u_s) = F_s + F_-s, E(Im u_s) = i F_s - i F_-s,
+    and K[l, l'] = tr(X F_l Y F_l') = sum_{p, j} X[p, j] Y[j + l, p - l']
+    over the d x d embedding, a 2-D cross-correlation of X with Y^T.  All
+    terms share one inverse FFT.
+    """
+    d = terms[0][2].dim
+    # 2d - 1 signed lags per axis fit without wrap-around; 2d is a faster FFT
+    # length (2d - 1 is prime for d = 16 and d = 64)
+    n = 2 * d
+    spectrum = 0.0
+    for X, Y, ruler in terms:
+        pos = np.ix_(ruler.positions, ruler.positions)
+        Xe = np.zeros((n, n), dtype=np.complex128)
+        Ze = np.zeros((n, n), dtype=np.complex128)
+        Xe[pos] = X
+        Ze[pos] = Y.T
+        spectrum = spectrum + np.fft.ifft2(Xe, norm="forward") * np.fft.fft2(Ze)
+    # C[r, c] = sum_{p, j} X[p, j] Y^T[p + r, j + c], signed shifts taken mod n
+    C = np.fft.ifft2(spectrum)
+    # coefficients of each E_a over signed lags l, column l mod n
+    s = np.arange(1, d)
+    coef = np.zeros((2 * d - 1, n), dtype=np.complex128)
+    coef[0, 0] = 1.0
+    coef[2 * s - 1, s] = coef[2 * s - 1, n - s] = 1.0
+    coef[2 * s, s] = 1j
+    coef[2 * s, n - s] = -1j
+    # K[l, l'] = C[-l', l]; the coefficients of lag -l' are conj(coef[:, l'])
+    return (coef.conj() @ C @ coef.T).real.T
 
 
 def _try_chol(M):
@@ -175,7 +179,7 @@ def _try_chol(M):
 
 
 def _chol_inverse(L):
-    Linv = solve_triangular(L, np.eye(L.shape[0], dtype=L.dtype), lower=True)
+    Linv = np.linalg.inv(L)
     return Linv.conj().T @ Linv
 
 
@@ -202,8 +206,6 @@ class _BarrierProblem:
         self.c = float(c)
         self.block_idx = _lag_index_matrix(ruler)
         self.full_idx = _lag_index_matrix(self.full)
-        self.E_block = _lag_bases(ruler)
-        self.E_full = _lag_bases(self.full)
 
     def block(self, u):
         return _gen_table(u)[self.block_idx]
@@ -269,12 +271,8 @@ class _BarrierProblem:
         if not want_hess:
             return val, grad, None
 
-        X = Ainv[None] @ self.E_block
-        Y = S[None] @ self.E_block
-        Z = Binv[None] @ self.E_full
-        H = (2.0 * _pairwise_traces(Y, X)
-             + mu * _pairwise_traces(X, X)
-             + mu * _pairwise_traces(Z, Z))
+        H = _lag_hessian(((2.0 * S + mu * Ainv, Ainv, self.ruler),
+                          (mu * Binv, Binv, self.full)))
         return val, grad, 0.5 * (H + H.T)
 
 
@@ -342,9 +340,7 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
             return QspaSolution(gens, obj, 0.0, 0, breve, True,
                                 trace=[(0, 0.0, obj, 0.0)])
 
-    with _single_threaded_blas():
-        return _barrier_iterations(prob, _initial_point(prob, spec), opts,
-                                   n_params, c)
+    return _barrier_iterations(prob, _initial_point(prob, spec), opts, n_params, c)
 
 
 def _barrier_iterations(prob, v, opts, n_params, c):
@@ -404,8 +400,8 @@ def _solve_newton(H, grad):
     scale = float(np.trace(H)) / H.shape[0]
     for _ in range(8):
         try:
-            L = np.linalg.cholesky(H + jitter * np.eye(H.shape[0]))
-            return -cho_solve((L, True), grad)
+            Linv = np.linalg.inv(np.linalg.cholesky(H + jitter * np.eye(H.shape[0])))
+            return -(Linv.T @ (Linv @ grad))
         except np.linalg.LinAlgError:
             jitter = max(2.0 * jitter, 1e-12 * max(scale, 1.0))
     return -np.linalg.lstsq(H, grad, rcond=None)[0]

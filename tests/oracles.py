@@ -63,3 +63,39 @@ def wishart_rhat(rng, m, n):
     """Random positive definite sample covariance with the z z^H convention."""
     X = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     return X.T @ X.conj() / n
+
+
+def lag_bases(ruler):
+    """Hermitian direction matrices dA/dv_a on the ruler block, shape (2d-1, m, m).
+
+    v = (u_0, Re u_1, Im u_1, ..., Re u_{d-1}, Im u_{d-1}) are the real
+    generator coordinates of the Toeplitz solver.
+    """
+    d, m = ruler.dim, ruler.size
+    E = np.zeros((2 * d - 1, m, m), dtype=np.complex128)
+    E[0] = np.eye(m)
+    for s in range(1, d):
+        sel = ruler.pair_lags == s
+        P = np.zeros((m, m))
+        P[ruler.pair_rows[sel], ruler.pair_cols[sel]] = 1.0
+        E[2 * s - 1] = P + P.T
+        E[2 * s] = 1j * (P - P.T)
+    return E
+
+
+def pairwise_traces(X, Y):
+    """Re tr(X_a Y_b) for stacks of matrices, as one matrix product."""
+    p, m, _ = X.shape
+    Xf = X.reshape(p, m * m)
+    Yf = Y.transpose(0, 2, 1).reshape(p, m * m)
+    return (Xf @ Yf.T).real
+
+
+def stacked_lag_hessian(terms):
+    """H[a, b] = Re sum over (X, Y, ruler) in terms of tr(X E_a Y E_b), with
+    the direction matrices E_a of each ruler block materialized as a stack."""
+    H = 0.0
+    for X, Y, ruler in terms:
+        E = lag_bases(ruler)
+        H = H + pairwise_traces(X[None] @ E, Y[None] @ E)
+    return H

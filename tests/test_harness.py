@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qtcov
+from qtcov import harness
 from qtcov import rng as qrng
 from qtcov.errors import ConfigError, EmptyTable, MixedMetrics
 from qtcov.harness import (ExperimentConfig, ResultTable, Row, config_to_text,
@@ -125,6 +126,16 @@ class TestRunnerSemantics:
         assert len(table.rows) == 1
         assert math.isnan(table.rows[0].value)
         assert table.rows[0].note != ""
+
+    def test_linalg_error_recorded_for_its_cell_only(self, monkeypatch):
+        def broken(batch, opts):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        monkeypatch.setitem(harness.ESTIMATORS, "qscm", broken)
+        table = run_experiment(tiny_config(estimators=("qtscm", "qscm")))
+        means = {r.estimator: r for r in table.means()}
+        assert math.isnan(means["qscm"].value)
+        assert means["qscm"].note == "LinAlgError: Matrix is not positive definite"
+        assert np.isfinite(means["qtscm"].value) and means["qtscm"].note == ""
 
     def test_doa_runner_rows(self):
         cfg = replace(default_config("exp5"), trials=2, n_values=(200,),

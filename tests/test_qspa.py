@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from qtcov import (QuantizationSpec, auto_epsilon, full_ruler, make_ruler_alpha,
-                   qspa_objective, qspa_solve, quantize_batch,
+from qtcov import (QuantizationSpec, auto_epsilon, full_ruler, harness, make_ruler_alpha,
+                   parse_ruler_spec, qspa, qspa_objective, qspa_solve, quantize_batch,
                    quantized_sample_covariance, random_toeplitz_covariance,
                    regularize_sample_cov, sample_complex_gaussian,
                    toeplitz_adjoint_project)
 from qtcov.errors import InfeasibleU, SingularRhat
 from qtcov.qspa import QspaOptions, _BarrierProblem, _params_from_generators
 
-from oracles import fitting_objective_d2, grid_oracle_d2, wishart_rhat
+from oracles import fitting_objective_d2, grid_oracle_d2, stacked_lag_hessian, wishart_rhat
+from test_golden import GOLDEN_CONFIGS
 
 DELTA11 = QuantizationSpec(1.0, 1.0)
 DELTA0 = QuantizationSpec(0.0, 0.0)
@@ -179,3 +180,48 @@ class TestBarrierCalculus:
         order_fro = np.argsort(vals_fro)
         np.testing.assert_array_equal(order_tr, order_fro)
         np.testing.assert_allclose(np.array(vals_tr) - 2 * m, vals_fro, rtol=1e-8)
+
+
+class TestStructuredHessian:
+    """The FFT lag Hessian against the stacked direction-matrix construction."""
+
+    @pytest.mark.parametrize("rspec", ["full", "alpha:0.5"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 33])
+    def test_matches_stacked_oracle(self, d, rspec, monkeypatch):
+        rng = np.random.default_rng(7000 + d)
+        ruler = parse_ruler_spec(rspec, d)
+        Rhat = wishart_rhat(rng, ruler.size, 4 * ruler.size)
+        c = DELTA11.lag0_bias
+        prob = _BarrierProblem(Rhat, ruler, c)
+        # T(u) - cI has smallest eigenvalue `margin`: inside the feasible set
+        # and close to its boundary
+        for margin in (1.0, 1e-2, 1e-4):
+            gens = feasible_generators(rng, d, c, margin=0.0)
+            gens[0] += margin - np.linalg.eigvalsh(prob.shifted_full(gens))[0]
+            v = _params_from_generators(gens)
+            mu = float(rng.uniform(0.05, 2.0))
+            _, _, H = prob.value_grad(v, mu, want_hess=True)
+            with monkeypatch.context() as mp:
+                mp.setattr(qspa, "_lag_hessian", stacked_lag_hessian)
+                _, _, H_ref = prob.value_grad(v, mu, want_hess=True)
+            assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
+
+    def test_solver_unchanged_on_golden_problems(self, monkeypatch):
+        problems = []
+
+        def recording(Rhat, ruler, spec, opts=None, n=None):
+            problems.append((Rhat, ruler, spec, opts, n))
+            return qspa_solve(Rhat, ruler, spec, opts, n=n)
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "qspa_solve", recording)
+            for name in ("all_estimators", "tail_bound", "doa_d8"):
+                harness.run_experiment(GOLDEN_CONFIGS[name])
+        assert len(problems) == 24
+        solved = [qspa_solve(Rhat, ruler, spec, opts, n=n)
+                  for Rhat, ruler, spec, opts, n in problems]
+        monkeypatch.setattr(qspa, "_lag_hessian", stacked_lag_hessian)
+        for (Rhat, ruler, spec, opts, n), sol in zip(problems, solved):
+            ref = qspa_solve(Rhat, ruler, spec, opts, n=n)
+            assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
+            assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
