@@ -50,7 +50,7 @@ def _traced_qspa(path):
         sol = qspa_from_batch(batch, opts)
         with open(path, "w") as fh:
             fh.write(sol.trace_csv())
-        return sol.T_breve
+        return sol.T_breve, sol.converged
     return solve
 
 
@@ -89,7 +89,9 @@ def cmd_estimate(args):
         estimators = {**ESTIMATORS, "qspa": _traced_qspa(args.qspa_trace)}
     rows = [EstimationReport.CSV_HEADER]
     for name in args.estimator:
-        est = estimators[name](batch, None)
+        est, converged = estimators[name](batch, None)
+        if not converged:
+            print(f"warning: {name} did not converge", file=sys.stderr)
         err = relative_spectral_error(est, truth) if truth is not None else None
         report = EstimationReport(est, name, batch.spec, batch.ruler,
                                   batch.count, batch.seed, err)
@@ -132,7 +134,9 @@ def cmd_doa(args):
             raise QtcovError("scene config lacks scene_* keys")
     else:
         scene = FIVE_SOURCE_SCENE
-    est = ESTIMATORS[args.estimator](_simulate(scene.covariance(), args), None)
+    est, converged = ESTIMATORS[args.estimator](_simulate(scene.covariance(), args), None)
+    if not converged:
+        print(f"warning: {args.estimator} did not converge")
     resolved, freqs = estimate_frequencies(est, scene.k_sources, args.grid)
     print("estimated frequencies:", " ".join(f"{f:.6f}" for f in freqs))
     if not resolved:

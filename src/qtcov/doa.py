@@ -131,9 +131,11 @@ def estimate_frequencies(T_est, K, grid_size=4096):
             if j not in chosen:
                 chosen.append(int(j))
 
+    EnH = En.conj().T  # formed once; each refinement step reuses it
+
     def pseudo(theta):
         a = steering_vector(theta, d)
-        return 1.0 / np.sum(np.abs(En.conj().T @ a) ** 2)
+        return 1.0 / np.sum(np.abs(EnH @ a) ** 2)
 
     cell = 1.0 / grid_size
     freqs = np.array([_golden_refine(pseudo, j * cell - cell, j * cell + cell) % 1.0

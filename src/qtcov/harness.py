@@ -6,16 +6,21 @@ independent trials are run with trial t seeded as seed XOR t.  Trials are the
 outer loop: for each (d, n, trial) the full-dimension raw sample block is
 drawn once, and every (ruler, bits, level) grid cell of that (d, n) works from
 its ruler columns, so grid cells are compared under common random numbers
-while trials stay independent.  One runner serves both metrics; only the truth
-and the scoring function (relative spectral error, or MUSIC frequency MSE)
-differ.  Runs are sequential and deterministic: re-running a config
-byte-reproduces its CSV.
+while trials stay independent.  The dither is drawn once per (trial, ruler)
+as a level-free unit pair and shared by every level of that ruler; each
+quantization spec is applied once and its batch shared by the estimators of
+that cell.  One runner serves both metrics; only the truth and the scoring
+function (relative spectral error, or MUSIC frequency MSE) differ.  A cell
+whose qspa solves stop unconverged or whose MUSIC spectra are unresolved
+keeps its value and says so in its note.  Runs are sequential and
+deterministic: re-running a config byte-reproduces its CSV.
 """
 
 import csv
 import io
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -25,7 +30,8 @@ from . import rng
 from .doa import DoaScene, estimate_frequencies, frequency_mse
 from .errors import ConfigError, EmptyTable, QtcovError
 from .estimators import qscm, qtscm, quantized_sample_covariance
-from .quantizer import QuantizationSpec, quantize_batch, select_level_datadriven, select_level_tail_bound
+from .quantizer import (QuantizationSpec, quantize_batch, select_level_datadriven,
+                        select_level_tail_bound, unit_dither)
 from .qspa import QspaOptions, qspa_solve
 from .rulers import Ruler, full_ruler, parse_ruler_spec
 from .sampling import SampleBatch, random_toeplitz_covariance, sample_complex_gaussian
@@ -49,11 +55,16 @@ def qspa_from_batch(batch, opts=None):
                       opts, n=batch.count)
 
 
-# name -> fn(quantized batch, QspaOptions or None) -> covariance estimate
+def _qspa(batch, opts):
+    sol = qspa_from_batch(batch, opts)
+    return sol.T_breve, sol.converged
+
+
+# name -> fn(quantized batch, QspaOptions or None) -> (covariance estimate, converged)
 ESTIMATORS = {
-    "qtscm": lambda batch, opts: qtscm(batch),
-    "qscm": lambda batch, opts: qscm(batch),
-    "qspa": lambda batch, opts: qspa_from_batch(batch, opts).T_breve,
+    "qtscm": lambda batch, opts: (qtscm(batch), True),
+    "qscm": lambda batch, opts: (qscm(batch), True),
+    "qspa": _qspa,
 }
 
 PLOT_KINDS = {"exp1": "heatmap", "exp2": "line-loglog", "exp3a": "line-loglog",
@@ -343,13 +354,13 @@ def _cell_spec(cfg, raw, k, delta_pair, gamma0):
 def _problems(cfg):
     """(d, truth, metric, score) per dimension: the DOA scene scored by MUSIC
     frequency MSE, or one random Toeplitz truth per d scored by relative
-    spectral error."""
+    spectral error.  score(estimate) returns (value, resolved)."""
     if cfg.experiment == "exp5" or cfg.scene is not None:
         scene = cfg.scene or FIVE_SOURCE_SCENE
 
         def freq_mse(est):
-            _, freqs = estimate_frequencies(est, scene.k_sources, cfg.music_grid)
-            return frequency_mse(freqs, scene.freqs)
+            resolved, freqs = estimate_frequencies(est, scene.k_sources, cfg.music_grid)
+            return frequency_mse(freqs, scene.freqs), resolved
         yield scene.d, scene.covariance(), "freq_mse", freq_mse
         return
     for d in cfg.d_values or (cfg.d,):
@@ -358,7 +369,7 @@ def _problems(cfg):
         norm = np.linalg.norm(truth, 2)
 
         def rel_error(est, truth=truth, norm=norm):
-            return float(np.linalg.norm(as_dense(est) - truth, 2) / norm)
+            return float(np.linalg.norm(as_dense(est) - truth, 2) / norm), True
         yield d, T, "rel_error_spectral", rel_error
 
 
@@ -378,7 +389,9 @@ def run_experiment(config):
 
     A row's first QtcovError or numpy LinAlgError makes it one nan row carrying
     that error's note; an error in the shared (d, n, trial) draw does so for
-    every row of that (d, n).
+    every row of that (d, n).  A row with unconverged qspa solves or
+    unresolved MUSIC spectra keeps its value, and its note counts them, e.g.
+    "nonconverged 3/100".
     """
     cfg = config.validate()
     table = ResultTable()
@@ -391,9 +404,16 @@ def run_experiment(config):
                 for n in cfg.n_values for est in cfg.estimators
                 if est != "qscm" or rulers[rspec].is_full()]
         values = [[] for _ in rows]
+        degraded = [Counter() for _ in rows]  # "nonconverged"/"unresolved" -> trials
         specs, notes = {}, {}  # row index -> first trial's spec / first error's note
         for n in dict.fromkeys(cfg.n_values):
             for t in range(cfg.trials):
+                # One-entry caches, dropped with the trial: the raw batch and
+                # unit dither of a ruler, and the quantized batch of a (ruler,
+                # spec).  Rows of one ruler, and rows differing only in the
+                # estimator, are adjacent in `rows`.  An entry is released
+                # before its successor is built, and keyed only once built.
+                drawn_key = quantized_key = raw = unit = batch = None
                 ts = rng.trial_seed(cfg.seed, t)
                 live = [i for i, row in enumerate(rows) if row.n == n and i not in notes]
                 try:
@@ -404,19 +424,32 @@ def run_experiment(config):
                 for i in live:
                     row, ruler = rows[i], rulers[rows[i].ruler]
                     try:
-                        raw = SampleBatch(d, n, ruler, block[:, ruler.positions], "raw", ts)
+                        if drawn_key != row.ruler:
+                            drawn_key = raw = unit = None
+                            raw = SampleBatch(d, n, ruler, block[:, ruler.positions], "raw", ts)
+                            unit = unit_dither(raw.data.shape, ts)
+                            drawn_key = row.ruler
                         spec = _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0)
                         specs.setdefault(i, spec)
-                        batch = quantize_batch(raw, spec)
-                        values[i].append(score(ESTIMATORS[row.estimator](batch, cfg.qspa)))
+                        if quantized_key != (row.ruler, spec):
+                            quantized_key = batch = None
+                            batch = quantize_batch(raw, spec, unit=unit)
+                            quantized_key = (row.ruler, spec)
+                        est, converged = ESTIMATORS[row.estimator](batch, cfg.qspa)
+                        value, resolved = score(est)
+                        values[i].append(value)
+                        degraded[i].update(nonconverged=not converged, unresolved=not resolved)
                     except (QtcovError, np.linalg.LinAlgError) as err:
                         notes[i] = f"{type(err).__name__}: {err}"
         for i, row in enumerate(rows):
             if i in notes:
                 table.append(replace(row, value=math.nan, note=notes[i]))
             else:
+                note = "; ".join(f"{kind} {count}/{len(values[i])}"
+                                 for kind, count in degraded[i].items() if count)
                 _append_stats(table, cfg, replace(row, delta_r=specs[i].delta_r,
-                                                  delta_i=specs[i].delta_i), values[i])
+                                                  delta_i=specs[i].delta_i, note=note),
+                              values[i])
     return table
 
 

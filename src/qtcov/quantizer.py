@@ -105,24 +105,35 @@ def draw_triangular_dither(delta, count, seed):
     return delta * (u[0] + u[1])
 
 
-def _complex_dither(spec, shape, seed):
-    # Scaled from a level-independent uniform stream, so a common seed yields
-    # proportionally identical dither across different levels.
-    u = rng.stream(seed, rng.DITHER).random((4,) + shape) - 0.5
-    return spec.delta_r * (u[0] + u[1]) + 1j * spec.delta_i * (u[2] + u[3])
+def unit_dither(shape, seed):
+    """Level-free dither sums (u0 + u1, u2 + u3) of four U(-1/2, 1/2) arrays.
+
+    Scaled by (delta_r, delta_i) they are the real and imaginary triangular
+    dither of a batch of that shape, so one draw serves every level.
+    """
+    u = rng.stream(seed, rng.DITHER).random((4,) + tuple(shape)) - 0.5
+    return u[0] + u[1], u[2] + u[3]
 
 
-def quantize_batch(batch, spec, dither_seed=None):
-    """Quantize a raw batch; the dither is drawn internally and discarded.
+def quantize_batch(batch, spec, dither_seed=None, unit=None):
+    """Quantize a raw batch; the dither is applied and discarded.
 
-    The dither stream is derived from `dither_seed` (default: the batch seed)
-    and is independent of the Gaussian sample stream.  Estimators only ever
-    see the returned quantized values.
+    The dither is drawn internally from `dither_seed` (default: the batch
+    seed), independent of the Gaussian sample stream, unless `unit`, a pair
+    from `unit_dither(batch.data.shape, seed)`, is passed pre-drawn.  Either
+    way it is scaled by the levels of `spec`, so a pair drawn once serves
+    every level.  Estimators only ever see the returned quantized values.
     """
     if batch.stage != "raw":
         raise QtcovError("quantize_batch expects a raw batch")
-    seed = batch.seed if dither_seed is None else dither_seed
-    tau = _complex_dither(spec, batch.data.shape, seed)
+    if unit is None:
+        unit = unit_dither(batch.data.shape,
+                           batch.seed if dither_seed is None else dither_seed)
+    sr, si = unit
+    if sr.shape != batch.data.shape or si.shape != batch.data.shape:
+        raise QtcovError(f"dither shape {sr.shape} does not match the batch "
+                         f"shape {batch.data.shape}")
+    tau = spec.delta_r * sr + 1j * spec.delta_i * si
     if spec.bits_k is not None:
         data = quantize_complex_2kbit(batch.data, spec.delta_r, spec.bits_k, tau)
     else:

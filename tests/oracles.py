@@ -8,6 +8,9 @@ fixed (u0, |u1|) the objective is sinusoidal in that phase).
 
 import numpy as np
 
+from qtcov import rng
+from qtcov.quantizer import quantize_complex, quantize_complex_2kbit
+
 
 def fitting_objective_d2(Rhat, u0, u1):
     """Closed-form tr(Rhat^-1 A) + tr(A^-1 Rhat) for A = [[u0, u1], [u1*, u0]]."""
@@ -99,3 +102,13 @@ def stacked_lag_hessian(terms):
         E = lag_bases(ruler)
         H = H + pairwise_traces(X[None] @ E, Y[None] @ E)
     return H
+
+
+def redrawn_quantize(raw, spec, seed):
+    """Quantized data with the dither drawn for this one level, as the
+    runner did before the level-free unit pair was shared across levels."""
+    u = rng.stream(seed, rng.DITHER).random((4,) + raw.data.shape) - 0.5
+    tau = spec.delta_r * (u[0] + u[1]) + 1j * spec.delta_i * (u[2] + u[3])
+    if spec.bits_k is not None:
+        return quantize_complex_2kbit(raw.data, spec.delta_r, spec.bits_k, tau)
+    return quantize_complex(raw.data, spec, tau)

@@ -9,10 +9,12 @@ import pytest
 import qtcov
 from qtcov import harness
 from qtcov import rng as qrng
+from qtcov.doa import DoaScene
 from qtcov.errors import ConfigError, EmptyTable, MixedMetrics
 from qtcov.harness import (ExperimentConfig, ResultTable, Row, config_to_text,
                            default_config, parse_config, resolve_ruler,
                            run_experiment, write_outputs)
+from qtcov.qspa import QspaOptions
 from qtcov.svgplot import emit_plot
 
 
@@ -136,6 +138,42 @@ class TestRunnerSemantics:
         assert math.isnan(means["qscm"].value)
         assert means["qscm"].note == "LinAlgError: Matrix is not positive definite"
         assert np.isfinite(means["qtscm"].value) and means["qtscm"].note == ""
+
+    def test_dither_drawn_per_ruler_and_each_spec_quantized_once(self, monkeypatch):
+        cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
+                          estimators=("qtscm", "qspa"), trials=3)
+        plain = run_experiment(cfg).to_csv()
+        calls = {"unit_dither": 0, "quantize_batch": 0}
+
+        def counted(name):
+            fn = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(harness, name, counted(name))
+        table = run_experiment(cfg)
+        assert table.to_csv() == plain
+        assert len(table.means()) == 8  # 2 rulers x 2 levels x 2 estimators
+        assert calls == {"unit_dither": 3 * 2, "quantize_batch": 3 * 2 * 2}
+
+    def test_nonconverged_qspa_noted_and_kept(self):
+        cfg = tiny_config(d=6, estimators=("qspa",), qspa=replace(QspaOptions(), max_outer=1))
+        table = run_experiment(cfg)
+        assert [r.note for r in table.rows] == ["nonconverged 3/3"] * 2
+        assert np.isfinite(table.means()[0].value)
+        assert "nonconverged 3/3" in table.to_csv()
+
+    def test_unresolved_spectrum_noted_and_kept(self, monkeypatch):
+        # a scaled identity has a flat MUSIC spectrum with no peaks to resolve
+        monkeypatch.setitem(harness.ESTIMATORS, "qtscm",
+                            lambda batch, opts: (2.0 * np.eye(batch.dim), True))
+        scene = DoaScene(8, (0.1, 0.3, 0.6), (1.0, 1.0, 1.0), 0.1)
+        table = run_experiment(tiny_config(scene=scene, music_grid=512, emit_trials=True))
+        assert [r.note for r in table.rows] == ["unresolved 3/3"] * 5
+        assert np.isfinite(table.means()[0].value)
 
     def test_doa_runner_rows(self):
         cfg = replace(default_config("exp5"), trials=2, n_values=(200,),

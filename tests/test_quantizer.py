@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import redrawn_quantize
 from qtcov import (QuantizationSpec, draw_triangular_dither, full_ruler,
-                   quantize_batch, quantize_complex, quantize_complex_2kbit,
+                   parse_ruler_spec, quantize_batch, quantize_complex, quantize_complex_2kbit,
                    quantize_kbit, quantize_uniform, random_toeplitz_covariance,
                    sample_complex_gaussian, select_level_datadriven,
                    select_level_tail_bound, toeplitz_from_generators)
 from qtcov.errors import EmptyBatch, NonPositiveGamma0, QtcovError
-from qtcov.quantizer import codes_to_values, values_to_codes
+from qtcov.quantizer import codes_to_values, unit_dither, values_to_codes
 from qtcov.sampling import SampleBatch
 
 
@@ -137,6 +140,40 @@ class TestBatchPipeline:
         a = quantize_batch(raw, QuantizationSpec(1.0, 1.0), dither_seed=77).data
         b = quantize_batch(raw, QuantizationSpec(2.0, 2.0), dither_seed=77).data
         np.testing.assert_array_equal(quantize_uniform(a.real * 2, 2.0), b.real)
+
+
+LEVELS = st.just(0.0) | st.floats(0.01, 4.0)  # zero, or far from subnormal
+
+
+class TestPreDrawnDither:
+    """A unit pair drawn once reproduces the per-level dither bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rspec=st.sampled_from(("full", "alpha:0.5")),
+           pair=st.tuples(LEVELS, LEVELS),
+           bits=st.sampled_from((None, 1, 2, 3)), datadriven=st.booleans())
+    @example(seed=3, rspec="full", pair=(1.5, 0.5), bits=None, datadriven=False)
+    @example(seed=4, rspec="alpha:0.5", pair=(0.0, 0.7), bits=None, datadriven=False)
+    @example(seed=5, rspec="full", pair=(0.0, 0.0), bits=None, datadriven=False)
+    @example(seed=6, rspec="alpha:0.5", pair=(1.0, 1.0), bits=2, datadriven=True)
+    def test_shared_unit_pair_is_byte_identical(self, seed, rspec, pair, bits, datadriven):
+        T = random_toeplitz_covariance(8, 21)
+        raw = sample_complex_gaussian(T, parse_ruler_spec(rspec, 8), 40, seed)
+        if datadriven:
+            pair = (select_level_datadriven(raw),) * 2
+        if bits is not None:
+            level = pair[0] if pair[0] > 0 else 1.0  # finite bits need equal positive levels
+            pair = (level, level)
+        spec = QuantizationSpec(*pair, bits)
+        own = quantize_batch(raw, spec).data
+        shared = quantize_batch(raw, spec, unit=unit_dither(raw.data.shape, seed)).data
+        assert np.array_equal(own.view(np.uint8), shared.view(np.uint8))
+        assert np.array_equal(own.view(np.uint8), redrawn_quantize(raw, spec, seed).view(np.uint8))
+
+    def test_unit_pair_must_match_the_batch(self):
+        raw = sample_complex_gaussian(random_toeplitz_covariance(4, 2), full_ruler(4), 10, 1)
+        with pytest.raises(QtcovError):
+            quantize_batch(raw, QuantizationSpec(1.0, 1.0), unit=unit_dither((10, 3), 1))
 
 
 class TestLevelSelection:
