@@ -4,7 +4,7 @@ from .toeplitz import (HermitianToeplitz, SpectralDensityGrid,
                        toeplitz_from_generators, vandermonde_synthesize,
                        spectral_density, spectral_density_grid,
                        spectral_norm_bound, min_eigenvalue,
-                       toeplitz_adjoint_project, steering_vector)
+                       toeplitz_adjoint_project)
 from .rulers import (Ruler, LagPairs, validate_ruler, make_ruler_alpha,
                      lag_pairs, coverage_coefficient, full_ruler,
                      parse_ruler_spec)

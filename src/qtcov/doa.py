@@ -4,7 +4,12 @@ The steering vector convention matches the covariance synthesis in
 qtcov.toeplitz: a(f) = (1, e^{i2pi f}, ..., e^{i2pi (d-1) f}), so a covariance
 built from sources at frequencies f_k yields spectrum peaks at those same
 frequencies (not their mirror images).
-"""
+
+The MUSIC denominator D(f) = ||E_n^H a(f)||^2 is the trigonometric polynomial
+c_0 + 2 Re sum_{l=1}^{d-1} c_l e^{i2pi l f}, c_l the l-th superdiagonal sum of
+E_n E_n^H.  One real FFT of the c_l gives D on the grid; they also give D, D'
+and D'' anywhere for the refinement.  Its rounding error is absolute, a small
+multiple of eps * c_0: D can come out <= 0, so the grid floors it at eps * c_0."""
 
 from dataclasses import dataclass
 
@@ -12,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import KOutOfRange, LengthMismatch, QtcovError
-from .toeplitz import HermitianToeplitz, as_dense, steering_vector, vandermonde_synthesize
+from .toeplitz import HermitianToeplitz, as_dense, vandermonde_synthesize
 
 
 @dataclass(frozen=True)
@@ -48,22 +53,23 @@ class DoaScene:
         return HermitianToeplitz(gens)
 
 
-def _noise_subspace(T_est, K, grid_size):
+def _lag_coefficients(T_est, K, grid_size):
+    """c_l, the sum of the l-th superdiagonal of E_n E_n^H, for l = 0 .. d-1."""
     M = as_dense(T_est)
     d = M.shape[0]
     if grid_size < 8 * d:
         raise QtcovError(f"grid_size {grid_size} < 8d = {8 * d}")
     if not 1 <= K < d:
         raise KOutOfRange(f"need 1 <= K < d = {d}, got K = {K}")
-    _, vec = np.linalg.eigh(M)
-    return vec[:, :d - K]  # eigenvectors of the d-K smallest eigenvalues
+    En = np.linalg.eigh(M)[1][:, :d - K]  # eigenvectors of the d-K smallest eigenvalues
+    P = En @ En.conj().T
+    return np.array([P.trace(lag) for lag in range(d)])
 
 
-def _grid_spectrum(En, grid_size):
-    theta = np.arange(grid_size) / grid_size
-    A = np.exp(2j * np.pi * np.outer(np.arange(En.shape[0]), theta))
-    denom = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
-    return 1.0 / denom
+def _grid_spectrum(c, grid_size):
+    """1 / D(j / grid_size) from one real FFT, with D floored at eps * c_0."""
+    denom = np.fft.irfft(c, grid_size, norm="forward")
+    return 1.0 / np.maximum(denom, np.finfo(float).eps * c[0].real)
 
 
 def music_spectrum(T_est, K, grid_size):
@@ -77,69 +83,66 @@ def music_spectrum(T_est, K, grid_size):
     Returns:
         Real vector of length grid_size.
     """
-    return _grid_spectrum(_noise_subspace(T_est, K, grid_size), grid_size)
+    return _grid_spectrum(_lag_coefficients(T_est, K, grid_size), grid_size)
 
 
-def _golden_refine(fun, lo, hi, iters=60):
-    """Golden-section maximization of fun on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+def _pick_peaks(spectrum, K):
+    """(resolved, grid indices): the K largest circular local maxima, padded
+    with the largest remaining grid points when fewer exist."""
+    floor = 1e-9 * spectrum  # relative prominence floor: rejects roundoff ripples
+    peaks = np.flatnonzero((spectrum > np.roll(spectrum, 1) + floor)
+                           & (spectrum > np.roll(spectrum, -1) + floor))
+    chosen = peaks[np.argsort(spectrum[peaks])[::-1]][:K]
+    if chosen.size == K:
+        return True, chosen
+    rest = np.argsort(spectrum)[::-1]
+    return False, np.concatenate([chosen, rest[~np.isin(rest, chosen)]])[:K]
+
+
+def _refine(c, lo, hi):
+    """Minimizers of D on the brackets [lo_k, hi_k], all together: 30 golden-section
+    steps, keeping an end that never moved (D falls towards it), then 3 Newton
+    steps on D', each only where D'' > 0 and the step stays in [lo_k, hi_k].
+    Newton resolves broad minima that the rounding of D leaves about 1e-6 wide."""
+    lags = 2j * np.pi * np.arange(c.size)
+    coef = np.concatenate([c[:1], 2.0 * c[1:]])  # D = Re sum_l coef_l e^{i2pi l f}
+    derivs = np.stack([lags * coef, lags ** 2 * coef], axis=1)  # of D' and D''
+
+    def poly(f, weights):
+        return (np.exp(f[:, None] * lags) @ weights).real
+
     a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    return 0.5 * (a + b)
+    for _ in range(30):
+        w = 0.6180339887498949 * (b - a)  # (sqrt(5) - 1) / 2, the golden section
+        up = poly(b - w, coef) > poly(a + w, coef)  # the minimum lies in [b - w, b]
+        a, b = np.where(up, b - w, a), np.where(up, b, a + w)
+    f = np.where(b == hi, hi, np.where(a == lo, lo, 0.5 * (a + b)))
+    for _ in range(3):
+        d1, d2 = poly(f, derivs).T
+        # |step| <= hi - lo tested without dividing, so a tiny D'' cannot overflow
+        take = (d2 > 0) & (np.abs(d1) <= (hi - lo) * d2)
+        new = f - d1 / np.where(take, d2, 1.0)
+        f = np.where(take & (lo <= new) & (new <= hi), new, f)
+    return f
 
 
 def estimate_frequencies(T_est, K, grid_size=4096):
     """K spatial frequencies from the circular MUSIC spectrum.
 
     Picks the K largest circular local maxima of the gridded spectrum and
-    refines each over +-1 grid cell by golden-section search.  When fewer than
-    K local maxima exist (degenerate spectra), the output is padded with the
-    largest remaining grid points and flagged.
+    refines each over +-1 grid cell, all K together, by golden-section search
+    on the lag polynomial D and Newton steps on D'.  When fewer than K local
+    maxima exist (degenerate spectra), the output is padded with the largest
+    remaining grid points and flagged.
 
     Returns:
         (resolved, freqs): resolved is False for padded/degenerate output;
         freqs is sorted ascending, values in [0, 1).
     """
-    En = _noise_subspace(T_est, K, grid_size)
-    spectrum = _grid_spectrum(En, grid_size)
-    d = En.shape[0]
-
-    left = np.roll(spectrum, 1)
-    right = np.roll(spectrum, -1)
-    # relative prominence floor rejects the roundoff ripples of flat spectra
-    floor = 1e-9 * spectrum
-    peaks = np.flatnonzero((spectrum > left + floor) & (spectrum > right + floor))
-    order = peaks[np.argsort(spectrum[peaks])[::-1]]
-    chosen = list(order[:K])
-    resolved = len(chosen) == K
-    if not resolved:
-        rest = np.argsort(spectrum)[::-1]
-        for j in rest:
-            if len(chosen) == K:
-                break
-            if j not in chosen:
-                chosen.append(int(j))
-
-    EnH = En.conj().T  # formed once; each refinement step reuses it
-
-    def pseudo(theta):
-        a = steering_vector(theta, d)
-        return 1.0 / np.sum(np.abs(EnH @ a) ** 2)
-
+    c = _lag_coefficients(T_est, K, grid_size)
+    resolved, chosen = _pick_peaks(_grid_spectrum(c, grid_size), K)
     cell = 1.0 / grid_size
-    freqs = np.array([_golden_refine(pseudo, j * cell - cell, j * cell + cell) % 1.0
-                      for j in chosen])
+    freqs = _refine(c, (chosen - 1) * cell, (chosen + 1) * cell) % 1.0
     return resolved, np.sort(freqs)
 
 

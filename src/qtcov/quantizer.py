@@ -30,6 +30,9 @@ class QuantizationSpec:
     def __init__(self, delta_r, delta_i, bits_k=None):
         if delta_r < 0 or delta_i < 0:
             raise QtcovError("quantization levels must be nonnegative")
+        for level in (delta_r, delta_i):
+            if 0 < level < np.finfo(float).tiny:  # x / level would overflow
+                raise QtcovError(f"quantization level {float(level)!r} is subnormal")
         if bits_k is not None:
             if int(bits_k) < 1:
                 raise QtcovError("bit depth must be >= 1")

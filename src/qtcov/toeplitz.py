@@ -64,11 +64,6 @@ def toeplitz_from_generators(generators):
     return HermitianToeplitz(generators)
 
 
-def steering_vector(f, d):
-    """a(f) = (1, e^{i2pi f}, ..., e^{i2pi (d-1) f})."""
-    return np.exp(2j * np.pi * f * np.arange(d))
-
-
 def vandermonde_synthesize(freqs, powers, d):
     """Positive semidefinite Toeplitz matrix sum_k powers[k] a(f_k) a(f_k)^H.
 

@@ -112,3 +112,81 @@ def redrawn_quantize(raw, spec, seed):
     if spec.bits_k is not None:
         return quantize_complex_2kbit(raw.data, spec.delta_r, spec.bits_k, tau)
     return quantize_complex(raw.data, spec, tau)
+
+
+def music_noise_subspace(T_est, K):
+    """Eigenvectors of the d - K smallest eigenvalues of the estimate."""
+    M = T_est.dense if hasattr(T_est, "dense") else np.asarray(T_est)
+    _, vec = np.linalg.eigh(M)
+    return vec[:, :M.shape[0] - K]
+
+
+def music_direct_grid(En, grid_size):
+    """1 / sum |E_n^H a(theta_j)|^2 from the d x grid_size steering matrix."""
+    theta = np.arange(grid_size) / grid_size
+    A = np.exp(2j * np.pi * np.outer(np.arange(En.shape[0]), theta))
+    denom = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
+    return 1.0 / denom
+
+
+def music_direct_derivatives(En, theta):
+    """(D, D', D'') of D(theta) = sum |E_n^H a(theta)|^2 at each theta, from
+    the steering vectors and their derivatives."""
+    lags = 2j * np.pi * np.arange(En.shape[0])[:, None]
+    A = np.exp(lags * np.atleast_1d(theta))
+    b, b1, b2 = (En.conj().T @ (lags ** r * A) for r in range(3))
+    return (np.sum(np.abs(b) ** 2, axis=0), 2 * np.sum((b.conj() * b1).real, axis=0),
+            2 * np.sum(np.abs(b1) ** 2 + (b.conj() * b2).real, axis=0))
+
+
+def golden_refine(fun, lo, hi, iters=60):
+    """Golden-section maximization of fun on [lo, hi]."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fun(x1)
+    return 0.5 * (a + b)
+
+
+def music_direct_estimate(T_est, K, grid_size):
+    """MUSIC as the library computed it with a steering matrix and scalar
+    golden-section refinement: (resolved, chosen grid indices, freqs sorted)."""
+    En = music_noise_subspace(T_est, K)
+    spectrum = music_direct_grid(En, grid_size)
+    d = En.shape[0]
+
+    left = np.roll(spectrum, 1)
+    right = np.roll(spectrum, -1)
+    floor = 1e-9 * spectrum
+    peaks = np.flatnonzero((spectrum > left + floor) & (spectrum > right + floor))
+    order = peaks[np.argsort(spectrum[peaks])[::-1]]
+    chosen = list(order[:K])
+    resolved = len(chosen) == K
+    if not resolved:
+        rest = np.argsort(spectrum)[::-1]
+        for j in rest:
+            if len(chosen) == K:
+                break
+            if j not in chosen:
+                chosen.append(int(j))
+
+    EnH = En.conj().T
+
+    def pseudo(theta):
+        a = np.exp(2j * np.pi * theta * np.arange(d))
+        return 1.0 / np.sum(np.abs(EnH @ a) ** 2)
+
+    cell = 1.0 / grid_size
+    freqs = np.array([golden_refine(pseudo, j * cell - cell, j * cell + cell) % 1.0
+                      for j in chosen])
+    return resolved, np.array(chosen), np.sort(freqs)

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qtcov
+from oracles import (music_direct_derivatives, music_direct_estimate, music_direct_grid,
+                     music_noise_subspace, wishart_rhat)
 from qtcov import (DoaScene, circular_distance, estimate_frequencies,
                    frequency_mse, min_eigenvalue, music_spectrum,
                    toeplitz_from_generators, vandermonde_synthesize)
+from qtcov import rng as qrng
+from qtcov.doa import _pick_peaks
 from qtcov.errors import KOutOfRange, LengthMismatch, QtcovError
+from qtcov.harness import FIVE_SOURCE_SCENE
 
 FIVE_SOURCE_FREQS = (0.08, 0.21, 0.37, 0.68, 0.81)
 
@@ -108,6 +116,106 @@ class TestEstimateFrequencies:
         shifted = exact_scene_cov(FIVE_SOURCE_FREQS, 16, noise=0.7)
         _, freqs = estimate_frequencies(shifted, 5, 1024)
         np.testing.assert_allclose(freqs, base, atol=1e-9)
+
+
+def perturbed_scene(d, K, noise, scale, seed):
+    """K random sources plus white noise, perturbed by scale times a random
+    Wishart matrix of d to 4d complex samples (dense, not Toeplitz)."""
+    rs = np.random.default_rng(seed)
+    R = vandermonde_synthesize(rs.random(K), rs.uniform(0.1, 2.0, K), d).dense
+    m = int(rs.integers(d, 4 * d + 1))
+    return R + noise * np.eye(d) + scale * wishart_rhat(rs, d, m)
+
+
+def nearest(freqs, others):
+    """Index into `others` of each frequency's circular nearest neighbour and
+    the largest of those distances."""
+    dist = circular_distance(freqs[:, None], others[None, :])
+    return dist.argmin(axis=1), dist.min(axis=1).max()
+
+
+class TestAgainstDirectMusic:
+    """The lag-polynomial MUSIC against the steering-matrix grid and scalar
+    golden-section refinement it replaced (`oracles.music_direct_estimate`).
+
+    The polynomial is accurate to a small multiple of eps * (d - K) absolute,
+    not relative to D: where the grid D comes within about 1e-8 (d - K) of zero (a weak
+    perturbation of a near-noiseless scene) its spectrum is off by more than
+    1e-7 relative, 6e-6 at worst in 4000 draws with a 1e-2 Wishart term.  So
+    the grid D must be within 1e-7 relative plus 4 d eps (d - K) absolute.
+    The refined frequencies need no such margin: Newton on D' resolves them
+    below the rounding level of D.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(4, 16), data=st.data(), grid=st.sampled_from(("8d", 512, 4096)),
+           log_noise=st.floats(-6.0, np.log10(3.0)), log_scale=st.floats(-3.0, 0.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_direct_music(self, d, data, grid, log_noise, log_scale, seed):
+        K = data.draw(st.integers(1, d - 1), label="K")
+        G = 8 * d if grid == "8d" else grid
+        T = perturbed_scene(d, K, 10 ** log_noise, 10 ** log_scale, seed)
+        resolved0, chosen0, freqs0 = music_direct_estimate(T, K, G)
+        En = music_noise_subspace(T, K)
+
+        spectrum = music_spectrum(T, K, G)
+        resolved, chosen = _pick_peaks(spectrum, K)
+        assert resolved == resolved0
+        assert sorted(chosen) == sorted(chosen0)
+        D_direct = 1.0 / music_direct_grid(En, G)
+        D_grid = 1.0 / spectrum
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(D_grid - D_direct) <= 1e-7 * D_direct + 4 * d * eps * (d - K))
+
+        resolved, freqs = estimate_frequencies(T, K, G)
+        assert resolved == resolved0
+        match, gap = nearest(freqs, freqs0)
+        assert gap <= 1e-6
+        D_new = music_direct_derivatives(En, freqs)[0]
+        D_old = music_direct_derivatives(En, freqs0[match])[0]
+        assert np.all(D_new <= D_old + 1e-13 * (d - K))
+
+    def test_exp5_quantized_estimates(self):
+        scene = FIVE_SOURCE_SCENE
+        spec = qtcov.QuantizationSpec(2.0, 2.0, 2)
+        for rspec in ("full", "alpha:0.5"):
+            ruler = qtcov.parse_ruler_spec(rspec, scene.d)
+            for n in (1000, 10000):
+                for t in range(3):
+                    raw = qtcov.sample_complex_gaussian(scene.covariance(), ruler, n,
+                                                        qrng.trial_seed(5, t))
+                    est = qtcov.qtscm(qtcov.quantize_batch(raw, spec))
+                    resolved0, _, freqs0 = music_direct_estimate(est, 5, 4096)
+                    resolved, freqs = estimate_frequencies(est, 5, 4096)
+                    assert resolved == resolved0
+                    assert nearest(freqs, freqs0)[1] <= 1e-9
+
+
+class TestPolynomialTraps:
+    # D at the source is zero up to rounding: the polynomial gives about
+    # +9e-16 at 0.3, exactly 0 at 1/16 and -2e-16 at 0.25
+    @pytest.mark.parametrize("d, f, grid", [(8, 0.3, 640), (4, 0.0625, 32), (4, 0.25, 32)])
+    def test_noiseless_source_on_the_grid(self, d, f, grid):
+        T = exact_scene_cov([f], d)
+        spec = music_spectrum(T, 1, grid)
+        assert np.all(np.isfinite(spec)) and np.all(spec > 0)
+        resolved, freqs = estimate_frequencies(T, 1, grid)
+        assert resolved
+        assert circular_distance(freqs[0], f) <= 1e-12
+
+    def test_coarse_grid_where_newton_from_the_grid_point_stalls(self):
+        # found by a search of random coarse-grid scenes: the peak at grid
+        # point 30 lies where D is concave, so Newton started there cannot
+        # step, and the source at 0.92 is half a cell away
+        scene = DoaScene(4, (0.01, 0.12, 0.92), (1.0, 1.0, 1.0), 0.1)
+        T, G = scene.covariance(), 32
+        resolved0, chosen0, freqs0 = music_direct_estimate(T, 3, G)
+        assert 30 in chosen0
+        assert music_direct_derivatives(music_noise_subspace(T, 3), 30 / G)[2][0] < 0
+        resolved, freqs = estimate_frequencies(T, 3, G)
+        assert resolved and resolved0
+        np.testing.assert_allclose(freqs, scene.freqs, atol=1e-9)
+        assert nearest(freqs, freqs0)[1] <= 1e-9
 
 
 class TestSnrTrend:

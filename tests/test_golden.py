@@ -48,12 +48,12 @@ DIGESTS = {
     "all_estimators": "e190f370218ea0f31d604d6fa038989301d4583dad0a1d98c3b95fa76074383c",
     "d_sweep": "9e70fa559f66e2d43d8ec459b67cb65b9fd358b8ec6b040d3418f628a114fb32",
     "datadriven": "34a52993c8710b2dd2fa1bfa8a027d765429b7d1a97dbe411e9077188d155106",
-    "doa_d8": "f097396a4303fad85b8ac69d2d2c2cd2db6b013c77799346634834c6f70f106f",
+    "doa_d8": "0e4bf568eb6aab1325a1d38cbb9713737bef676589b0f786b6b8e3c1a6fd2594",
     "emit_trials": "55c4e0262ab94bd8b633a90587d1678408c650d978596d91b00072f62d6106bd",
     "empty_n": "eba87a7afb3c86b0acf8e748bc785700b88954b33e3407a419a2c2d6c1c0839b",
     "exp1": "6bb8296d2be5f7a42a73d933a58c0599757a6916370669722e8c4fc05cd46e23",
     "exp2": "6950bdf102e590a0dfd9ab360ce68a080e7846341b030423f6754d51a65ad3f8",
-    "exp5": "5eee2f2f614e8c06cbc8e0371a2814d82f0600a74ab9353e4f81a6780c823a02",
+    "exp5": "9a8bb7799a3c1d600a18ed0c9633fe487456e65c64c074eb2437f59434c0c73a",
     "fixed_bits": "0eeeae63b3c885fda9a6a5dbf08ea68deb18549221c01bcb00df6a93e6b27695",
     "negative_level": "87e5d7271aa91b6716b4fc6c274c2f4cbdf0669bc174f7df96403191dcbd11b2",
     "tail_bound": "6c78d375ea6e3a87edc1e189d4e29ff5ca8568a2948ff044f9ac28a82e2baef5",

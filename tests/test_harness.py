@@ -139,6 +139,15 @@ class TestRunnerSemantics:
         assert means["qscm"].note == "LinAlgError: Matrix is not positive definite"
         assert np.isfinite(means["qtscm"].value) and means["qtscm"].note == ""
 
+    def test_subnormal_level_is_named_in_its_row_note(self):
+        table = run_experiment(parse_config("qtcov-config 1\nexperiment = custom\nd = 4\n"
+                                            "deltas = 1e-310:1e-310, 0.5:0.5\n"))
+        means = table.means()
+        assert len(means) == 2
+        assert math.isnan(means[0].value)
+        assert means[0].note == "QtcovError: quantization level 1e-310 is subnormal"
+        assert np.isfinite(means[1].value) and means[1].note == ""
+
     def test_dither_drawn_per_ruler_and_each_spec_quantized_once(self, monkeypatch):
         cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
                           estimators=("qtscm", "qspa"), trials=3)
@@ -304,6 +313,12 @@ class TestInputErrors:
         r = self.run_cli("simulate", "--d", "4", "--delta", "abc",
                          "-o", str(tmp_path / "b.qtb"))
         self.assert_clean_failure(r, "--delta", "abc")
+
+    def test_subnormal_delta(self, tmp_path):
+        r = self.run_cli("simulate", "--d", "4", "--delta", "1e-310",
+                         "-o", str(tmp_path / "b.qtb"))
+        self.assert_clean_failure(r, "1e-310", "subnormal")
+        assert not (tmp_path / "b.qtb").exists()
 
     def test_unparsable_ruler_spec(self):
         self.assert_clean_failure(self.run_cli("ruler", "--d", "16", "--ruler", "alpha:abc"),

@@ -38,6 +38,20 @@ class TestUniform:
             assert err.max() <= delta / 2 + 1e-12
 
 
+class TestSpec:
+    @pytest.mark.parametrize("pair", [(1e-310, 1.0), (1.0, 5e-324), (1e-310, 1e-310)])
+    def test_rejects_subnormal_level(self, pair):
+        # x / level overflows to inf for a subnormal level
+        with pytest.raises(QtcovError, match="subnormal"):
+            QuantizationSpec(*pair)
+        with pytest.raises(QtcovError, match=repr(min(pair))):
+            QuantizationSpec(*pair)
+
+    def test_smallest_normal_level_is_accepted(self):
+        tiny = np.finfo(float).tiny
+        assert QuantizationSpec(tiny, 0.0).delta_r == tiny
+
+
 class TestKBit:
     def test_interior(self):
         assert quantize_kbit(0.3, 1.0, 2) == 0.5
