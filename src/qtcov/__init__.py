@@ -5,9 +5,8 @@ from .toeplitz import (HermitianToeplitz, SpectralDensityGrid,
                        spectral_density, spectral_density_grid,
                        spectral_norm_bound, min_eigenvalue,
                        toeplitz_adjoint_project)
-from .rulers import (Ruler, LagPairs, validate_ruler, make_ruler_alpha,
-                     lag_pairs, coverage_coefficient, full_ruler,
-                     parse_ruler_spec)
+from .rulers import (Ruler, validate_ruler, make_ruler_alpha,
+                     coverage_coefficient, full_ruler, parse_ruler_spec)
 from .sampling import (SampleBatch, random_toeplitz_covariance,
                        sample_complex_gaussian, save_batch, load_batch)
 from .quantizer import (QuantizationSpec, quantize_uniform, quantize_kbit,

@@ -20,12 +20,6 @@ from .sampling import (load_batch, random_toeplitz_covariance,
 from .toeplitz import HermitianToeplitz
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--outdir", default=None,
-                   help="output directory (default: config value or $QTCOV_OUTDIR)")
-
-
 def _parse_delta(text):
     try:
         parts = [float(p) for p in text.split(",")]
@@ -171,7 +165,7 @@ def build_parser():
     ps.add_argument("--out", "-o", required=True)
     ps.add_argument("--truth-out", default=None,
                     help="also write the true generators to this file")
-    _add_common(ps)
+    ps.add_argument("--seed", type=int, default=1234)
     ps.set_defaults(func=cmd_simulate)
 
     pe = sub.add_parser("estimate", help="estimate a covariance from a batch file")
@@ -204,7 +198,7 @@ def build_parser():
     pd.add_argument("--bits", type=int, default=2)
     pd.add_argument("--estimator", default="qspa", choices=list(ESTIMATORS))
     pd.add_argument("--grid", type=int, default=4096)
-    _add_common(pd)
+    pd.add_argument("--seed", type=int, default=1234)
     pd.set_defaults(func=cmd_doa)
     return p
 

@@ -58,10 +58,6 @@ class NotARuler(QtcovError):
     pass
 
 
-class LagOutOfRange(QtcovError):
-    pass
-
-
 # --- sampling / quantizer ---------------------------------------------------
 
 class NotPSD(QtcovError):

@@ -19,7 +19,10 @@ coordinates with a path-following log barrier
 
     f(u) - mu log det(T(u) - (||Delta||^2/4) I) - mu log det A(u)
 
-using damped Newton steps; mu shrinks geometrically.  Gradients reduce to
+using damped Newton steps; mu shrinks geometrically.  Each point is factored
+once: the line search's Cholesky factors of A(u) and of the shifted T(u)
+give the barrier value there, and those of the accepted point also give the
+next Newton step and the end-of-centering objective.  Gradients reduce to
 per-lag sums of Hermitian weight matrices (the adjoint of the generator-to-
 matrix map).  Hessian entries tr(X E_a Y E_b) over lag directions E_a depend
 only on lag-shifted products of X and Y, so they come from one 2-D FFT
@@ -187,6 +190,19 @@ def _chol_logdet(L):
     return 2.0 * float(np.sum(np.log(np.diag(L).real)))
 
 
+@dataclass(frozen=True)
+class _Point:
+    """One feasible point of the barrier problem, factored once."""
+    v: np.ndarray        # generator coordinates
+    objective: float     # two-trace fitting objective f(u)
+    logdet: float        # log det(T(u) - cI) + log det A(u)
+    Ainv: np.ndarray     # A(u)^-1
+    LB: np.ndarray       # Cholesky factor of T(u) - cI
+
+    def barrier(self, mu):
+        return self.objective - mu * self.logdet
+
+
 class _BarrierProblem:
     """Barrier objective, gradient and Hessian in generator coordinates."""
 
@@ -214,66 +230,44 @@ class _BarrierProblem:
         d = self.full.dim
         return _gen_table(u)[self.full_idx] - self.c * np.eye(d)
 
-    def factor(self, v):
-        """Cholesky factors (L_A, L_B) of the block and the shifted full matrix,
-        or None if the point is infeasible."""
+    def _two_trace(self, A, LA):
+        """tr(Rhat^-1 A) + tr(A^-1 Rhat) and A^-1, from the Cholesky factor LA of A."""
+        Ainv = _chol_inverse(LA)
+        f1 = float(np.sum(self.Rinv * A.T).real)
+        f2 = float(np.sum(Ainv * self.Rhat.T).real)
+        return f1 + f2, Ainv
+
+    def objective(self, v):
+        """The two-trace fitting objective f(u), or None if A(u) is not
+        positive definite."""
+        A = self.block(_generators_from_params(v))
+        LA = _try_chol(A)
+        return None if LA is None else self._two_trace(A, LA)[0]
+
+    def evaluate(self, v):
+        """The _Point at v, or None if v is infeasible."""
         u = _generators_from_params(v)
-        LA = _try_chol(self.block(u))
+        A = self.block(u)
+        LA = _try_chol(A)
         if LA is None:
             return None
         LB = _try_chol(self.shifted_full(u))
         if LB is None:
             return None
-        return LA, LB
+        objective, Ainv = self._two_trace(A, LA)
+        return _Point(v, objective, _chol_logdet(LB) + _chol_logdet(LA), Ainv, LB)
 
-    def objective(self, v, factors=None):
-        """The two-trace fitting objective f(u) (no barrier terms)."""
-        u = _generators_from_params(v)
-        A = self.block(u)
-        if factors is None:
-            LA = _try_chol(A)
-            if LA is None:
-                raise InfeasibleU("ruler block of T(u) is not positive definite")
-        else:
-            LA = factors[0]
-        Ainv = _chol_inverse(LA)
-        f1 = float(np.sum(self.Rinv * A.T).real)
-        f2 = float(np.sum(Ainv * self.Rhat.T).real)
-        return f1 + f2
-
-    def value(self, v, mu, factors=None):
-        factors = self.factor(v) if factors is None else factors
-        if factors is None:
-            return np.inf
-        LA, LB = factors
-        return (self.objective(v, factors)
-                - mu * (_chol_logdet(LB) + _chol_logdet(LA)))
-
-    def value_grad(self, v, mu, want_hess=False):
-        """Barrier value, gradient, and (optionally) Hessian at a feasible v."""
-        factors = self.factor(v)
-        if factors is None:
-            raise InfeasibleU("barrier evaluated at an infeasible point")
-        LA, LB = factors
-        u = _generators_from_params(v)
-        A = self.block(u)
-        Ainv = _chol_inverse(LA)
-        Binv = _chol_inverse(LB)
-        S = Ainv @ self.Rhat @ Ainv
-        f1 = float(np.sum(self.Rinv * A.T).real)
-        f2 = float(np.sum(Ainv * self.Rhat.T).real)
-        val = f1 + f2 - mu * (_chol_logdet(LB) + _chol_logdet(LA))
-
-        W_block = self.Rinv - S - mu * Ainv
+    def newton_system(self, p, mu):
+        """Gradient and Hessian of the barrier at the _Point p."""
+        Binv = _chol_inverse(p.LB)
+        S = p.Ainv @ self.Rhat @ p.Ainv
+        W_block = self.Rinv - S - mu * p.Ainv
         W_full = -mu * Binv
         grad = (_grad_from_lag_sums(_lag_sums(W_block, self.ruler))
                 + _grad_from_lag_sums(_lag_sums(W_full, self.full)))
-        if not want_hess:
-            return val, grad, None
-
-        H = _lag_hessian(((2.0 * S + mu * Ainv, Ainv, self.ruler),
+        H = _lag_hessian(((2.0 * S + mu * p.Ainv, p.Ainv, self.ruler),
                           (mu * Binv, Binv, self.full)))
-        return val, grad, 0.5 * (H + H.T)
+        return grad, 0.5 * (H + H.T)
 
 
 def qspa_objective(u, Rhat, ruler, spec):
@@ -283,7 +277,10 @@ def qspa_objective(u, Rhat, ruler, spec):
     the ruler block of T(u) is not.
     """
     prob = _BarrierProblem(Rhat, ruler, spec.lag0_bias)
-    return prob.objective(_params_from_generators(np.asarray(u, dtype=np.complex128)))
+    obj = prob.objective(_params_from_generators(np.asarray(u, dtype=np.complex128)))
+    if obj is None:
+        raise InfeasibleU("ruler block of T(u) is not positive definite")
+    return obj
 
 
 def _initial_point(prob, spec):
@@ -334,8 +331,9 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
     if c == 0.0 and ruler.is_full():
         gens = _toeplitz_psd_shortcut(prob, Rwork)
         if gens is not None:
-            v = _params_from_generators(gens)
-            obj = prob.objective(v) if _try_chol(prob.block(gens)) is not None else 2.0 * ruler.size
+            obj = prob.objective(_params_from_generators(gens))
+            if obj is None:
+                obj = 2.0 * ruler.size
             breve = HermitianToeplitz(gens)
             return QspaSolution(gens, obj, 0.0, 0, breve, True,
                                 trace=[(0, 0.0, obj, 0.0)])
@@ -344,6 +342,9 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
 
 
 def _barrier_iterations(prob, v, opts, n_params, c):
+    p = prob.evaluate(v)
+    if p is None:
+        raise InfeasibleU("barrier evaluated at an infeasible point")
     mu = opts.barrier_mu0
     total_newton = 0
     trace = []
@@ -357,7 +358,8 @@ def _barrier_iterations(prob, v, opts, n_params, c):
         # norm, stays meaningful when an active constraint makes the barrier
         # Hessian stiff.
         for _ in range(opts.max_inner):
-            val, grad, H = prob.value_grad(v, mu, want_hess=True)
+            val = p.barrier(mu)
+            grad, H = prob.newton_system(p, mu)
             dv = _solve_newton(H, grad)
             lam2 = -float(grad @ dv)
             kkt = np.sqrt(max(lam2, 0.0))
@@ -369,26 +371,23 @@ def _barrier_iterations(prob, v, opts, n_params, c):
             step = 1.0
             accepted = False
             while step > 1e-14:
-                v_new = v + step * dv
-                factors = prob.factor(v_new)
-                if factors is not None:
-                    val_new = prob.value(v_new, mu, factors)
-                    if val_new <= val - 1e-4 * step * lam2:
-                        v = v_new
-                        accepted = True
-                        break
+                trial = prob.evaluate(p.v + step * dv)
+                if trial is not None and trial.barrier(mu) <= val - 1e-4 * step * lam2:
+                    p = trial
+                    accepted = True
+                    break
                 step *= 0.5
             total_newton += 1
             if not accepted:
                 break
-        obj = prob.objective(v)
+        obj = p.objective
         trace.append((outer, mu, obj, kkt))
         if n_params * mu < opts.newton_tol and kkt < 1e-6 * (1.0 + abs(obj)):
             converged = True
             break
         mu *= opts.barrier_shrink
 
-    u = _generators_from_params(v)
+    u = _generators_from_params(p.v)
     breve_gens = u.copy()
     breve_gens[0] = breve_gens[0].real - c
     return QspaSolution(u, obj, kkt, total_newton,

@@ -18,6 +18,14 @@ from .errors import EmptyBatch, NonPositiveGamma0, QtcovError
 from .sampling import SampleBatch
 
 
+def _check_level(level):
+    """Raise QtcovError unless `level` is zero or a normal positive float."""
+    if level < 0:
+        raise QtcovError("quantization levels must be nonnegative")
+    if 0 < level < np.finfo(float).tiny:  # x / level would overflow
+        raise QtcovError(f"quantization level {float(level)!r} is subnormal")
+
+
 class QuantizationSpec:
     """Quantization levels (delta_r, delta_i) plus optional per-part bit depth.
 
@@ -28,11 +36,8 @@ class QuantizationSpec:
     __slots__ = ("delta_r", "delta_i", "bits_k")
 
     def __init__(self, delta_r, delta_i, bits_k=None):
-        if delta_r < 0 or delta_i < 0:
-            raise QtcovError("quantization levels must be nonnegative")
-        for level in (delta_r, delta_i):
-            if 0 < level < np.finfo(float).tiny:  # x / level would overflow
-                raise QtcovError(f"quantization level {float(level)!r} is subnormal")
+        _check_level(delta_r)
+        _check_level(delta_i)
         if bits_k is not None:
             if int(bits_k) < 1:
                 raise QtcovError("bit depth must be >= 1")
@@ -64,6 +69,7 @@ class QuantizationSpec:
 
 def quantize_uniform(x, delta):
     """Uniform mid-riser quantizer; delta = 0 passes x through unchanged."""
+    _check_level(delta)
     if delta == 0:
         return x
     return delta * (np.floor(x / delta) + 0.5)

@@ -6,11 +6,9 @@ one index pair.  Indices are 1-based throughout to match the usual array
 listings; 0-based matrix positions are kept internally.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import Duplicate, LagOutOfRange, MissingLag, NotARuler, OutOfRange, QtcovError
+from .errors import Duplicate, MissingLag, NotARuler, OutOfRange, QtcovError
 
 
 class Ruler:
@@ -93,27 +91,9 @@ class Ruler:
         return hash((self.dim, self.indices.tobytes()))
 
 
-@dataclass(frozen=True)
-class LagPairs:
-    """All ordered index pairs (j, k) of a ruler with k - j = lag."""
-    lag: int
-    pairs: tuple
-
-
 def validate_ruler(indices, d):
     """Return the Ruler for `indices` or raise naming the first missing lag."""
     return Ruler(indices, d)
-
-
-def lag_pairs(ruler, s):
-    """Ordered pairs at lag s, sorted by the left index."""
-    s = int(s)
-    if not 0 <= s < ruler.dim:
-        raise LagOutOfRange(f"lag {s} outside [0, {ruler.dim - 1}]")
-    sel = ruler.pair_lags == s
-    js = ruler.indices[ruler.pair_rows[sel]]
-    ks = ruler.indices[ruler.pair_cols[sel]]
-    return LagPairs(s, tuple(zip(js.tolist(), ks.tolist())))
 
 
 def coverage_coefficient(ruler):

@@ -17,10 +17,6 @@ import numpy as np
 from .errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
                      NonRealDiagonal, ResolutionTooCoarse, SizeMismatch)
 
-# Quantities that are analytically real may carry roundoff in the imaginary
-# part; anything below this (relative) level is discarded.
-IMAG_RESIDUE_TOL = 1e-12
-
 
 class HermitianToeplitz:
     """Immutable Hermitian Toeplitz matrix parameterized by its generators."""

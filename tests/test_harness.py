@@ -9,6 +9,7 @@ import pytest
 import qtcov
 from qtcov import harness
 from qtcov import rng as qrng
+from qtcov.cli import build_parser
 from qtcov.doa import DoaScene
 from qtcov.errors import ConfigError, EmptyTable, MixedMetrics
 from qtcov.harness import (ExperimentConfig, ResultTable, Row, config_to_text,
@@ -239,6 +240,12 @@ class TestCli:
         r = self.run_cli("ruler", "--d", "4", "--ruler", "1,4")
         assert r.returncode == 1
         assert "lag" in r.stderr
+
+    @pytest.mark.parametrize("command", [["simulate", "-o", "b.qtb"], ["doa"]])
+    def test_outdir_only_on_experiment(self, command):
+        # simulate and doa write no output directory, so they take no --outdir
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--outdir", "out"])
 
     def test_simulate_estimate_roundtrip(self, tmp_path):
         batch = tmp_path / "b.qtb"

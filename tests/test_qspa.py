@@ -151,14 +151,14 @@ class TestBarrierCalculus:
         prob = _BarrierProblem(Rhat, ruler, c)
         v = _params_from_generators(feasible_generators(rng, d, c))
         mu = float(rng.uniform(0.05, 2.0))
-        _, grad, _ = prob.value_grad(v, mu)
+        grad, _ = prob.newton_system(prob.evaluate(v), mu)
         h = 1e-5
         fd = np.empty_like(grad)
         for i in range(v.size):
             vp, vm = v.copy(), v.copy()
             vp[i] += h
             vm[i] -= h
-            fd[i] = (prob.value(vp, mu) - prob.value(vm, mu)) / (2 * h)
+            fd[i] = (prob.evaluate(vp).barrier(mu) - prob.evaluate(vm).barrier(mu)) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
 
     def test_frobenius_and_trace_forms_rank_identically(self, rng):
@@ -198,12 +198,12 @@ class TestStructuredHessian:
         for margin in (1.0, 1e-2, 1e-4):
             gens = feasible_generators(rng, d, c, margin=0.0)
             gens[0] += margin - np.linalg.eigvalsh(prob.shifted_full(gens))[0]
-            v = _params_from_generators(gens)
+            point = prob.evaluate(_params_from_generators(gens))
             mu = float(rng.uniform(0.05, 2.0))
-            _, _, H = prob.value_grad(v, mu, want_hess=True)
+            _, H = prob.newton_system(point, mu)
             with monkeypatch.context() as mp:
                 mp.setattr(qspa, "_lag_hessian", stacked_lag_hessian)
-                _, _, H_ref = prob.value_grad(v, mu, want_hess=True)
+                _, H_ref = prob.newton_system(point, mu)
             assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
 
     def test_solver_unchanged_on_golden_problems(self, monkeypatch):
@@ -225,3 +225,29 @@ class TestStructuredHessian:
             assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
             assert sol.objective == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
             assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+
+
+class TestFactorOnce:
+    def test_no_point_is_factored_twice(self, monkeypatch):
+        d = 16
+        ruler = make_ruler_alpha(d, 0.5)
+        spec = QuantizationSpec(5.0, 5.0)
+        raw = sample_complex_gaussian(random_toeplitz_covariance(d, 5), ruler, 500, 6)
+        Rhat = quantized_sample_covariance(quantize_batch(raw, spec))
+        plain = qspa_solve(Rhat, ruler, spec, n=500)
+
+        factored = {}
+        cholesky = np.linalg.cholesky
+
+        def counting(M):
+            key = (M.shape, np.ascontiguousarray(M).tobytes())
+            factored[key] = factored.get(key, 0) + 1
+            return cholesky(M)
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "cholesky", counting)
+            sol = qspa_solve(Rhat, ruler, spec, n=500)
+        assert (sol.iterations, sol.objective) == (plain.iterations, plain.objective)
+        for size in (ruler.size, d):
+            counts = [k for (shape, _), k in factored.items() if shape == (size, size)]
+            assert len(counts) > sol.iterations
+            assert max(counts) == 1

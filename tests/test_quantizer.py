@@ -37,6 +37,16 @@ class TestUniform:
             err = np.abs(quantize_uniform(x, delta) - x)
             assert err.max() <= delta / 2 + 1e-12
 
+    def test_rejects_subnormal_level(self):
+        # x / level would overflow to [inf, -inf]
+        with pytest.raises(QtcovError, match="1e-310 is subnormal"):
+            quantize_uniform(np.array([1.0, -0.5]), 1e-310)
+
+    def test_rejects_negative_level(self):
+        # a negative level would silently give [0.5, -0.5]
+        with pytest.raises(QtcovError, match="nonnegative"):
+            quantize_uniform(np.array([1.0, -0.5]), -1.0)
+
 
 class TestSpec:
     @pytest.mark.parametrize("pair", [(1e-310, 1.0), (1.0, 5e-324), (1e-310, 1e-310)])
@@ -55,6 +65,10 @@ class TestSpec:
 class TestKBit:
     def test_interior(self):
         assert quantize_kbit(0.3, 1.0, 2) == 0.5
+
+    def test_rejects_subnormal_level(self):
+        with pytest.raises(QtcovError, match="1e-310 is subnormal"):
+            quantize_kbit(np.array([1.0, -0.5]), 1e-310, 2)
 
     def test_clips(self):
         assert quantize_kbit(5.0, 1.0, 2) == 2.5

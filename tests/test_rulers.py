@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qtcov import (coverage_coefficient, full_ruler, lag_pairs,
-                   make_ruler_alpha, parse_ruler_spec, validate_ruler)
-from qtcov.errors import (Duplicate, LagOutOfRange, MissingLag, NotARuler,
-                          OutOfRange)
+from qtcov import (coverage_coefficient, full_ruler, make_ruler_alpha,
+                   parse_ruler_spec, validate_ruler)
+from qtcov.errors import Duplicate, MissingLag, NotARuler, OutOfRange
 
 OMEGA_A = [1, 2, 3, 4, 5, 6, 7, 8, 16]
 OMEGA_B = [1, 2, 3, 5, 8, 11, 14, 15, 16]
@@ -75,27 +76,55 @@ class TestAlphaFamily:
             make_ruler_alpha(16, 0.3)
 
 
+@st.composite
+def rulers(draw):
+    """A random valid ruler: a random index set plus 1 + s for each lag s it misses."""
+    d = draw(st.integers(1, 24))
+    idx = set(draw(st.lists(st.integers(1, d), max_size=d))) | {1}
+    covered = {k - j for j in idx for k in idx}
+    idx |= {1 + s for s in range(d) if s not in covered}
+    return validate_ruler(sorted(idx), d)
+
+
+def lag_pairs(r, s):
+    """The ruler's 1-based index pairs (j, k) with k - j = s, in table order."""
+    sel = r.pair_lags == s
+    return tuple(zip(r.indices[r.pair_rows[sel]].tolist(), r.indices[r.pair_cols[sel]].tolist()))
+
+
 class TestLagPairs:
+    """The pair tables that Ruler builds for qtscm and qspa."""
+
     def test_full_maximal_lag(self):
-        assert lag_pairs(full_ruler(4), 3).pairs == ((1, 4),)
+        assert lag_pairs(full_ruler(4), 3) == ((1, 4),)
 
     def test_full_lag_zero(self):
-        assert lag_pairs(full_ruler(4), 0).pairs == ((1, 1), (2, 2), (3, 3), (4, 4))
+        assert lag_pairs(full_ruler(4), 0) == ((1, 1), (2, 2), (3, 3), (4, 4))
 
     def test_omega_b_lag_one(self):
         r = validate_ruler(OMEGA_B, 16)
-        assert lag_pairs(r, 1).pairs == ((1, 2), (2, 3), (14, 15), (15, 16))
-
-    def test_lag_out_of_range(self):
-        with pytest.raises(LagOutOfRange):
-            lag_pairs(full_ruler(4), 4)
+        assert lag_pairs(r, 1) == ((1, 2), (2, 3), (14, 15), (15, 16))
 
     @pytest.mark.parametrize("indices,d", [(OMEGA_A, 16), (OMEGA_B, 16), ([1, 2, 4], 4)])
     def test_pairs_are_ordered(self, indices, d):
         r = validate_ruler(indices, d)
         for s in range(d):
-            for j, k in lag_pairs(r, s).pairs:
+            for j, k in lag_pairs(r, s):
                 assert k - j == s and j <= k
+
+    @given(rulers())
+    def test_pair_tables(self, r):
+        rows, cols, lags = r.pair_rows, r.pair_cols, r.pair_lags
+        m = r.size
+        assert lags.size == rows.size == cols.size == m * (m + 1) // 2
+        # sorted by lag, then by row, with no pair repeated
+        keys = list(zip(lags.tolist(), rows.tolist()))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        np.testing.assert_array_equal(r.positions[cols] - r.positions[rows], lags)
+        assert np.all(rows <= cols)
+        np.testing.assert_array_equal(r.lag_sizes, np.bincount(lags, minlength=r.dim))
+        np.testing.assert_array_equal(
+            r.lag_starts, np.concatenate([[0], np.cumsum(r.lag_sizes)[:-1]]))
 
 
 class TestCoverage:
