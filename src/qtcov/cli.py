@@ -9,7 +9,8 @@ import numpy as np
 from . import __version__
 from .doa import estimate_frequencies, frequency_mse
 from .errors import QtcovError
-from .estimators import EstimationReport, relative_spectral_error
+from .estimators import (EstimationReport, quantized_sample_covariance,
+                         relative_spectral_error)
 from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, config_to_text, default_config,
                       parse_config, qspa_from_batch, resolve_ruler, run_experiment,
                       write_outputs)
@@ -40,8 +41,8 @@ def _load_truth(path):
 
 def _traced_qspa(path):
     """The qspa table entry, also writing the solver's per-iteration trace to `path`."""
-    def solve(batch, opts):
-        sol = qspa_from_batch(batch, opts)
+    def solve(batch, gram, opts):
+        sol = qspa_from_batch(batch, gram, opts)
         with open(path, "w") as fh:
             fh.write(sol.trace_csv())
         return sol.T_breve, sol.converged
@@ -82,8 +83,9 @@ def cmd_estimate(args):
     if args.qspa_trace:
         estimators = {**ESTIMATORS, "qspa": _traced_qspa(args.qspa_trace)}
     rows = [EstimationReport.CSV_HEADER]
+    gram = quantized_sample_covariance(batch)
     for name in args.estimator:
-        est, converged = estimators[name](batch, None)
+        est, converged = estimators[name](batch, gram, None)
         if not converged:
             print(f"warning: {name} did not converge", file=sys.stderr)
         err = relative_spectral_error(est, truth) if truth is not None else None
@@ -128,7 +130,8 @@ def cmd_doa(args):
             raise QtcovError("scene config lacks scene_* keys")
     else:
         scene = FIVE_SOURCE_SCENE
-    est, converged = ESTIMATORS[args.estimator](_simulate(scene.covariance(), args), None)
+    batch = _simulate(scene.covariance(), args)
+    est, converged = ESTIMATORS[args.estimator](batch, quantized_sample_covariance(batch), None)
     if not converged:
         print(f"warning: {args.estimator} did not converge")
     resolved, freqs = estimate_frequencies(est, scene.k_sources, args.grid)

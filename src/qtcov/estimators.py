@@ -59,25 +59,31 @@ def quantized_sample_covariance(batch):
     return z.T @ z.conj() / batch.count
 
 
-def qtscm(batch, spec=None):
+def _gram(batch, gram):
+    return quantized_sample_covariance(batch) if gram is None else gram
+
+
+def qtscm(batch, spec=None, gram=None):
     """Toeplitz-projected sample covariance of quantized data, bias-corrected.
 
     gamma_hat[s] = mean over lag-s pairs and samples of zq_j zq_k^*, minus
-    ||Delta||^2/4 at lag 0.  Unbiased for the true covariance.
+    ||Delta||^2/4 at lag 0.  Unbiased for the true covariance.  `gram`, if
+    given, is the batch's quantized_sample_covariance, computed once and
+    shared by the estimators of that batch.
     """
     spec = _check_quantized(batch, spec)
-    gens = toeplitz_adjoint_project(quantized_sample_covariance(batch), batch.ruler)
+    gens = toeplitz_adjoint_project(_gram(batch, gram), batch.ruler)
     gens[0] = gens[0].real - spec.lag0_bias
     return HermitianToeplitz(gens)
 
 
-def qscm(batch, spec=None):
-    """Bias-corrected quantized sample covariance without Toeplitz projection."""
+def qscm(batch, spec=None, gram=None):
+    """Bias-corrected quantized sample covariance without Toeplitz projection
+    (`gram` as in qtscm)."""
     spec = _check_quantized(batch, spec)
     if not batch.ruler.is_full():
         raise NotFullRuler("qscm is defined on the full ruler only")
-    R = quantized_sample_covariance(batch)
-    return R - spec.lag0_bias * np.eye(batch.dim)
+    return _gram(batch, gram) - spec.lag0_bias * np.eye(batch.dim)
 
 
 def relative_spectral_error(estimate, truth):

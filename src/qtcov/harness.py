@@ -8,8 +8,8 @@ drawn once, and every (ruler, bits, level) grid cell of that (d, n) works from
 its ruler columns, so grid cells are compared under common random numbers
 while trials stay independent.  The dither is drawn once per (trial, ruler)
 as a level-free unit pair and shared by every level of that ruler; each
-quantization spec is applied once and its batch shared by the estimators of
-that cell.  One runner serves both metrics; only the truth and the scoring
+quantization spec is applied once and its batch and Gram matrix shared by the
+estimators of that cell.  One runner serves both metrics; only the truth and the scoring
 function (relative spectral error, or MUSIC frequency MSE) differ.  A cell
 whose qspa solves stop unconverged or whose MUSIC spectra are unresolved
 keeps its value and says so in its note.  Runs are sequential and
@@ -49,21 +49,23 @@ RULER_ALIASES = {
 FIVE_SOURCE_SCENE = DoaScene(16, (0.08, 0.21, 0.37, 0.68, 0.81), (1.0,) * 5, 0.1)
 
 
-def qspa_from_batch(batch, opts=None):
-    """The qspa fit to a quantized batch's sample covariance (a QspaSolution)."""
-    return qspa_solve(quantized_sample_covariance(batch), batch.ruler, batch.spec,
-                      opts, n=batch.count)
+def qspa_from_batch(batch, gram, opts=None):
+    """The qspa fit to a quantized batch from its Gram matrix
+    `quantized_sample_covariance(batch)` (a QspaSolution)."""
+    return qspa_solve(gram, batch.ruler, batch.spec, opts, n=batch.count)
 
 
-def _qspa(batch, opts):
-    sol = qspa_from_batch(batch, opts)
+def _qspa(batch, gram, opts):
+    sol = qspa_from_batch(batch, gram, opts)
     return sol.T_breve, sol.converged
 
 
-# name -> fn(quantized batch, QspaOptions or None) -> (covariance estimate, converged)
+# name -> fn(quantized batch, its quantized_sample_covariance, QspaOptions or
+# None) -> (covariance estimate, converged); the Gram matrix is computed once
+# per batch and shared by its estimators
 ESTIMATORS = {
-    "qtscm": lambda batch, opts: (qtscm(batch), True),
-    "qscm": lambda batch, opts: (qscm(batch), True),
+    "qtscm": lambda batch, gram, opts: (qtscm(batch, gram=gram), True),
+    "qscm": lambda batch, gram, opts: (qscm(batch, gram=gram), True),
     "qspa": _qspa,
 }
 
@@ -410,10 +412,10 @@ def run_experiment(config):
             for t in range(cfg.trials):
                 # One-entry caches, dropped with the trial: the raw batch and
                 # unit dither of a ruler, and the quantized batch of a (ruler,
-                # spec).  Rows of one ruler, and rows differing only in the
+                # spec) with its Gram matrix.  Rows of one ruler, and rows differing only in the
                 # estimator, are adjacent in `rows`.  An entry is released
                 # before its successor is built, and keyed only once built.
-                drawn_key = quantized_key = raw = unit = batch = None
+                drawn_key = quantized_key = raw = unit = batch = gram = None
                 ts = rng.trial_seed(cfg.seed, t)
                 live = [i for i, row in enumerate(rows) if row.n == n and i not in notes]
                 try:
@@ -432,10 +434,11 @@ def run_experiment(config):
                         spec = _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0)
                         specs.setdefault(i, spec)
                         if quantized_key != (row.ruler, spec):
-                            quantized_key = batch = None
+                            quantized_key = batch = gram = None
                             batch = quantize_batch(raw, spec, unit=unit)
+                            gram = quantized_sample_covariance(batch)
                             quantized_key = (row.ruler, spec)
-                        est, converged = ESTIMATORS[row.estimator](batch, cfg.qspa)
+                        est, converged = ESTIMATORS[row.estimator](batch, gram, cfg.qspa)
                         value, resolved = score(est)
                         values[i].append(value)
                         degraded[i].update(nonconverged=not converged, unresolved=not resolved)

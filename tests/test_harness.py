@@ -131,7 +131,7 @@ class TestRunnerSemantics:
         assert table.rows[0].note != ""
 
     def test_linalg_error_recorded_for_its_cell_only(self, monkeypatch):
-        def broken(batch, opts):
+        def broken(batch, gram, opts):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         monkeypatch.setitem(harness.ESTIMATORS, "qscm", broken)
         table = run_experiment(tiny_config(estimators=("qtscm", "qscm")))
@@ -169,6 +169,21 @@ class TestRunnerSemantics:
         assert len(table.means()) == 8  # 2 rulers x 2 levels x 2 estimators
         assert calls == {"unit_dither": 3 * 2, "quantize_batch": 3 * 2 * 2}
 
+    def test_one_gram_matrix_per_quantized_batch(self, monkeypatch):
+        cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
+                          estimators=("qtscm", "qscm", "qspa"), trials=3)
+        plain = run_experiment(cfg).to_csv()
+        grams = []
+        gram = qtcov.estimators.quantized_sample_covariance
+
+        def counted(batch):
+            grams.append(batch)
+            return gram(batch)
+        monkeypatch.setattr(harness, "quantized_sample_covariance", counted)
+        monkeypatch.setattr(qtcov.estimators, "quantized_sample_covariance", counted)
+        assert run_experiment(cfg).to_csv() == plain
+        assert len(grams) == 3 * 2 * 2  # trials x rulers x levels, whatever the estimators
+
     def test_nonconverged_qspa_noted_and_kept(self):
         cfg = tiny_config(d=6, estimators=("qspa",), qspa=replace(QspaOptions(), max_outer=1))
         table = run_experiment(cfg)
@@ -179,7 +194,7 @@ class TestRunnerSemantics:
     def test_unresolved_spectrum_noted_and_kept(self, monkeypatch):
         # a scaled identity has a flat MUSIC spectrum with no peaks to resolve
         monkeypatch.setitem(harness.ESTIMATORS, "qtscm",
-                            lambda batch, opts: (2.0 * np.eye(batch.dim), True))
+                            lambda batch, gram, opts: (2.0 * np.eye(batch.dim), True))
         scene = DoaScene(8, (0.1, 0.3, 0.6), (1.0, 1.0, 1.0), 0.1)
         table = run_experiment(tiny_config(scene=scene, music_grid=512, emit_trials=True))
         assert [r.note for r in table.rows] == ["unresolved 3/3"] * 5
