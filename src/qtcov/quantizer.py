@@ -20,6 +20,8 @@ from .sampling import SampleBatch
 
 def _check_level(level):
     """Raise QtcovError unless `level` is zero or a normal positive float."""
+    if not np.isfinite(level):  # nan passes every comparison below
+        raise QtcovError(f"quantization level {float(level)!r} is not finite")
     if level < 0:
         raise QtcovError("quantization levels must be nonnegative")
     if 0 < level < np.finfo(float).tiny:  # x / level would overflow

@@ -149,6 +149,15 @@ class TestRunnerSemantics:
         assert means[0].note == "QtcovError: quantization level 1e-310 is subnormal"
         assert np.isfinite(means[1].value) and means[1].note == ""
 
+    def test_non_finite_level_is_named_in_its_row_note(self):
+        table = run_experiment(parse_config("qtcov-config 1\nexperiment = custom\nd = 4\n"
+                                            "deltas = nan:nan, inf:0.5, 0.5:0.5\n"))
+        means = table.means()
+        assert [r.note for r in means[:2]] == ["QtcovError: quantization level nan is not finite",
+                                               "QtcovError: quantization level inf is not finite"]
+        assert all(math.isnan(r.value) for r in means[:2])
+        assert np.isfinite(means[2].value) and means[2].note == ""
+
     def test_dither_drawn_per_ruler_and_each_spec_quantized_once(self, monkeypatch):
         cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
                           estimators=("qtscm", "qspa"), trials=3)
@@ -340,6 +349,13 @@ class TestInputErrors:
         r = self.run_cli("simulate", "--d", "4", "--delta", "1e-310",
                          "-o", str(tmp_path / "b.qtb"))
         self.assert_clean_failure(r, "1e-310", "subnormal")
+        assert not (tmp_path / "b.qtb").exists()
+
+    @pytest.mark.parametrize("level", ["nan", "inf"])
+    def test_non_finite_delta(self, tmp_path, level):
+        r = self.run_cli("simulate", "--d", "4", "--delta", level,
+                         "-o", str(tmp_path / "b.qtb"))
+        self.assert_clean_failure(r, f"level {level} is not finite")
         assert not (tmp_path / "b.qtb").exists()
 
     def test_unparsable_ruler_spec(self):

@@ -42,6 +42,12 @@ class TestUniform:
         with pytest.raises(QtcovError, match="1e-310 is subnormal"):
             quantize_uniform(np.array([1.0, -0.5]), 1e-310)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_level(self, level):
+        # an infinite level would give [inf, inf], a nan one [nan, nan]
+        with pytest.raises(QtcovError, match=f"{level!r} is not finite"):
+            quantize_uniform(np.array([1.0, -0.5]), level)
+
     def test_rejects_negative_level(self):
         # a negative level would silently give [0.5, -0.5]
         with pytest.raises(QtcovError, match="nonnegative"):
@@ -57,6 +63,16 @@ class TestSpec:
         with pytest.raises(QtcovError, match=repr(min(pair))):
             QuantizationSpec(*pair)
 
+    @pytest.mark.parametrize("pair", [(np.nan, np.nan), (1.0, np.nan), (np.inf, 1.0),
+                                      (-np.inf, 0.0)])
+    def test_rejects_non_finite_level(self, pair):
+        with pytest.raises(QtcovError, match="not finite"):
+            QuantizationSpec(*pair)
+
+    def test_rejects_non_finite_level_with_bits(self):
+        with pytest.raises(QtcovError, match="inf is not finite"):
+            QuantizationSpec(np.inf, np.inf, 2)
+
     def test_smallest_normal_level_is_accepted(self):
         tiny = np.finfo(float).tiny
         assert QuantizationSpec(tiny, 0.0).delta_r == tiny
@@ -69,6 +85,11 @@ class TestKBit:
     def test_rejects_subnormal_level(self):
         with pytest.raises(QtcovError, match="1e-310 is subnormal"):
             quantize_kbit(np.array([1.0, -0.5]), 1e-310, 2)
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    def test_rejects_non_finite_level(self, level):
+        with pytest.raises(QtcovError, match="not finite"):
+            quantize_kbit(np.array([1.0, -0.5]), level, 2)
 
     def test_clips(self):
         assert quantize_kbit(5.0, 1.0, 2) == 2.5
