@@ -192,8 +192,7 @@ _INT_LIST_KEYS = {"d_values", "n_values"}
 _FLOAT_KEYS = {"c_bit", "delta_prime"}
 _INT_KEYS = {"d", "trials", "seed", "music_grid"}
 _BOOL_KEYS = {"emit_trials"}
-_QSPA_FLOAT_KEYS = {"qspa_epsilon_reg", "qspa_barrier_mu0", "qspa_barrier_shrink",
-                    "qspa_newton_tol"}
+_QSPA_FLOAT_KEYS = {"qspa_epsilon_reg", "qspa_newton_tol"}
 _QSPA_INT_KEYS = {"qspa_max_outer", "qspa_max_inner"}
 
 

@@ -19,7 +19,13 @@ coordinates with a path-following log barrier
 
     f(u) - mu log det(T(u) - (||Delta||^2/4) I) - mu log det A(u)
 
-using damped Newton steps; mu shrinks geometrically.  Each point is factored
+using damped Newton steps.  The schedule has no knobs: since f >= 2|Omega|
+and a centered point at mu is within theta * mu of the optimum (theta = d +
+|Omega|, the barrier parameter), mu starts at (f(u0) - 2|Omega|) / theta at
+the feasibility-lifted projection start u0, and shrinks by a factor 20 per
+centering.  After each centering a predictor step follows the central path's
+tangent to the next mu, reusing the Newton system solved at the center (Boyd &
+Vandenberghe, Convex Optimization, 11.5).  Each point is factored
 once: the line search's Cholesky factors of A(u) and of the shifted T(u)
 give the barrier value there, and those of the accepted point also give the
 next Newton step and the end-of-centering objective.  Gradients reduce to
@@ -47,8 +53,6 @@ from .toeplitz import HermitianToeplitz, toeplitz_adjoint_project
 class QspaOptions:
     """Solver knobs; the defaults converge on all desk-scale problems."""
     epsilon_reg: Optional[float] = None  # None = automatic diagonal perturbation
-    barrier_mu0: float = 1.0
-    barrier_shrink: float = 0.2
     newton_tol: float = 1e-8
     max_outer: int = 40
     max_inner: int = 50
@@ -258,16 +262,17 @@ class _BarrierProblem:
         return _Point(v, objective, _chol_logdet(LB) + _chol_logdet(LA), Ainv, LB)
 
     def newton_system(self, p, mu):
-        """Gradient and Hessian of the barrier at the _Point p."""
+        """Gradient and Hessian of the barrier at the _Point p, and the
+        gradient of its log-determinant term (the barrier gradient is
+        grad f - mu * that)."""
         Binv = _chol_inverse(p.LB)
         S = p.Ainv @ self.Rhat @ p.Ainv
-        W_block = self.Rinv - S - mu * p.Ainv
-        W_full = -mu * Binv
-        grad = (_grad_from_lag_sums(_lag_sums(W_block, self.ruler))
-                + _grad_from_lag_sums(_lag_sums(W_full, self.full)))
+        grad_f = _grad_from_lag_sums(_lag_sums(self.Rinv - S, self.ruler))
+        grad_logdet = _grad_from_lag_sums(_lag_sums(p.Ainv, self.ruler)
+                                          + _lag_sums(Binv, self.full))
         H = _lag_hessian(((2.0 * S + mu * p.Ainv, p.Ainv, self.ruler),
                           (mu * Binv, Binv, self.full)))
-        return grad, 0.5 * (H + H.T)
+        return grad_f - mu * grad_logdet, 0.5 * (H + H.T), grad_logdet
 
 
 def qspa_objective(u, Rhat, ruler, spec):
@@ -341,11 +346,31 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
     return _barrier_iterations(prob, _initial_point(prob, spec), opts, n_params, c)
 
 
+_MU_SHRINK = 0.05   # mu factor per centering
+_MU_FLOOR = 1e-12   # first mu when the start is (nearly) optimal
+
+
+def _backtrack(prob, v, dv, min_step, accept=None):
+    """The first feasible point at v + t dv, t = 1, 1/2, ... > min_step, that
+    `accept(point, t)` takes if given; None if there is none."""
+    step = 1.0
+    while step > min_step:
+        trial = prob.evaluate(v + step * dv)
+        if trial is not None and (accept is None or accept(trial, step)):
+            return trial
+        step *= 0.5
+    return None
+
+
 def _barrier_iterations(prob, v, opts, n_params, c):
     p = prob.evaluate(v)
     if p is None:
         raise InfeasibleU("barrier evaluated at an infeasible point")
-    mu = opts.barrier_mu0
+    # f >= 2|Omega| (tr X + tr X^-1 >= 2m), and a centered point at mu is
+    # within theta * mu of the optimum, theta = d + |Omega| the barrier
+    # parameter: start where that bound matches the start's own gap
+    m = prob.ruler.size
+    mu = max((p.objective - 2.0 * m) / (prob.ruler.dim + m), _MU_FLOOR)
     total_newton = 0
     trace = []
     converged = False
@@ -357,35 +382,38 @@ def _barrier_iterations(prob, v, opts, n_params, c):
         # bounds the gap to the centered value and, unlike the raw gradient
         # norm, stays meaningful when an active constraint makes the barrier
         # Hessian stiff.
+        centered = False
         for _ in range(opts.max_inner):
             val = p.barrier(mu)
-            grad, H = prob.newton_system(p, mu)
-            dv = _solve_newton(H, grad)
+            grad, H, grad_logdet = prob.newton_system(p, mu)
+            dv, tangent = _solve_newton(H, np.column_stack([grad, grad_logdet])).T
             lam2 = -float(grad @ dv)
             kkt = np.sqrt(max(lam2, 0.0))
             # Loose centering at large mu (the center is about to move anyway),
             # tight once mu is small.
             ctol = max(1e-14 * (1.0 + abs(val)), min(1e-2 * mu, 1e-9 * (1.0 + abs(val))))
-            if lam2 / 2.0 <= ctol:
+            centered = lam2 / 2.0 <= ctol
+            if centered:
                 break
-            step = 1.0
-            accepted = False
-            while step > 1e-14:
-                trial = prob.evaluate(p.v + step * dv)
-                if trial is not None and trial.barrier(mu) <= val - 1e-4 * step * lam2:
-                    p = trial
-                    accepted = True
-                    break
-                step *= 0.5
+            trial = _backtrack(prob, p.v, dv, 1e-14,
+                               lambda t, step: t.barrier(mu) <= val - 1e-4 * step * lam2)
             total_newton += 1
-            if not accepted:
+            if trial is None:
                 break
+            p = trial
         obj = p.objective
         trace.append((outer, mu, obj, kkt))
         if n_params * mu < opts.newton_tol and kkt < 1e-6 * (1.0 + abs(obj)):
             converged = True
             break
-        mu *= opts.barrier_shrink
+        mu_next = mu * _MU_SHRINK
+        if centered:
+            # Predictor: the center moves along dv/dmu = H^-1 grad logdet
+            # (`tangent` is -H^-1 grad logdet), so step from the center at mu
+            # towards the one at mu_next with the Newton system already at
+            # hand, taking the first feasible of a full, half or quarter step.
+            p = _backtrack(prob, p.v, (mu - mu_next) * tangent, 0.2) or p
+        mu = mu_next
 
     u = _generators_from_params(p.v)
     breve_gens = u.copy()
@@ -394,13 +422,14 @@ def _barrier_iterations(prob, v, opts, n_params, c):
                         HermitianToeplitz(breve_gens), converged, trace)
 
 
-def _solve_newton(H, grad):
+def _solve_newton(H, rhs):
+    """-H^-1 rhs for a vector or a matrix of right-hand sides."""
     jitter = 0.0
     scale = float(np.trace(H)) / H.shape[0]
     for _ in range(8):
         try:
             Linv = np.linalg.inv(np.linalg.cholesky(H + jitter * np.eye(H.shape[0])))
-            return -(Linv.T @ (Linv @ grad))
+            return -(Linv.T @ (Linv @ rhs))
         except np.linalg.LinAlgError:
             jitter = max(2.0 * jitter, 1e-12 * max(scale, 1.0))
-    return -np.linalg.lstsq(H, grad, rcond=None)[0]
+    return -np.linalg.lstsq(H, rhs, rcond=None)[0]

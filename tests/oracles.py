@@ -3,12 +3,15 @@
 These deliberately avoid the library's solver code paths: the d=2 fitting
 oracle evaluates the objective in closed form on a refined brute-force grid,
 with the phase of the off-diagonal generator minimized analytically (for
-fixed (u0, |u1|) the objective is sinusoidal in that phase).
+fixed (u0, |u1|) the objective is sinusoidal in that phase).  The one
+exception is the tight-tolerance qspa reference, whose accuracy rests on the
+barrier's duality-gap bound rather than on the path the solver takes.
 """
 
 import numpy as np
 
 from qtcov import rng
+from qtcov.qspa import QspaOptions, qspa_solve
 from qtcov.quantizer import quantize_complex, quantize_complex_2kbit
 
 
@@ -60,6 +63,13 @@ def grid_oracle_d2(Rhat, c, stages=3, pts=1201):
         lo = np.maximum(best_pt - 3 * h, [c, 0.0])
         hi = best_pt + 3 * h
     return best
+
+
+def reference_qspa_solve(Rhat, ruler, spec, n=None):
+    """qspa_solve run until its barrier parameter is below 1e-14 / (2d - 1),
+    so the centered end point is within about 1e-14 (d + |ruler|) / (2d - 1)
+    of the optimal objective, whatever the mu schedule."""
+    return qspa_solve(Rhat, ruler, spec, QspaOptions(newton_tol=1e-14), n=n)
 
 
 def wishart_rhat(rng, m, n):

@@ -61,6 +61,12 @@ class TestConfig:
         assert resolve_ruler("A", 16).size == 9
         assert resolve_ruler("B", 16).size == 9
 
+    @pytest.mark.parametrize("key", ["qspa_barrier_mu0", "qspa_barrier_shrink"])
+    def test_rejects_removed_barrier_schedule_keys(self, key):
+        # the barrier schedule is fixed by the solver (see qtcov.qspa)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"qtcov-config 1\nexperiment = custom\n{key} = 0.5\n")
+
     def test_qspa_options_from_config(self):
         text = ("qtcov-config 1\nexperiment = custom\nqspa_newton_tol = 1e-6\n"
                 "qspa_max_outer = 12\nqspa_epsilon_reg = 0.5\n")

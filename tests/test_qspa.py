@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from qtcov import rng as qrng
 from qtcov import (QuantizationSpec, auto_epsilon, full_ruler, harness, make_ruler_alpha,
                    parse_ruler_spec, qspa, qspa_objective, qspa_solve, quantize_batch,
                    quantized_sample_covariance, random_toeplitz_covariance,
@@ -9,11 +12,38 @@ from qtcov import (QuantizationSpec, auto_epsilon, full_ruler, harness, make_rul
 from qtcov.errors import InfeasibleU, SingularRhat
 from qtcov.qspa import QspaOptions, _BarrierProblem, _params_from_generators
 
-from oracles import fitting_objective_d2, grid_oracle_d2, stacked_lag_hessian, wishart_rhat
+from oracles import (fitting_objective_d2, grid_oracle_d2, reference_qspa_solve,
+                     stacked_lag_hessian, wishart_rhat)
 from test_golden import GOLDEN_CONFIGS
 
 DELTA11 = QuantizationSpec(1.0, 1.0)
 DELTA0 = QuantizationSpec(0.0, 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def golden_problems():
+    """The 24 qspa problems (Rhat, ruler, spec, opts, n) of the golden configs."""
+    problems = []
+
+    def recording(Rhat, ruler, spec, opts=None, n=None):
+        problems.append((Rhat, ruler, spec, opts, n))
+        return qspa_solve(Rhat, ruler, spec, opts, n=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "qspa_solve", recording)
+        for name in ("all_estimators", "tail_bound", "doa_d8"):
+            harness.run_experiment(GOLDEN_CONFIGS[name])
+    assert len(problems) == 24
+    return tuple(problems)
+
+
+def criterion8_problems(trials):
+    """The first `trials` d=16 problems of acceptance criterion 8."""
+    d, n, seed = 16, 10_000, 202
+    spec, ruler = QuantizationSpec(5.0, 5.0), full_ruler(d)
+    T = random_toeplitz_covariance(d, seed)
+    return [(quantized_sample_covariance(quantize_batch(
+                sample_complex_gaussian(T, ruler, n, qrng.trial_seed(seed, t)), spec)),
+             ruler, spec, None, n) for t in range(trials)]
 
 
 def feasible_generators(rng, d, c, margin=1.0):
@@ -151,7 +181,7 @@ class TestBarrierCalculus:
         prob = _BarrierProblem(Rhat, ruler, c)
         v = _params_from_generators(feasible_generators(rng, d, c))
         mu = float(rng.uniform(0.05, 2.0))
-        grad, _ = prob.newton_system(prob.evaluate(v), mu)
+        grad, _, _ = prob.newton_system(prob.evaluate(v), mu)
         h = 1e-5
         fd = np.empty_like(grad)
         for i in range(v.size):
@@ -200,23 +230,14 @@ class TestStructuredHessian:
             gens[0] += margin - np.linalg.eigvalsh(prob.shifted_full(gens))[0]
             point = prob.evaluate(_params_from_generators(gens))
             mu = float(rng.uniform(0.05, 2.0))
-            _, H = prob.newton_system(point, mu)
+            _, H, _ = prob.newton_system(point, mu)
             with monkeypatch.context() as mp:
                 mp.setattr(qspa, "_lag_hessian", stacked_lag_hessian)
-                _, H_ref = prob.newton_system(point, mu)
+                _, H_ref, _ = prob.newton_system(point, mu)
             assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
 
     def test_solver_unchanged_on_golden_problems(self, monkeypatch):
-        problems = []
-
-        def recording(Rhat, ruler, spec, opts=None, n=None):
-            problems.append((Rhat, ruler, spec, opts, n))
-            return qspa_solve(Rhat, ruler, spec, opts, n=n)
-        with monkeypatch.context() as mp:
-            mp.setattr(harness, "qspa_solve", recording)
-            for name in ("all_estimators", "tail_bound", "doa_d8"):
-                harness.run_experiment(GOLDEN_CONFIGS[name])
-        assert len(problems) == 24
+        problems = golden_problems()
         solved = [qspa_solve(Rhat, ruler, spec, opts, n=n)
                   for Rhat, ruler, spec, opts, n in problems]
         monkeypatch.setattr(qspa, "_lag_hessian", stacked_lag_hessian)
@@ -251,3 +272,31 @@ class TestFactorOnce:
             counts = [k for (shape, _), k in factored.items() if shape == (size, size)]
             assert len(counts) > sol.iterations
             assert max(counts) == 1
+
+
+class TestBarrierPath:
+    """The mu schedule: accuracy against a tight reference, and path length."""
+
+    # worst relative gaps to the reference over the golden problems with the
+    # earlier fixed schedule (mu0 = 1, mu shrunk by 0.2 per centering):
+    # 2.99e-10 in the objective, 1.99e-7 in u
+    OBJECTIVE_GAP, U_GAP = 3.0e-10, 2.0e-7
+
+    def test_as_close_to_the_reference_as_the_fixed_schedule(self):
+        gaps = []
+        for Rhat, ruler, spec, opts, n in golden_problems() + tuple(criterion8_problems(5)):
+            sol = qspa_solve(Rhat, ruler, spec, opts, n=n)
+            ref = reference_qspa_solve(Rhat, ruler, spec, n=n)
+            assert sol.converged and ref.converged
+            gaps.append((abs(sol.objective - ref.objective) / abs(ref.objective),
+                         np.max(np.abs(sol.u - ref.u)) / np.max(np.abs(ref.u))))
+        objective_gap, u_gap = np.max(gaps, axis=0)
+        assert objective_gap <= self.OBJECTIVE_GAP
+        assert u_gap <= self.U_GAP
+
+    def test_newton_steps_on_golden_problems(self):
+        # 642 steps with this schedule, 1701 with the fixed one; the bound
+        # leaves room for rounding differences between BLAS builds
+        steps = sum(qspa_solve(Rhat, ruler, spec, opts, n=n).iterations
+                    for Rhat, ruler, spec, opts, n in golden_problems())
+        assert steps <= 750
