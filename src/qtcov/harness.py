@@ -9,10 +9,10 @@ its ruler columns, so grid cells are compared under common random numbers
 while trials stay independent.  The dither is drawn once per (trial, ruler)
 as a level-free unit pair and shared by every level of that ruler; each
 quantization spec is applied once and its batch and Gram matrix shared by the
-estimators of that cell.  One runner serves both metrics; only the truth and the scoring
-function (relative spectral error, or MUSIC frequency MSE) differ.  A cell
-whose qspa solves stop unconverged or whose MUSIC spectra are unresolved
-keeps its value and says so in its note.  Runs are sequential and
+estimators of that cell.  One runner serves both metrics; only the truth and
+the scoring function (relative spectral error, or MUSIC frequency MSE) differ.
+A cell whose qspa solves stop unconverged or whose MUSIC spectra are
+unresolved keeps its value and says so in its note.  Runs are sequential and
 deterministic: re-running a config byte-reproduces its CSV.
 """
 
@@ -411,9 +411,10 @@ def run_experiment(config):
             for t in range(cfg.trials):
                 # One-entry caches, dropped with the trial: the raw batch and
                 # unit dither of a ruler, and the quantized batch of a (ruler,
-                # spec) with its Gram matrix.  Rows of one ruler, and rows differing only in the
-                # estimator, are adjacent in `rows`.  An entry is released
-                # before its successor is built, and keyed only once built.
+                # spec) with its Gram matrix.  Rows of one ruler, and rows
+                # differing only in the estimator, are adjacent in `rows`.  An
+                # entry is released before its successor is built, and keyed
+                # only once built.
                 drawn_key = quantized_key = raw = unit = batch = gram = None
                 ts = rng.trial_seed(cfg.seed, t)
                 live = [i for i, row in enumerate(rows) if row.n == n and i not in notes]

@@ -366,9 +366,8 @@ def _barrier_iterations(prob, v, opts, n_params, c):
     p = prob.evaluate(v)
     if p is None:
         raise InfeasibleU("barrier evaluated at an infeasible point")
-    # f >= 2|Omega| (tr X + tr X^-1 >= 2m), and a centered point at mu is
-    # within theta * mu of the optimum, theta = d + |Omega| the barrier
-    # parameter: start where that bound matches the start's own gap
+    # theta * mu, theta = d + |Omega|, bounds a center's gap to the optimum;
+    # f(v) - 2|Omega| bounds the start's (tr X + tr X^-1 >= 2m)
     m = prob.ruler.size
     mu = max((p.objective - 2.0 * m) / (prob.ruler.dim + m), _MU_FLOOR)
     total_newton = 0
