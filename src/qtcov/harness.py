@@ -29,7 +29,7 @@ import numpy as np
 from . import rng
 from .doa import DoaScene, estimate_frequencies, frequency_mse
 from .errors import ConfigError, EmptyTable, QtcovError
-from .estimators import qscm, qtscm, quantized_sample_covariance
+from .estimators import qscm, qtscm, quantized_sample_covariance, spectral_norm
 from .quantizer import (QuantizationSpec, quantize_batch, select_level_datadriven,
                         select_level_tail_bound, unit_dither)
 from .qspa import QspaOptions, qspa_solve
@@ -367,10 +367,10 @@ def _problems(cfg):
     for d in cfg.d_values or (cfg.d,):
         T = random_toeplitz_covariance(d, cfg.seed)
         truth = T.dense
-        norm = np.linalg.norm(truth, 2)
+        norm = spectral_norm(truth)
 
         def rel_error(est, truth=truth, norm=norm):
-            return float(np.linalg.norm(as_dense(est) - truth, 2) / norm), True
+            return float(spectral_norm(as_dense(est) - truth) / norm), True
         yield d, T, "rel_error_spectral", rel_error
 
 
@@ -428,7 +428,7 @@ def run_experiment(config):
                     try:
                         if drawn_key != row.ruler:
                             drawn_key = raw = unit = None
-                            raw = SampleBatch(d, n, ruler, block[:, ruler.positions], "raw", ts)
+                            raw = SampleBatch(d, n, ruler, ruler.columns(block), "raw", ts)
                             unit = unit_dither(raw.data.shape, ts)
                             drawn_key = row.ruler
                         spec = _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0)

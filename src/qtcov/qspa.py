@@ -63,7 +63,8 @@ class QspaSolution:
     u: np.ndarray                 # solved generators of T(u) (bias included)
     objective: float              # two-trace fitting objective at u
     kkt_residual: float           # Newton-decrement stationarity residual
-    iterations: int               # total Newton iterations
+    iterations: int               # damped Newton steps (line searches); excludes
+                                  # each centering's final system and predictors
     T_breve: HermitianToeplitz    # bias-removed covariance estimate
     converged: bool
     trace: list = field(default_factory=list)  # (outer, mu, objective, kkt)

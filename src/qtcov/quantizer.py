@@ -7,6 +7,9 @@ uniforms on [-Delta/2, Delta/2] per part).  The finite-bit variant clips to
 k bits per real component.  Dither makes the quantized second moment an
 unbiased shift of the true one: E[zq_j zq_k^*] = E[z_j z_k^*] plus
 (Delta_r^2 + Delta_i^2)/4 on the diagonal.
+
+Every quantizer here runs through one kernel that quantizes a real plane in
+place; complex data is built plane by plane, with no complex temporary.
 """
 
 import math
@@ -69,12 +72,46 @@ class QuantizationSpec:
                 == (other.delta_r, other.delta_i, other.bits_k))
 
 
+def _quantize_plane(x, delta, k):
+    """Quantize the float64 array x in place, as delta * (floor(x / delta) + 1/2).
+
+    delta = 0 leaves x unchanged.  With a bit depth k, values at or above
+    (2^(k-1) - 1) * delta take code 2^(k-1) and values below the mirrored
+    threshold take code -2^(k-1) - 1; both masks are taken before the divide.
+    """
+    if delta == 0:
+        return
+    if k is not None:
+        half = 2 ** (k - 1)
+        top = x >= (half - 1) * delta
+        bottom = x < (1 - half) * delta
+    x /= delta
+    np.floor(x, out=x)
+    if k is not None:
+        np.putmask(x, top, half)
+        np.putmask(x, bottom, -half - 1)
+    x += 0.5
+    x *= delta
+
+
+def _quantize_real(x, delta, k):
+    out = np.array(x, dtype=float)
+    _quantize_plane(out, delta, k)
+    return out if out.ndim else float(out)
+
+
+def _check_kbit(delta, k):
+    if delta <= 0:
+        raise QtcovError("finite-bit quantization requires delta > 0")
+    if k < 1:
+        raise QtcovError("bit depth must be >= 1")
+    _check_level(delta)
+
+
 def quantize_uniform(x, delta):
     """Uniform mid-riser quantizer; delta = 0 passes x through unchanged."""
     _check_level(delta)
-    if delta == 0:
-        return x
-    return delta * (np.floor(x / delta) + 0.5)
+    return _quantize_real(x, delta, None)
 
 
 def quantize_kbit(x, delta, k):
@@ -83,29 +120,41 @@ def quantize_kbit(x, delta, k):
     Values at or above (2^(k-1) - 1) * delta map to (2^(k-1) + 1/2) * delta,
     values below the mirrored threshold map to the negative clip level.
     """
-    if delta <= 0:
-        raise QtcovError("finite-bit quantization requires delta > 0")
-    if k < 1:
-        raise QtcovError("bit depth must be >= 1")
-    half = 2 ** (k - 1)
-    out = np.asarray(quantize_uniform(np.asarray(x, dtype=float), delta))
-    out = np.where(np.asarray(x) >= (half - 1) * delta, (half + 0.5) * delta, out)
-    out = np.where(np.asarray(x) < (1 - half) * delta, -(half + 0.5) * delta, out)
-    return out if np.ndim(x) else float(out)
+    _check_kbit(delta, k)
+    return _quantize_real(x, delta, k)
+
+
+def _quantize_parts(z, dither, scales, levels, k):
+    """Q(z + dither) for complex z, written into one new complex128 array.
+
+    Each real plane is formed as scale * dither part + z part in one
+    contiguous float64 scratch plane, quantized there in place with its level
+    and the bit depth k, and copied into the output's .real or .imag view;
+    no complex temporary is made.  Contiguous planes keep the ufuncs on
+    their vector loops, which the stride-16 views would not.
+    """
+    z = np.asarray(z)
+    out = np.empty(np.broadcast_shapes(z.shape, *map(np.shape, dither)), np.complex128)
+    x = np.empty(out.shape)
+    for plane, part, tau, scale, delta in zip((out.real, out.imag), (z.real, z.imag),
+                                              dither, scales, levels):
+        np.multiply(tau, scale, out=x)
+        x += part
+        _quantize_plane(x, delta, k)
+        plane[...] = x
+    return out if out.ndim else out[()]
 
 
 def quantize_complex(z, spec, dither):
     """Componentwise dithered quantization of complex data (infinite-level)."""
-    zr = np.real(z) + np.real(dither)
-    zi = np.imag(z) + np.imag(dither)
-    return quantize_uniform(zr, spec.delta_r) + 1j * quantize_uniform(zi, spec.delta_i)
+    levels = (spec.delta_r, spec.delta_i)
+    return _quantize_parts(z, (np.real(dither), np.imag(dither)), (1.0, 1.0), levels, None)
 
 
 def quantize_complex_2kbit(z, delta, k, dither):
     """Componentwise dithered 2k-bit quantization (k bits per real part)."""
-    zr = np.real(z) + np.real(dither)
-    zi = np.imag(z) + np.imag(dither)
-    return quantize_kbit(zr, delta, k) + 1j * quantize_kbit(zi, delta, k)
+    _check_kbit(delta, k)
+    return _quantize_parts(z, (np.real(dither), np.imag(dither)), (1.0, 1.0), (delta, delta), k)
 
 
 def draw_triangular_dither(delta, count, seed):
@@ -120,10 +169,19 @@ def unit_dither(shape, seed):
     """Level-free dither sums (u0 + u1, u2 + u3) of four U(-1/2, 1/2) arrays.
 
     Scaled by (delta_r, delta_i) they are the real and imaginary triangular
-    dither of a batch of that shape, so one draw serves every level.
+    dither of a batch of that shape, so one draw serves every level.  The
+    stream is read two arrays at a time into one reused buffer, which gives
+    the values of a single (4,) + shape draw; the two sums are views of one
+    (2,) + shape array, so nothing else stays alive.
     """
-    u = rng.stream(seed, rng.DITHER).random((4,) + tuple(shape)) - 0.5
-    return u[0] + u[1], u[2] + u[3]
+    gen = rng.stream(seed, rng.DITHER)
+    u = np.empty((2,) + tuple(shape))
+    sums = np.empty_like(u)
+    for out in sums:
+        gen.random(out=u)
+        u -= 0.5
+        np.add(u[0], u[1], out=out)
+    return sums[0], sums[1]
 
 
 def quantize_batch(batch, spec, dither_seed=None, unit=None):
@@ -133,7 +191,12 @@ def quantize_batch(batch, spec, dither_seed=None, unit=None):
     seed), independent of the Gaussian sample stream, unless `unit`, a pair
     from `unit_dither(batch.data.shape, seed)`, is passed pre-drawn.  Either
     way it is scaled by the levels of `spec`, so a pair drawn once serves
-    every level.  Estimators only ever see the returned quantized values.
+    every level.  The planes delta_r * sr + Re z and delta_i * si + Im z are
+    quantized one at a time and written into one new complex128 array, with
+    the bits of `quantize_complex(batch.data, spec, delta_r * sr + 1j *
+    delta_i * si)` (or its 2k-bit form) but for the sign of an exact zero
+    input at a zero level.  Neither the batch nor the pair is written.
+    Estimators only ever see the returned quantized values.
     """
     if batch.stage != "raw":
         raise QtcovError("quantize_batch expects a raw batch")
@@ -144,11 +207,8 @@ def quantize_batch(batch, spec, dither_seed=None, unit=None):
     if sr.shape != batch.data.shape or si.shape != batch.data.shape:
         raise QtcovError(f"dither shape {sr.shape} does not match the batch "
                          f"shape {batch.data.shape}")
-    tau = spec.delta_r * sr + 1j * spec.delta_i * si
-    if spec.bits_k is not None:
-        data = quantize_complex_2kbit(batch.data, spec.delta_r, spec.bits_k, tau)
-    else:
-        data = quantize_complex(batch.data, spec, tau)
+    levels = (spec.delta_r, spec.delta_i)
+    data = _quantize_parts(batch.data, unit, levels, levels, spec.bits_k)
     return SampleBatch(batch.dim, batch.count, batch.ruler, data,
                        "quantized", batch.seed, spec)
 

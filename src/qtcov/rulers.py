@@ -73,6 +73,11 @@ class Ruler:
     def is_full(self):
         return self.size == self.dim
 
+    def columns(self, block):
+        """The observed columns of an (n, d) block: the block itself on the
+        full ruler, else a copy of its ruler columns."""
+        return block if self.is_full() else block[:, self.positions]
+
     def to_string(self):
         return ",".join(str(i) for i in self.indices)
 

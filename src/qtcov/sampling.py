@@ -83,18 +83,23 @@ def sample_complex_gaussian(T, ruler, n, seed):
 
     The underlying d-dimensional draw order is fixed, so for a common seed the
     batch on a sparse ruler is exactly the column restriction of the batch on
-    the full ruler.
+    the full ruler.  The standard normals w are drawn as one (2, n, d) array
+    (real parts, then imaginary parts), scaled by sqrt(1/2) in place and
+    written into one complex array, and z = w F^T; on the full ruler the
+    batch holds z itself, on a sparse one a copy of its ruler columns.
     """
     if n < 1:
         raise EmptyBatch("need n >= 1")
     if ruler.dim != T.dim:
         raise QtcovError(f"ruler dimension {ruler.dim} != covariance dimension {T.dim}")
     F = _psd_factor(T)
-    gen = rng.stream(seed, rng.GAUSS)
-    w = gen.standard_normal((n, T.dim)) + 1j * gen.standard_normal((n, T.dim))
-    w *= np.sqrt(0.5)
+    parts = rng.stream(seed, rng.GAUSS).standard_normal((2, n, T.dim))
+    parts *= np.sqrt(0.5)
+    w = np.empty((n, T.dim), np.complex128)
+    w.real, w.imag = parts
+    del parts  # freed before z is allocated: the peak is w plus z
     z = w @ F.T
-    return SampleBatch(T.dim, n, ruler, z[:, ruler.positions], "raw", seed)
+    return SampleBatch(T.dim, n, ruler, ruler.columns(z), "raw", seed)
 
 
 # --- batch file format -------------------------------------------------------

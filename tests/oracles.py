@@ -5,14 +5,16 @@ oracle evaluates the objective in closed form on a refined brute-force grid,
 with the phase of the off-diagonal generator minimized analytically (for
 fixed (u0, |u1|) the objective is sinusoidal in that phase).  The one
 exception is the tight-tolerance qspa reference, whose accuracy rests on the
-barrier's duality-gap bound rather than on the path the solver takes.
+barrier's duality-gap bound rather than on the path the solver takes.  The
+quantizer and sampler references are the library's earlier whole-array
+formulations, kept to hold its in-place kernels to the same bits.
 """
 
 import numpy as np
 
 from qtcov import rng
 from qtcov.qspa import QspaOptions, qspa_solve
-from qtcov.quantizer import quantize_complex, quantize_complex_2kbit
+from qtcov.sampling import _psd_factor
 
 
 def fitting_objective_d2(Rhat, u0, u1):
@@ -114,14 +116,56 @@ def stacked_lag_hessian(terms):
     return H
 
 
+def quantize_uniform(x, delta):
+    """The scalar quantizer written with whole-array temporaries, as the
+    library computed it before its in-place plane kernel."""
+    if delta == 0:
+        return x
+    return delta * (np.floor(x / delta) + 0.5)
+
+
+def quantize_kbit(x, delta, k):
+    """The k-bit quantizer as the library computed it with np.where."""
+    half = 2 ** (k - 1)
+    out = np.asarray(quantize_uniform(np.asarray(x, dtype=float), delta))
+    out = np.where(np.asarray(x) >= (half - 1) * delta, (half + 0.5) * delta, out)
+    out = np.where(np.asarray(x) < (1 - half) * delta, -(half + 0.5) * delta, out)
+    return out if np.ndim(x) else float(out)
+
+
+def quantize_complex(z, spec, dither):
+    """Infinite-level dithered quantization, planes split and joined by a + 1j*b."""
+    zr = np.real(z) + np.real(dither)
+    zi = np.imag(z) + np.imag(dither)
+    return quantize_uniform(zr, spec.delta_r) + 1j * quantize_uniform(zi, spec.delta_i)
+
+
+def quantize_complex_2kbit(z, delta, k, dither):
+    """2k-bit dithered quantization, planes split and joined by a + 1j*b."""
+    zr = np.real(z) + np.real(dither)
+    zi = np.imag(z) + np.imag(dither)
+    return quantize_kbit(zr, delta, k) + 1j * quantize_kbit(zi, delta, k)
+
+
 def redrawn_quantize(raw, spec, seed):
-    """Quantized data with the dither drawn for this one level, as the
-    runner did before the level-free unit pair was shared across levels."""
+    """Quantized data with the dither drawn for this one level and built as a
+    complex array, as the runner did before the level-free unit pair was
+    shared across levels."""
     u = rng.stream(seed, rng.DITHER).random((4,) + raw.data.shape) - 0.5
     tau = spec.delta_r * (u[0] + u[1]) + 1j * spec.delta_i * (u[2] + u[3])
     if spec.bits_k is not None:
         return quantize_complex_2kbit(raw.data, spec.delta_r, spec.bits_k, tau)
     return quantize_complex(raw.data, spec, tau)
+
+
+def complex_gaussian_draw(T, ruler, n, seed):
+    """The raw data of sample_complex_gaussian from two separate normal draws
+    joined by a + 1j*b, then the ruler columns copied out."""
+    gen = rng.stream(seed, rng.GAUSS)
+    w = gen.standard_normal((n, T.dim)) + 1j * gen.standard_normal((n, T.dim))
+    w *= np.sqrt(0.5)
+    z = w @ _psd_factor(T).T
+    return z[:, ruler.positions]
 
 
 def music_noise_subspace(T_est, K):

@@ -8,6 +8,7 @@ from qtcov import (EstimationReport, QuantizationSpec, full_ruler, qscm, qtscm,
                    toeplitz_from_generators, validate_ruler)
 from qtcov import rng as qrng
 from qtcov.errors import EmptyBatch, NotFullRuler
+from qtcov.estimators import spectral_norm
 from qtcov.sampling import SampleBatch
 
 OMEGA_A = [1, 2, 3, 4, 5, 6, 7, 8, 16]
@@ -148,3 +149,19 @@ class TestReport:
         T = random_toeplitz_covariance(4, 71)
         assert relative_spectral_error(T, T) == 0.0
         assert relative_spectral_error(T.dense, T) == 0.0
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (16, 16), (7, 3)])
+    def test_bits_of_the_two_norm(self, rng, shape):
+        # the same LAPACK singular values as np.linalg.norm(M, 2), so the
+        # scores, and every digest built from them, keep their bits
+        for M in (rng.standard_normal(shape),
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            assert spectral_norm(M).tobytes() == np.linalg.norm(M, 2).tobytes()
+
+    def test_relative_spectral_error_bits(self, rng):
+        T = random_toeplitz_covariance(8, 3)
+        est = T.dense + 0.1 * rng.standard_normal((8, 8))
+        expect = float(np.linalg.norm(est - T.dense, 2) / np.linalg.norm(T.dense, 2))
+        assert relative_spectral_error(est, T) == expect

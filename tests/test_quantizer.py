@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import redrawn_quantize
 from qtcov import (QuantizationSpec, draw_triangular_dither, full_ruler,
                    parse_ruler_spec, quantize_batch, quantize_complex, quantize_complex_2kbit,
@@ -194,13 +196,17 @@ class TestBatchPipeline:
 LEVELS = st.just(0.0) | st.floats(0.01, 4.0)  # zero, or far from subnormal
 
 
+def bits_of(a):
+    return np.asarray(a).tobytes()
+
+
 class TestPreDrawnDither:
     """A unit pair drawn once reproduces the per-level dither bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rspec=st.sampled_from(("full", "alpha:0.5")),
            pair=st.tuples(LEVELS, LEVELS),
-           bits=st.sampled_from((None, 1, 2, 3)), datadriven=st.booleans())
+           bits=st.sampled_from((None, 1, 2, 3, 4)), datadriven=st.booleans())
     @example(seed=3, rspec="full", pair=(1.5, 0.5), bits=None, datadriven=False)
     @example(seed=4, rspec="alpha:0.5", pair=(0.0, 0.7), bits=None, datadriven=False)
     @example(seed=5, rspec="full", pair=(0.0, 0.0), bits=None, datadriven=False)
@@ -216,13 +222,82 @@ class TestPreDrawnDither:
         spec = QuantizationSpec(*pair, bits)
         own = quantize_batch(raw, spec).data
         shared = quantize_batch(raw, spec, unit=unit_dither(raw.data.shape, seed)).data
-        assert np.array_equal(own.view(np.uint8), shared.view(np.uint8))
-        assert np.array_equal(own.view(np.uint8), redrawn_quantize(raw, spec, seed).view(np.uint8))
+        assert bits_of(own) == bits_of(shared) == bits_of(redrawn_quantize(raw, spec, seed))
 
     def test_unit_pair_must_match_the_batch(self):
         raw = sample_complex_gaussian(random_toeplitz_covariance(4, 2), full_ruler(4), 10, 1)
         with pytest.raises(QtcovError):
             quantize_batch(raw, QuantizationSpec(1.0, 1.0), unit=unit_dither((10, 3), 1))
+
+
+class TestPlaneKernel:
+    """The in-place plane kernel gives the bits of the whole-array
+    quantizers kept in tests/oracles.py, on every entry point
+    (quantize_batch: TestPreDrawnDither)."""
+
+    @staticmethod
+    def assert_public_quantizers_match(z, delta, bits, tau):
+        spec = QuantizationSpec(delta, delta / 2)
+        assert bits_of(quantize_complex(z, spec, tau)) == \
+            bits_of(oracles.quantize_complex(z, spec, tau))
+        assert bits_of(quantize_complex_2kbit(z, delta, bits, tau)) == \
+            bits_of(oracles.quantize_complex_2kbit(z, delta, bits, tau))
+        assert bits_of(quantize_uniform(z.real, delta)) == \
+            bits_of(oracles.quantize_uniform(z.real, delta))
+        assert bits_of(quantize_kbit(z.imag, delta, bits)) == \
+            bits_of(oracles.quantize_kbit(z.imag, delta, bits))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), delta=st.floats(0.05, 4.0),
+           bits=st.sampled_from((1, 2, 3, 4)), scale=st.floats(0.1, 10.0))
+    def test_public_quantizers_match_oracle(self, seed, delta, bits, scale):
+        gen = np.random.default_rng(seed)
+        z = scale * (gen.standard_normal(50) + 1j * gen.standard_normal(50))
+        tau = gen.uniform(-delta, delta, 50) + 1j * gen.uniform(-delta, delta, 50)
+        self.assert_public_quantizers_match(z, delta, bits, tau)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_clip_thresholds_match_oracle(self, bits):
+        # half-integer multiples of the level, so values sit on the cell
+        # edges and on both clip thresholds; the dither is a scalar zero
+        z = 0.75 * (np.arange(-25, 25) + 1j * np.arange(25, -25, -1)) / 2
+        self.assert_public_quantizers_match(z, 0.75, bits, 0.0)
+
+    @pytest.mark.parametrize("spec", [QuantizationSpec(1.5, 0.5), QuantizationSpec(0.0, 0.0),
+                                      QuantizationSpec(2.0, 2.0, 2)])
+    def test_inputs_are_not_written(self, spec):
+        # on the full ruler the raw batch is the sampled block itself, as the
+        # runner builds it; quantizing must leave it and the dither pair alone
+        T = random_toeplitz_covariance(16, 8)
+        block = sample_complex_gaussian(T, full_ruler(16), 300, 9).data
+        raw = SampleBatch(16, 300, full_ruler(16), full_ruler(16).columns(block), "raw", 9)
+        assert raw.data is block
+        unit = unit_dither(raw.data.shape, 9)
+        before = [bits_of(a) for a in (raw.data, *unit)]
+        quantize_batch(raw, spec, unit=unit)
+        quantize_batch(raw, spec)
+        assert [bits_of(a) for a in (raw.data, *unit)] == before
+
+    def test_unit_pair_does_not_keep_the_draw_alive(self):
+        # the four-array draw must not outlive unit_dither through views
+        for plane in unit_dither((200, 9), 3):
+            owner = plane if plane.base is None else plane.base
+            assert owner.nbytes <= 2 * plane.nbytes
+
+    @pytest.mark.parametrize("spec", [QuantizationSpec(1.5, 0.5), QuantizationSpec(2.0, 2.0, 2)])
+    def test_peak_allocation(self, spec):
+        # whole-array temporaries peaked at 4.05x the batch's bytes; the
+        # kernel needs the output, one scratch plane and the clip masks
+        T = random_toeplitz_covariance(16, 4)
+        raw = sample_complex_gaussian(T, full_ruler(16), 10_000, 5)
+        unit = unit_dither(raw.data.shape, 5)
+        tracemalloc.start()
+        try:
+            quantize_batch(raw, spec, unit=unit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * raw.data.nbytes
 
 
 class TestLevelSelection:

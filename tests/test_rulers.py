@@ -150,6 +150,18 @@ class TestCoverage:
         assert min(ratios) > 0.3
 
 
+class TestColumns:
+    def test_full_ruler_returns_the_block(self):
+        block = np.arange(12.0).reshape(3, 4)
+        assert full_ruler(4).columns(block) is block
+
+    def test_sparse_ruler_copies_its_columns(self):
+        block = np.arange(12.0).reshape(3, 4)
+        cols = validate_ruler([1, 2, 4], 4).columns(block)
+        np.testing.assert_array_equal(cols, block[:, [0, 1, 3]])
+        assert not np.shares_memory(cols, block)
+
+
 class TestSerialization:
     def test_string_roundtrip(self):
         r = validate_ruler(OMEGA_B, 16)

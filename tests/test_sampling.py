@@ -1,13 +1,15 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtcov import (QuantizationSpec, full_ruler, load_batch,
-                   min_eigenvalue, quantize_batch, random_toeplitz_covariance,
+from oracles import complex_gaussian_draw
+from qtcov import (QuantizationSpec, full_ruler, load_batch, min_eigenvalue,
+                   parse_ruler_spec, quantize_batch, random_toeplitz_covariance,
                    sample_complex_gaussian, save_batch, toeplitz_from_generators,
                    validate_ruler)
 from qtcov.errors import BatchFormatError, NotPSD, QtcovError
@@ -73,6 +75,32 @@ class TestComplexGaussian:
         full = sample_complex_gaussian(T, full_ruler(6), 50, 17)
         sparse = sample_complex_gaussian(T, ruler, 50, 17)
         np.testing.assert_array_equal(sparse.data, full.data[:, ruler.positions])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 12), n=st.integers(1, 40),
+           rspec=st.sampled_from(("full", "alpha:0.5")))
+    def test_matches_oracle_bytes(self, seed, d, n, rspec):
+        # one (2, n, d) draw written into w.real and w.imag gives the bits of
+        # two (n, d) draws joined by a + 1j*b
+        T = random_toeplitz_covariance(d, seed % 97)
+        ruler = parse_ruler_spec(rspec, d)
+        batch = sample_complex_gaussian(T, ruler, n, seed)
+        assert batch.data.tobytes() == complex_gaussian_draw(T, ruler, n, seed).tobytes()
+        full = sample_complex_gaussian(T, full_ruler(d), n, seed)
+        assert batch.data.tobytes() == full.data[:, ruler.positions].tobytes()
+
+    def test_peak_allocation(self):
+        # the normals, the complex w and z = w F^T; the full-ruler batch is z
+        # itself (two normal draws, their complex join and a copy of z's
+        # columns peaked at 3x)
+        T = random_toeplitz_covariance(16, 6)
+        tracemalloc.start()
+        try:
+            batch = sample_complex_gaussian(T, full_ruler(16), 10_000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * batch.data.nbytes
 
     def test_rejects_indefinite(self):
         T = toeplitz_from_generators([1.0, 2.0])  # eigenvalues -1 and 3
