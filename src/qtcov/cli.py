@@ -11,9 +11,9 @@ from .doa import estimate_frequencies, frequency_mse
 from .errors import QtcovError
 from .estimators import (EstimationReport, quantized_sample_covariance,
                          relative_spectral_error)
-from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, config_to_text, default_config,
-                      parse_config, qspa_from_batch, resolve_ruler, run_experiment,
-                      write_outputs)
+from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, PRESETS, PROFILE_CAPS, config_to_text,
+                      default_config, parse_config, parse_level_pair, qspa_from_batch,
+                      resolve_ruler, run_experiment, write_outputs)
 from .quantizer import QuantizationSpec, quantize_batch
 from .rulers import coverage_coefficient
 from .sampling import (load_batch, random_toeplitz_covariance,
@@ -23,12 +23,9 @@ from .toeplitz import HermitianToeplitz
 
 def _parse_delta(text):
     try:
-        parts = [float(p) for p in text.split(",")]
+        return parse_level_pair(text.replace(",", ":"))
     except ValueError:
         raise QtcovError(f"--delta expects delta_r,delta_i or one value, got {text!r}") from None
-    if len(parts) == 1:
-        parts *= 2
-    return parts[0], parts[1]
 
 
 def _load_truth(path):
@@ -183,10 +180,9 @@ def build_parser():
 
     px = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     group = px.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=["exp1", "exp2", "exp3a", "exp3b",
-                                            "exp4", "exp4b", "exp5"])
+    group.add_argument("--preset", choices=[e for e in PRESETS if e != "custom"])
     group.add_argument("--config", help="config file path")
-    px.add_argument("--profile", choices=["ci", "full"], default=None)
+    px.add_argument("--profile", choices=list(PROFILE_CAPS), default=None)
     px.add_argument("--show-config", action="store_true",
                     help="print the resolved config and exit")
     px.add_argument("--seed", type=int, default=None)
@@ -209,8 +205,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (QtcovError, OSError) as err:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (QtcovError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -33,8 +33,12 @@ class DoaScene:
             raise LengthMismatch("freqs and powers must have equal length")
         if not 1 <= len(self.freqs) < self.d:
             raise KOutOfRange("need 1 <= K < d sources")
-        if self.noise_var < 0:
-            raise QtcovError("noise variance must be nonnegative")
+        if not all(0 <= f < 1 for f in self.freqs):
+            raise QtcovError(f"source frequencies must lie in [0, 1), got {self.freqs}")
+        if not all(0 < p < np.inf for p in self.powers):
+            raise QtcovError(f"source powers must be finite and > 0, got {self.powers}")
+        if not 0 <= self.noise_var < np.inf:
+            raise QtcovError(f"noise variance must be finite and >= 0, got {self.noise_var!r}")
 
     @property
     def k_sources(self):
@@ -147,8 +151,8 @@ def estimate_frequencies(T_est, K, grid_size=4096):
 
 
 def circular_distance(a, b):
-    """min(|a-b|, 1-|a-b|) on the unit circle of frequencies."""
-    diff = np.abs(np.asarray(a) - np.asarray(b))
+    """min(r, 1 - r) on the unit circle of frequencies, r = |a - b| mod 1."""
+    diff = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
     return np.minimum(diff, 1.0 - diff)
 
 

@@ -21,7 +21,7 @@ import io
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -69,9 +69,32 @@ ESTIMATORS = {
     "qspa": _qspa,
 }
 
-PLOT_KINDS = {"exp1": "heatmap", "exp2": "line-loglog", "exp3a": "line-loglog",
-              "exp3b": "line-linear", "exp4": "line-linear", "exp4b": "line-loglog",
-              "exp5": "line-loglog", "custom": "line-linear"}
+# profile -> the largest sample size its configs may run
+PROFILE_CAPS = {"ci": 10_000, "full": 1_000_000}
+
+# a preset's n_values are cut at its profile's cap, so this is each profile's n sweep
+_N_SWEEP = (100, 316, 1000, 3162, 10_000, 100_000, 1_000_000)
+
+_LEVELS = tuple(0.5 + i for i in range(8))
+_TWO_RULERS = ("full", "alpha:0.5")
+
+# experiment id -> (plot kind, the ExperimentConfig fields its preset sets)
+PRESETS = {
+    "exp1": ("heatmap", dict(deltas=tuple((a, b) for a in _LEVELS for b in _LEVELS))),
+    "exp2": ("line-loglog", dict(rulers=("A", "B", "alpha:0.5"), n_values=_N_SWEEP)),
+    "exp3a": ("line-loglog", dict(rulers=_TWO_RULERS, deltas=((5.0, 5.0),), n_values=_N_SWEEP,
+                                  estimators=tuple(ESTIMATORS))),
+    "exp3b": ("line-linear", dict(d_values=(4, 8, 12, 16, 24, 32), rulers=_TWO_RULERS,
+                                  deltas=((5.0, 5.0),), estimators=tuple(ESTIMATORS))),
+    "exp4": ("line-linear", dict(rulers=_TWO_RULERS, bits=(2, 3, 4, 5, 6, None),
+                                 level_rule="tail_bound", estimators=("qtscm", "qspa"))),
+    "exp4b": ("line-loglog", dict(rulers=_TWO_RULERS, bits=(2,), level_rule="tail_bound",
+                                  n_values=_N_SWEEP, estimators=tuple(ESTIMATORS))),
+    "exp5": ("line-loglog", dict(rulers=_TWO_RULERS, deltas=((2.0, 2.0),), bits=(2,),
+                                 n_values=(1000, 10000), trials=50,
+                                 estimators=tuple(ESTIMATORS), scene=FIVE_SOURCE_SCENE)),
+    "custom": ("line-linear", {}),
+}
 
 
 def resolve_ruler(spec, d):
@@ -105,8 +128,13 @@ class ExperimentConfig:
     qspa: QspaOptions = field(default_factory=QspaOptions)
 
     def validate(self):
+        if self.experiment not in PRESETS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        for name in ("rulers", "deltas", "n_values", "estimators"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must list at least one entry")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}")
@@ -115,12 +143,13 @@ class ExperimentConfig:
         for dd in self.d_values or (self.d,):
             for rspec in self.rulers:
                 resolve_ruler(rspec, dd)
-        if not self.n_values:
-            raise ConfigError("n_values must list at least one sample size")
-        cap = 10_000 if self.profile == "ci" else 1_000_000
-        if max(self.n_values) > cap:
-            raise ConfigError(f"n up to {max(self.n_values)} exceeds the "
-                              f"{self.profile} profile cap of {cap}")
+        if self.scene is not None and self.music_grid < 8 * self.scene.d:
+            raise ConfigError(f"music_grid {self.music_grid} < 8d = {8 * self.scene.d}")
+        if self.profile not in PROFILE_CAPS:
+            raise ConfigError(f"unknown profile {self.profile!r}")
+        if max(self.n_values) > PROFILE_CAPS[self.profile]:
+            raise ConfigError(f"n up to {max(self.n_values)} exceeds the {self.profile} "
+                              f"profile cap of {PROFILE_CAPS[self.profile]}")
         return self
 
 
@@ -186,14 +215,60 @@ class ResultTable:
 
 
 # --- config file format -------------------------------------------------------
+#
+# Each key maps to (parse text, format value), in print order.  A qspa_<opt>
+# key sets that QspaOptions field, a scene_<field> key that DoaScene field
+# (printed only for a config with a scene), any other key the ExperimentConfig
+# field of its name.
 
-_LIST_KEYS = {"rulers", "estimators"}
-_INT_LIST_KEYS = {"d_values", "n_values"}
-_FLOAT_KEYS = {"c_bit", "delta_prime"}
-_INT_KEYS = {"d", "trials", "seed", "music_grid"}
-_BOOL_KEYS = {"emit_trials"}
-_QSPA_FLOAT_KEYS = {"qspa_epsilon_reg", "qspa_newton_tol"}
-_QSPA_INT_KEYS = {"qspa_max_outer", "qspa_max_inner"}
+def _list_of(codec):
+    parse, fmt = codec
+    return (lambda text: tuple(parse(s.strip()) for s in text.split(",") if s.strip()),
+            lambda values: ", ".join(map(fmt, values)))
+
+
+def _or_none(codec, word):
+    """The codec with `word` standing for None."""
+    parse, fmt = codec
+    return (lambda text: None if text.lower() == word else parse(text),
+            lambda value: word if value is None else fmt(value))
+
+
+def _parse_bool(text):
+    words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    if text.lower() not in words:
+        raise ValueError("expected one of " + "/".join(words))
+    return words[text.lower()]
+
+
+def parse_level_pair(text):
+    """(delta_r, delta_i) from "r:i", or from one level that serves both parts."""
+    levels = [float(s) for s in text.split(":")]
+    if len(levels) > 2:
+        raise ValueError(f"{text!r} is not an r:i pair")
+    return levels[0], levels[-1]
+
+
+_INT, _FLOAT, _TEXT = (int, str), (float, str), (str, str)
+
+CONFIG_KEYS = {
+    "d": _INT, "d_values": _list_of(_INT), "rulers": _list_of(_TEXT),
+    "deltas": _list_of((parse_level_pair, "{0[0]}:{0[1]}".format)),
+    "bits": _list_of(_or_none(_INT, "inf")), "level_rule": _TEXT, "c_bit": _FLOAT,
+    "delta_prime": _FLOAT, "n_values": _list_of(_INT), "trials": _INT, "seed": _INT,
+    "estimators": _list_of(_TEXT), "music_grid": _INT, "emit_trials": (_parse_bool, str),
+    "outdir": _TEXT, "profile": _TEXT,
+    "qspa_epsilon_reg": _or_none(_FLOAT, "auto"), "qspa_newton_tol": _FLOAT,
+    "qspa_max_outer": _INT, "qspa_max_inner": _INT,
+    "scene_freqs": _list_of(_FLOAT), "scene_powers": _list_of(_FLOAT),
+    "scene_noise_var": _FLOAT,
+}
+
+
+def _target(key):
+    """(owner, field) a config key sets; owner "qspa", "scene" or "" for the config."""
+    owner, _, name = key.partition("_")
+    return (owner, name) if owner in ("qspa", "scene") else ("", key)
 
 
 def parse_config(text):
@@ -212,121 +287,45 @@ def parse_config(text):
     if "experiment" not in kv:
         raise ConfigError("config needs an experiment id")
     cfg = default_config(kv.pop("experiment"))
-    scene_kv = {}
-    qspa_kv = {}
+    values = {"": {}, "qspa": {}, "scene": {}}
     for key, val in kv.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in ("scene_freqs", "scene_powers"):
-                scene_kv[key] = tuple(float(s) for s in val.split(","))
-            elif key == "scene_noise_var":
-                scene_kv[key] = float(val)
-            elif key in _QSPA_FLOAT_KEYS:
-                qspa_kv[key[len("qspa_"):]] = None if val.lower() == "auto" else float(val)
-            elif key in _QSPA_INT_KEYS:
-                qspa_kv[key[len("qspa_"):]] = int(val)
-            elif key in _LIST_KEYS:
-                cfg = replace(cfg, **{key: tuple(s.strip() for s in val.split(",") if s.strip())})
-            elif key in _INT_LIST_KEYS:
-                cfg = replace(cfg, **{key: tuple(int(s) for s in val.split(",") if s.strip())})
-            elif key in _INT_KEYS:
-                cfg = replace(cfg, **{key: int(val)})
-            elif key in _FLOAT_KEYS:
-                cfg = replace(cfg, **{key: float(val)})
-            elif key in _BOOL_KEYS:
-                cfg = replace(cfg, **{key: val.lower() in ("1", "true", "yes")})
-            elif key == "deltas":
-                pairs = [[float(x) for x in tok.split(":")]
-                         for tok in val.split(",") if tok.strip()]
-                cfg = replace(cfg, deltas=tuple((p[0], p[1] if len(p) > 1 else p[0])
-                                                for p in pairs))
-            elif key == "bits":
-                cfg = replace(cfg, bits=tuple(None if s.strip() == "inf" else int(s)
-                                              for s in val.split(",") if s.strip()))
-            elif key in ("level_rule", "outdir", "profile"):
-                cfg = replace(cfg, **{key: val})
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except QtcovError:
-            raise
+            value = CONFIG_KEYS[key][0](val)
         except ValueError as err:
             raise ConfigError(f"config key {key!r}: cannot parse {val!r} ({err})") from None
-    if qspa_kv:
-        cfg = replace(cfg, qspa=replace(cfg.qspa, **qspa_kv))
-    if scene_kv:
-        for key in ("scene_freqs", "scene_powers"):
-            if key not in scene_kv:
-                raise ConfigError(f"scene config needs {key}")
-        cfg = replace(cfg, scene=DoaScene(cfg.d, scene_kv["scene_freqs"],
-                                          scene_kv["scene_powers"],
-                                          scene_kv.get("scene_noise_var", 0.1)))
+        owner, name = _target(key)
+        values[owner][name] = value
+    cfg = replace(cfg, **values[""], qspa=replace(cfg.qspa, **values["qspa"]))
+    if values["scene"]:
+        for name in ("freqs", "powers"):
+            if name not in values["scene"]:
+                raise ConfigError(f"scene config needs scene_{name}")
+        cfg = replace(cfg, scene=DoaScene(cfg.d, **{"noise_var": 0.1, **values["scene"]}))
     return cfg.validate()
 
 
 def config_to_text(cfg):
+    """The config in the format parse_config reads."""
     out = [CONFIG_FORMAT, f"experiment = {cfg.experiment}"]
-    for f in fields(cfg):
-        if f.name in ("experiment", "scene"):
-            continue
-        val = getattr(cfg, f.name)
-        if f.name == "qspa":
-            for opt in fields(val):
-                ov = getattr(val, opt.name)
-                out.append(f"qspa_{opt.name} = " + ("auto" if ov is None else str(ov)))
-            continue
-        if f.name == "deltas":
-            val = ", ".join(f"{a!r}:{b!r}" for a, b in val)
-        elif f.name == "bits":
-            val = ", ".join("inf" if b is None else str(b) for b in val)
-        elif isinstance(val, tuple):
-            val = ", ".join(str(x) for x in val)
-        out.append(f"{f.name} = {val}")
-    if cfg.scene is not None:
-        out.append("scene_freqs = " + ", ".join(repr(f) for f in cfg.scene.freqs))
-        out.append("scene_powers = " + ", ".join(repr(p) for p in cfg.scene.powers))
-        out.append(f"scene_noise_var = {cfg.scene.noise_var!r}")
+    for key, (_, fmt) in CONFIG_KEYS.items():
+        owner, name = _target(key)
+        obj = getattr(cfg, owner) if owner else cfg
+        if obj is not None:
+            out.append(f"{key} = {fmt(getattr(obj, name))}")
     return "\n".join(out) + "\n"
 
 
 def default_config(experiment, profile="ci", seed=1234, outdir="results"):
-    """Preset configs for the built-in experiments (desk scale)."""
-    base = dict(profile=profile, seed=seed, outdir=outdir)
-    n_sweep = (100, 316, 1000, 3162, 10000)
-    if profile == "full":
-        n_sweep += (100_000, 1_000_000)
-    if experiment == "exp1":
-        grid = tuple(0.5 + i for i in range(8))
-        return ExperimentConfig("exp1", d=16, rulers=("full",), n_values=(500,),
-                                deltas=tuple((a, b) for a in grid for b in grid),
-                                estimators=("qtscm",), **base)
-    if experiment == "exp2":
-        return ExperimentConfig("exp2", d=16, rulers=("A", "B", "alpha:0.5"),
-                                deltas=((1.0, 1.0),), n_values=n_sweep,
-                                estimators=("qtscm",), **base)
-    if experiment == "exp3a":
-        return ExperimentConfig("exp3a", d=16, rulers=("full", "alpha:0.5"),
-                                deltas=((5.0, 5.0),), n_values=n_sweep,
-                                estimators=("qtscm", "qscm", "qspa"), **base)
-    if experiment == "exp3b":
-        return ExperimentConfig("exp3b", d=16, d_values=(4, 8, 12, 16, 24, 32),
-                                rulers=("full", "alpha:0.5"), deltas=((5.0, 5.0),),
-                                n_values=(500,),
-                                estimators=("qtscm", "qscm", "qspa"), **base)
-    if experiment == "exp4":
-        return ExperimentConfig("exp4", d=16, rulers=("full", "alpha:0.5"),
-                                bits=(2, 3, 4, 5, 6, None), level_rule="tail_bound",
-                                n_values=(500,), estimators=("qtscm", "qspa"), **base)
-    if experiment == "exp4b":
-        return ExperimentConfig("exp4b", d=16, rulers=("full", "alpha:0.5"),
-                                bits=(2,), level_rule="tail_bound", n_values=n_sweep,
-                                estimators=("qtscm", "qscm", "qspa"), **base)
-    if experiment == "exp5":
-        return ExperimentConfig("exp5", d=16, rulers=("full", "alpha:0.5"),
-                                deltas=((2.0, 2.0),), bits=(2,), n_values=(1000, 10000),
-                                trials=50, estimators=("qtscm", "qscm", "qspa"),
-                                scene=FIVE_SOURCE_SCENE, **base)
-    if experiment == "custom":
-        return ExperimentConfig("custom", **base)
-    raise ConfigError(f"unknown experiment {experiment!r}")
+    """Preset config of a built-in experiment (desk scale), its n_values cut at
+    the profile's cap."""
+    if experiment not in PRESETS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    cfg = ExperimentConfig(experiment, profile=profile, seed=seed, outdir=outdir,
+                           **PRESETS[experiment][1])
+    cap = PROFILE_CAPS.get(profile, math.inf)  # validate names an unknown profile
+    return replace(cfg, n_values=tuple(n for n in cfg.n_values if n <= cap)).validate()
 
 
 # --- runners -------------------------------------------------------------------
@@ -356,8 +355,8 @@ def _problems(cfg):
     """(d, truth, metric, score) per dimension: the DOA scene scored by MUSIC
     frequency MSE, or one random Toeplitz truth per d scored by relative
     spectral error.  score(estimate) returns (value, resolved)."""
-    if cfg.experiment == "exp5" or cfg.scene is not None:
-        scene = cfg.scene or FIVE_SOURCE_SCENE
+    if cfg.scene is not None:
+        scene = cfg.scene
 
         def freq_mse(est):
             resolved, freqs = estimate_frequencies(est, scene.k_sources, cfg.music_grid)
@@ -374,6 +373,7 @@ def _problems(cfg):
         yield d, T, "rel_error_spectral", rel_error
 
 
+@np.errstate(over="ignore")  # values near the float limit get an inf stderr
 def _append_stats(table, cfg, proto_row, values):
     vals = np.asarray(values, dtype=float)
     mean = float(np.mean(vals))
@@ -385,11 +385,13 @@ def _append_stats(table, cfg, proto_row, values):
             table.append(replace(proto_row, stat=f"trial:{t}", value=float(v)))
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def run_experiment(config):
     """Run a config; returns the ResultTable (deterministic in the config).
 
-    A row's first QtcovError or numpy LinAlgError makes it one nan row carrying
-    that error's note; an error in the shared (d, n, trial) draw does so for
+    A row's first QtcovError, numpy LinAlgError or floating-point overflow,
+    division by zero or invalid operation makes it one nan row carrying that
+    error's note; an error in the shared (d, n, trial) draw does so for
     every row of that (d, n).  A row with unconverged qspa solves or
     unresolved MUSIC spectra keeps its value, and its note counts them, e.g.
     "nonconverged 3/100".
@@ -420,7 +422,7 @@ def run_experiment(config):
                 live = [i for i, row in enumerate(rows) if row.n == n and i not in notes]
                 try:
                     block = sample_complex_gaussian(truth, full, n, ts).data
-                except QtcovError as err:
+                except (QtcovError, np.linalg.LinAlgError, FloatingPointError) as err:
                     notes.update((i, f"{type(err).__name__}: {err}") for i in live)
                     continue
                 for i in live:
@@ -442,7 +444,7 @@ def run_experiment(config):
                         value, resolved = score(est)
                         values[i].append(value)
                         degraded[i].update(nonconverged=not converged, unresolved=not resolved)
-                    except (QtcovError, np.linalg.LinAlgError) as err:
+                    except (QtcovError, np.linalg.LinAlgError, FloatingPointError) as err:
                         notes[i] = f"{type(err).__name__}: {err}"
         for i, row in enumerate(rows):
             if i in notes:
@@ -464,10 +466,9 @@ def write_outputs(cfg, table, outdir=None):
     with open(csv_path, "w") as fh:
         fh.write(table.to_csv())
     svg_path = os.path.join(outdir, f"{cfg.experiment}.svg")
-    kind = PLOT_KINDS.get(cfg.experiment, "line-linear")
     try:
         with open(svg_path, "w") as fh:
-            fh.write(emit_plot(table, kind))
+            fh.write(emit_plot(table, PRESETS[cfg.experiment][0]))
     except EmptyTable:
         svg_path = None
     return csv_path, svg_path

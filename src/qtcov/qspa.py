@@ -57,6 +57,18 @@ class QspaOptions:
     max_outer: int = 40
     max_inner: int = 50
 
+    def __post_init__(self):
+        if self.epsilon_reg is not None and not 0 <= self.epsilon_reg < np.inf:
+            raise QtcovError(f"qspa epsilon_reg must be auto or a finite number >= 0, "
+                             f"got {self.epsilon_reg!r}")
+        if not 0 < self.newton_tol < np.inf:
+            raise QtcovError(f"qspa newton_tol must be a finite number > 0, "
+                             f"got {self.newton_tol!r}")
+        for name in ("max_outer", "max_inner"):
+            budget = getattr(self, name)
+            if not isinstance(budget, (int, np.integer)) or budget < 1:
+                raise QtcovError(f"qspa {name} must be an integer >= 1, got {budget!r}")
+
 
 @dataclass
 class QspaSolution:

@@ -31,6 +31,13 @@ def _check_level(level):
         raise QtcovError(f"quantization level {float(level)!r} is subnormal")
 
 
+def _check_depth(k):
+    """Raise QtcovError unless 1 <= k <= 63: a batch file stores the clip
+    codes -2^(k-1) - 1 and 2^(k-1) as int64."""
+    if not 1 <= k <= 63:
+        raise QtcovError(f"bit depth {k} is outside 1..63")
+
+
 class QuantizationSpec:
     """Quantization levels (delta_r, delta_i) plus optional per-part bit depth.
 
@@ -44,8 +51,7 @@ class QuantizationSpec:
         _check_level(delta_r)
         _check_level(delta_i)
         if bits_k is not None:
-            if int(bits_k) < 1:
-                raise QtcovError("bit depth must be >= 1")
+            _check_depth(int(bits_k))
             if delta_r != delta_i or delta_r <= 0:
                 raise QtcovError("finite-bit quantization requires delta_r == delta_i > 0")
         self.delta_r = float(delta_r)
@@ -103,8 +109,7 @@ def _quantize_real(x, delta, k):
 def _check_kbit(delta, k):
     if delta <= 0:
         raise QtcovError("finite-bit quantization requires delta > 0")
-    if k < 1:
-        raise QtcovError("bit depth must be >= 1")
+    _check_depth(k)
     _check_level(delta)
 
 

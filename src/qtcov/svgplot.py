@@ -93,6 +93,8 @@ def _line_plot(rows, metric, x_field, log_x, log_y):
     if log_y and y_lo <= 0:
         log_y = False
     x_lo, x_hi = min(xs), max(xs)
+    if log_x and x_lo <= 0:
+        log_x = False
 
     def sx(x):
         if log_x:

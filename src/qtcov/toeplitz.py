@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
-                     NonRealDiagonal, ResolutionTooCoarse, SizeMismatch)
+                     NonRealDiagonal, QtcovError, ResolutionTooCoarse, SizeMismatch)
 
 
 class HermitianToeplitz:
@@ -79,8 +79,8 @@ def vandermonde_synthesize(freqs, powers, d):
             f"{freqs.size} frequencies vs {powers.size} powers")
     if np.unique(freqs).size != freqs.size:
         raise DuplicateFrequency("frequencies must be distinct")
-    if np.any(powers <= 0):
-        raise ValueError("powers must be positive")
+    if not np.all((powers > 0) & (powers < np.inf)):
+        raise QtcovError(f"powers must be finite and positive, got {powers}")
     gens = np.exp(-2j * np.pi * np.outer(np.arange(d), freqs)) @ powers
     gens[0] = gens[0].real  # exactly sum(powers); kill roundoff residue
     return HermitianToeplitz(gens)

@@ -40,6 +40,22 @@ class TestScene:
         with pytest.raises(LengthMismatch):
             DoaScene(8, (0.1, 0.2), (1.0,), 0.0)
 
+    @pytest.mark.parametrize("freqs, powers, noise_var, message", [
+        ((0.3, 2.3), (1.0, 1.0), 0.1, "frequencies"),
+        ((-0.1, 0.3), (1.0, 1.0), 0.1, "frequencies"),
+        ((0.3, 1.0), (1.0, 1.0), 0.1, "frequencies"),
+        ((0.3, np.nan), (1.0, 1.0), 0.1, "frequencies"),
+        ((0.1, 0.3), (1.0, -1.0), 0.1, "powers"),
+        ((0.1, 0.3), (1.0, 0.0), 0.1, "powers"),
+        ((0.1, 0.3), (1.0, np.nan), 0.1, "powers"),
+        ((0.1, 0.3), (1.0, np.inf), 0.1, "powers"),
+        ((0.1, 0.3), (1.0, 1.0), np.nan, "noise variance"),
+        ((0.1, 0.3), (1.0, 1.0), np.inf, "noise variance"),
+    ])
+    def test_rejects_bad_source_or_noise(self, freqs, powers, noise_var, message):
+        with pytest.raises(QtcovError, match=message):
+            DoaScene(4, freqs, powers, noise_var)
+
 
 class TestSpectrum:
     def test_single_source_peak_dominates(self):
@@ -269,3 +285,13 @@ class TestFrequencyMse:
     def test_circular_distance(self):
         assert circular_distance(0.9, 0.1) == pytest.approx(0.2)
         assert circular_distance(0.2, 0.4) == pytest.approx(0.2)
+
+    def test_circular_distance_reduces_modulo_one(self):
+        assert circular_distance(0.3, 2.3) == pytest.approx(0.0, abs=1e-12)
+        assert circular_distance(1.25, 0.0) == pytest.approx(0.25)
+        assert circular_distance(-0.9, 0.0) == pytest.approx(0.1)
+
+    @given(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True))
+    def test_circular_distance_unchanged_on_the_unit_interval(self, a, b):
+        diff = abs(a - b)
+        assert circular_distance(a, b) == min(diff, 1.0 - diff)

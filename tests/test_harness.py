@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +11,7 @@ import pytest
 import qtcov
 from qtcov import harness
 from qtcov import rng as qrng
-from qtcov.cli import build_parser
+from qtcov.cli import build_parser, main
 from qtcov.doa import DoaScene
 from qtcov.errors import ConfigError, EmptyTable, MixedMetrics
 from qtcov.harness import (ExperimentConfig, ResultTable, Row, config_to_text,
@@ -17,6 +19,25 @@ from qtcov.harness import (ExperimentConfig, ResultTable, Row, config_to_text,
                            run_experiment, write_outputs)
 from qtcov.qspa import QspaOptions
 from qtcov.svgplot import emit_plot
+
+
+# sha256 of `qtcov experiment --preset P --profile Q --show-config`
+SHOW_CONFIG_DIGESTS = {
+    ("exp1", "ci"): "69f967b2a9b7a154d499056b5c1be94af759362adb578abfdda92b7a53824fe8",
+    ("exp1", "full"): "b3bc31a6b2ede3e5daf3a2409eb387524be28d9354ebfd2522bd4802629211bd",
+    ("exp2", "ci"): "2d11470fa827914518c539e95b3ba93cb03c12bf05782a7967ae2b744333ea53",
+    ("exp2", "full"): "b7b8c8c3147c7d1ffb5adb8873881f9a9081115ff7915ede79e6bd1361ff0321",
+    ("exp3a", "ci"): "dca506e8a829345e093e4826da7bdd5bf113250b40621a144689a702dc22441d",
+    ("exp3a", "full"): "c1a1772de43f147204598385612b0be30f61685e133a1ff23fb716a1b9aa51ce",
+    ("exp3b", "ci"): "b117b69d13f931c0e3a647e1dd18870bca4067c17eec5622fe139effea8f2273",
+    ("exp3b", "full"): "56542bd43934bc0423fc3dc2606e599d33f9525a02a316c8354047c975d8f597",
+    ("exp4", "ci"): "5adceba1d8c079a874c70b6e6c98cf17aec3fc3b966ffa7a1177dafdfb7b2b1b",
+    ("exp4", "full"): "12f53f88696bba1d640ec5c4bf29df3f26b548b3b5bdfda5be80e4c8c604116b",
+    ("exp4b", "ci"): "3a6cbb8682f512d6ae89d55ca95dc39bcbd523d0e5b366f9be419ba8df15dcad",
+    ("exp4b", "full"): "4883da51038e780730bd0ae7458cf471c89b65a983c8796064b46821be089de9",
+    ("exp5", "ci"): "50590f923140f1792fc0fc75ec80dae92a73a462835337e78953aa951fbce5e0",
+    ("exp5", "full"): "6f9e5e30b393005f05009ad117f562845d1e2f20754c36011cd0a36cb6929271",
+}
 
 
 def tiny_config(**kw):
@@ -78,6 +99,34 @@ class TestConfig:
         assert again.qspa == cfg.qspa
         auto = parse_config("qtcov-config 1\nexperiment = custom\nqspa_epsilon_reg = auto\n")
         assert auto.qspa.epsilon_reg is None
+
+    @pytest.mark.parametrize("lines, message", [
+        ("profile = bogus", "unknown profile 'bogus'"),
+        ("emit_trials = maybe", "'emit_trials': cannot parse 'maybe'"),
+        ("deltas = 1:2:3", "'1:2:3' is not an r:i pair"),
+        ("rulers =", "rulers must list at least one entry"),
+        ("estimators =", "estimators must list at least one entry"),
+        ("deltas =", "deltas must list at least one entry"),
+        ("qspa_newton_tol = auto", "'qspa_newton_tol': cannot parse 'auto'"),
+        ("d = 4\nscene_freqs = 0.1\nscene_powers = 1\nmusic_grid = 31", "music_grid 31 < 8d = 32"),
+    ])
+    def test_rejects_bad_value(self, lines, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(f"qtcov-config 1\nexperiment = custom\n{lines}\n")
+
+    @pytest.mark.parametrize("word, value", [("1", True), ("TRUE", True), ("yes", True),
+                                             ("0", False), ("false", False), ("No", False)])
+    def test_boolean_words(self, word, value):
+        cfg = parse_config(f"qtcov-config 1\nexperiment = custom\nemit_trials = {word}\n")
+        assert cfg.emit_trials is value
+
+    @pytest.mark.parametrize("preset, profile", sorted(SHOW_CONFIG_DIGESTS))
+    def test_show_config_text_is_pinned(self, preset, profile, capsys):
+        assert main(["experiment", "--preset", preset, "--profile", profile,
+                     "--show-config"]) == 0
+        text = capsys.readouterr().out
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == SHOW_CONFIG_DIGESTS[preset, profile], text
 
 
 class TestResultTable:
@@ -164,6 +213,13 @@ class TestRunnerSemantics:
         assert all(math.isnan(r.value) for r in means[:2])
         assert np.isfinite(means[2].value) and means[2].note == ""
 
+    def test_overflow_is_named_in_its_row_note(self):
+        table = run_experiment(tiny_config(deltas=((1e300, 1e300), (0.5, 0.5))))
+        means = table.means()
+        assert math.isnan(means[0].value)
+        assert means[0].note.startswith("FloatingPointError: overflow")
+        assert np.isfinite(means[1].value) and means[1].note == ""
+
     def test_dither_drawn_per_ruler_and_each_spec_quantized_once(self, monkeypatch):
         cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
                           estimators=("qtscm", "qspa"), trials=3)
@@ -232,6 +288,12 @@ class TestPlots:
         poly = svg.split("<polyline")[1].split("/>")[0]
         assert poly.count(",") == 2  # two vertices
         assert svg.startswith("<svg") and svg.endswith("</svg>")
+
+    def test_loglog_axis_turns_linear_at_n_zero(self):
+        rows = [Row("custom", "qtscm", 4, n, 1.0, 1.0, None, "full", "mean",
+                    "rel_error_spectral", v) for n, v in [(0, math.nan), (10, 0.5), (100, 0.2)]]
+        svg = emit_plot(ResultTable(rows), "line-loglog")
+        assert svg.count("<polyline") == 1
 
     def test_heatmap_cells_and_symmetry(self):
         cfg = replace(default_config("exp1"), trials=20, seed=9,
@@ -363,6 +425,24 @@ class TestInputErrors:
                          "-o", str(tmp_path / "b.qtb"))
         self.assert_clean_failure(r, f"level {level} is not finite")
         assert not (tmp_path / "b.qtb").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("scene_freqs = 0.1, 0.3\nscene_powers = 1, 1\nscene_noise_var = nan", "noise variance"),
+        ("scene_freqs = 0.1, 0.3\nscene_powers = 1, -1", "powers must be finite and > 0"),
+        ("scene_freqs = 0.3, 2.3\nscene_powers = 1, 1", "frequencies must lie in [0, 1)"),
+    ])
+    def test_bad_scene_in_config(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text("qtcov-config 1\nexperiment = custom\nd = 4\nn_values = 20\n"
+                       f"trials = 1\n{lines}\n")
+        assert main(["experiment", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_bit_depth_above_63(self, tmp_path, capsys):
+        batch = tmp_path / "b.qtb"
+        assert main(["simulate", "--d", "4", "--n", "20", "--bits", "2000", "-o", str(batch)]) == 1
+        assert "bit depth 2000 is outside 1..63" in capsys.readouterr().err
+        assert not batch.exists()
 
     def test_unparsable_ruler_spec(self):
         self.assert_clean_failure(self.run_cli("ruler", "--d", "16", "--ruler", "alpha:abc"),

@@ -9,7 +9,7 @@ from qtcov import (QuantizationSpec, auto_epsilon, full_ruler, harness, make_rul
                    quantized_sample_covariance, random_toeplitz_covariance,
                    regularize_sample_cov, sample_complex_gaussian,
                    toeplitz_adjoint_project)
-from qtcov.errors import InfeasibleU, SingularRhat
+from qtcov.errors import InfeasibleU, QtcovError, SingularRhat
 from qtcov.qspa import QspaOptions, _BarrierProblem, _params_from_generators
 
 from oracles import (fitting_objective_d2, grid_oracle_d2, reference_qspa_solve,
@@ -83,6 +83,21 @@ class TestObjective:
         Rhat = wishart_rhat(rng, 2, 20)
         with pytest.raises(InfeasibleU):
             qspa_objective([1.0, 2.0], Rhat, full_ruler(2), DELTA0)
+
+
+class TestOptions:
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon_reg", -1.0), ("epsilon_reg", np.nan), ("epsilon_reg", np.inf),
+        ("newton_tol", np.nan), ("newton_tol", 0.0), ("newton_tol", -1e-8), ("newton_tol", np.inf),
+        ("max_outer", 0), ("max_outer", -3), ("max_outer", 2.5), ("max_inner", 0),
+    ])
+    def test_rejects_bad_field(self, name, value):
+        with pytest.raises(QtcovError, match=f"qspa {name} must be"):
+            QspaOptions(**{name: value})
+
+    def test_accepts_the_values_in_use(self):
+        assert QspaOptions(epsilon_reg=0.0, newton_tol=1e-14, max_outer=1, max_inner=1)
+        assert QspaOptions(epsilon_reg=None, max_outer=2).epsilon_reg is None
 
 
 class TestRegularization:

@@ -15,7 +15,7 @@ from qtcov import (QuantizationSpec, draw_triangular_dither, full_ruler,
                    select_level_tail_bound, toeplitz_from_generators)
 from qtcov.errors import EmptyBatch, NonPositiveGamma0, QtcovError
 from qtcov.quantizer import codes_to_values, unit_dither, values_to_codes
-from qtcov.sampling import SampleBatch
+from qtcov.sampling import SampleBatch, load_batch, save_batch
 
 
 class TestUniform:
@@ -366,12 +366,30 @@ class TestCodes:
         back = codes_to_values(values_to_codes(batch.data, spec), spec)
         np.testing.assert_array_equal(back, batch.data)
 
+    def test_depth_63_clip_codes_roundtrip_through_a_batch_file(self, tmp_path):
+        data = np.array([[1e19 - 1e19j, -1e19 + 0.3j, 0.2 - 2.6j]])
+        raw = SampleBatch(3, 1, full_ruler(3), data, "raw", 5)
+        batch = quantize_batch(raw, QuantizationSpec(1.0, 1.0, 63))
+        clip = 2.0 ** 62  # the codes 2^62 and -2^62 - 1, each plus 1/2
+        assert batch.data[0, 0] == clip - 1j * clip and batch.data[0, 1].real == -clip
+        save_batch(batch, tmp_path / "b.qtb")
+        back = load_batch(tmp_path / "b.qtb")
+        assert back.spec == batch.spec
+        np.testing.assert_array_equal(back.data, batch.data)
+
     def test_codes_require_bits(self):
         with pytest.raises(QtcovError):
             values_to_codes(np.zeros(3, complex), QuantizationSpec(1.0, 1.0))
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("k", [64, 2000])
+    def test_rejects_depth_above_63(self, k):
+        with pytest.raises(QtcovError, match=f"bit depth {k} is outside 1..63"):
+            QuantizationSpec(1.0, 1.0, k)
+        with pytest.raises(QtcovError, match=f"bit depth {k} is outside 1..63"):
+            quantize_kbit(np.array([1.0, -3.0]), 1.0, k)
+
     def test_bits_require_equal_positive_levels(self):
         with pytest.raises(QtcovError):
             QuantizationSpec(1.0, 2.0, 2)

@@ -5,7 +5,7 @@ from qtcov import (min_eigenvalue, spectral_density,
                    spectral_norm_bound, toeplitz_adjoint_project,
                    toeplitz_from_generators, vandermonde_synthesize)
 from qtcov.errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
-                          NonRealDiagonal, ResolutionTooCoarse, SizeMismatch)
+                          NonRealDiagonal, QtcovError, ResolutionTooCoarse, SizeMismatch)
 from qtcov.rulers import full_ruler, validate_ruler
 from qtcov.sampling import random_toeplitz_covariance
 
@@ -75,6 +75,11 @@ class TestVandermonde:
             vandermonde_synthesize([0.1, 0.2], [1.0], 3)
         with pytest.raises(ValueError):
             vandermonde_synthesize([0.1], [-1.0], 3)
+
+    @pytest.mark.parametrize("power", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_bad_power_with_a_typed_error(self, power):
+        with pytest.raises(QtcovError, match="powers must be finite and positive"):
+            vandermonde_synthesize([0.1], [power], 3)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_always_psd(self, seed):
