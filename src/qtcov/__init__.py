@@ -1,10 +1,7 @@
 """Toeplitz covariance estimation from sparsely observed, coarsely quantized data."""
 
-from .toeplitz import (HermitianToeplitz, SpectralDensityGrid,
-                       toeplitz_from_generators, vandermonde_synthesize,
-                       spectral_density, spectral_density_grid,
-                       spectral_norm_bound, min_eigenvalue,
-                       toeplitz_adjoint_project)
+from .toeplitz import (HermitianToeplitz, toeplitz_from_generators,
+                       vandermonde_synthesize, toeplitz_adjoint_project)
 from .rulers import (Ruler, validate_ruler, make_ruler_alpha,
                      coverage_coefficient, full_ruler, parse_ruler_spec)
 from .sampling import (SampleBatch, random_toeplitz_covariance,

@@ -14,7 +14,6 @@ multiple of eps * c_0: D can come out <= 0, so the grid floors it at eps * c_0."
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import KOutOfRange, LengthMismatch, QtcovError
 from .toeplitz import HermitianToeplitz, as_dense, vandermonde_synthesize
@@ -157,11 +156,25 @@ def circular_distance(a, b):
 
 
 def frequency_mse(estimates, truth):
-    """Mean squared circular distance under the best estimate-to-truth matching."""
+    """Mean squared circular distance under the best estimate-to-truth matching.
+
+    Squared circular distance is a convex function of arc length, so some
+    cyclic shift of the two sets' order around the circle is an optimal
+    matching (Delon, Salomon & Sobolevski, "Fast transport optimization for
+    Monge costs on the circle", SIAM J. Appl. Math. 70(7), 2010).  The first
+    of the K shifts with the least total is taken, and its costs are averaged
+    with the estimates in their input order.
+    """
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truth, dtype=float)
-    if est.shape != tru.shape or est.ndim != 1:
-        raise LengthMismatch(f"length mismatch: {est.shape} vs {tru.shape}")
+    if est.shape != tru.shape or est.ndim != 1 or not est.size:
+        raise LengthMismatch(f"need two nonempty 1-D sets of one length, "
+                             f"got {est.shape} vs {tru.shape}")
     cost = circular_distance(est[:, None], tru[None, :]) ** 2
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    idx = np.arange(est.size)
+    order = np.argsort(est % 1.0, kind="stable")
+    # shifts[s, i]: the truth that shift s matches to the i-th estimate in circle order
+    shifts = np.argsort(tru % 1.0, kind="stable")[np.add.outer(idx, idx) % est.size]
+    cols = np.empty_like(idx)
+    cols[order] = shifts[cost[order, shifts].sum(axis=1).argmin()]
+    return float(cost[idx, cols].mean())

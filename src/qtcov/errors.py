@@ -27,10 +27,6 @@ class LengthMismatch(QtcovError):
     pass
 
 
-class ResolutionTooCoarse(QtcovError):
-    pass
-
-
 class SizeMismatch(QtcovError):
     pass
 

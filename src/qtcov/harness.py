@@ -30,8 +30,8 @@ from . import rng
 from .doa import DoaScene, estimate_frequencies, frequency_mse
 from .errors import ConfigError, EmptyTable, QtcovError
 from .estimators import qscm, qtscm, quantized_sample_covariance, spectral_norm
-from .quantizer import (QuantizationSpec, quantize_batch, select_level_datadriven,
-                        select_level_tail_bound, unit_dither)
+from .quantizer import (QuantizationSpec, _check_depth, quantize_batch,
+                        select_level_datadriven, select_level_tail_bound, unit_dither)
 from .qspa import QspaOptions, qspa_solve
 from .rulers import Ruler, full_ruler, parse_ruler_spec
 from .sampling import SampleBatch, random_toeplitz_covariance, sample_complex_gaussian
@@ -140,6 +140,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown estimator {est!r}")
         if self.level_rule not in ("fixed", "tail_bound", "datadriven"):
             raise ConfigError(f"unknown level rule {self.level_rule!r}")
+        for k in self.bits:
+            if k is not None:
+                _check_depth(k, ConfigError)
         for dd in self.d_values or (self.d,):
             for rspec in self.rulers:
                 resolve_ruler(rspec, dd)
@@ -250,9 +253,11 @@ def parse_level_pair(text):
 
 
 _INT, _FLOAT, _TEXT = (int, str), (float, str), (str, str)
+# an index-list ruler is written "1 2 4" in a list and kept as the spec "1,2,4"
+_RULER = (lambda text: ",".join(text.split()), lambda spec: " ".join(spec.split(",")))
 
 CONFIG_KEYS = {
-    "d": _INT, "d_values": _list_of(_INT), "rulers": _list_of(_TEXT),
+    "d": _INT, "d_values": _list_of(_INT), "rulers": _list_of(_RULER),
     "deltas": _list_of((parse_level_pair, "{0[0]}:{0[1]}".format)),
     "bits": _list_of(_or_none(_INT, "inf")), "level_rule": _TEXT, "c_bit": _FLOAT,
     "delta_prime": _FLOAT, "n_values": _list_of(_INT), "trials": _INT, "seed": _INT,

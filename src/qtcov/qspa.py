@@ -33,10 +33,6 @@ per-lag sums of Hermitian weight matrices (the adjoint of the generator-to-
 matrix map).  Hessian entries tr(X E_a Y E_b) over lag directions E_a depend
 only on lag-shifted products of X and Y, so they come from one 2-D FFT
 cross-correlation over the signed lags, in O(d^2 log d) for any ruler.
-
-All linear algebra goes through numpy.  numpy and scipy wheels each bundle
-their own OpenBLAS with its own thread pool; alternating small calls between
-the two pools costs milliseconds per call where one pool takes microseconds.
 """
 
 from dataclasses import dataclass, field

@@ -31,11 +31,11 @@ def _check_level(level):
         raise QtcovError(f"quantization level {float(level)!r} is subnormal")
 
 
-def _check_depth(k):
-    """Raise QtcovError unless 1 <= k <= 63: a batch file stores the clip
+def _check_depth(k, error=QtcovError):
+    """Raise `error` unless 1 <= k <= 63: a batch file stores the clip
     codes -2^(k-1) - 1 and 2^(k-1) as int64."""
     if not 1 <= k <= 63:
-        raise QtcovError(f"bit depth {k} is outside 1..63")
+        raise error(f"bit depth {k} is outside 1..63")
 
 
 class QuantizationSpec:
@@ -83,7 +83,9 @@ def _quantize_plane(x, delta, k):
 
     delta = 0 leaves x unchanged.  With a bit depth k, values at or above
     (2^(k-1) - 1) * delta take code 2^(k-1) and values below the mirrored
-    threshold take code -2^(k-1) - 1; both masks are taken before the divide.
+    threshold take code -2^(k-1) - 1; both masks are taken before the divide,
+    so a value whose x / delta overflows (it lies beyond a threshold) only
+    gets its clip code.
     """
     if delta == 0:
         return
@@ -91,7 +93,8 @@ def _quantize_plane(x, delta, k):
         half = 2 ** (k - 1)
         top = x >= (half - 1) * delta
         bottom = x < (1 - half) * delta
-    x /= delta
+    with np.errstate(over=None if k is None else "ignore"):
+        x /= delta
     np.floor(x, out=x)
     if k is not None:
         np.putmask(x, top, half)

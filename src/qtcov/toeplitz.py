@@ -10,12 +10,10 @@ makes gamma_s = sum_k p_k exp(-i 2 pi s f_k) for sources with steering vector
 a(f) = (1, exp(i 2 pi f), ..., exp(i 2 pi (d-1) f)).
 """
 
-import math
-
 import numpy as np
 
 from .errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
-                     NonRealDiagonal, QtcovError, ResolutionTooCoarse, SizeMismatch)
+                     NonRealDiagonal, QtcovError, SizeMismatch)
 
 
 class HermitianToeplitz:
@@ -84,69 +82,6 @@ def vandermonde_synthesize(freqs, powers, d):
     gens = np.exp(-2j * np.pi * np.outer(np.arange(d), freqs)) @ powers
     gens[0] = gens[0].real  # exactly sum(powers); kill roundoff residue
     return HermitianToeplitz(gens)
-
-
-def spectral_density(T, theta):
-    """Trigonometric polynomial L(theta) generated by T.
-
-    L(theta) = gamma_0 + sum_{s>=1} (gamma_s e^{i2pi s theta} + c.c.), a real
-    function whose supremum over [0, 1] upper-bounds the spectral norm of T.
-    `theta` may be a scalar or an array.
-    """
-    gens = T.generators
-    s = np.arange(1, T.dim)
-    phases = np.exp(2j * np.pi * np.multiply.outer(np.asarray(theta, dtype=float), s))
-    vals = gens[0].real + 2.0 * (phases @ gens[1:]).real
-    return vals if np.ndim(theta) else float(vals)
-
-
-def default_grid_resolution(d):
-    """Grid size ceil(4 pi d^2) used by spectral_norm_bound by default."""
-    return int(math.ceil(4.0 * math.pi * d * d))
-
-
-class SpectralDensityGrid:
-    """Spectral density sampled at theta = j / resolution, j in [0, resolution)."""
-
-    __slots__ = ("resolution", "values")
-
-    def __init__(self, resolution, values):
-        self.resolution = int(resolution)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != (self.resolution,):
-            raise SizeMismatch(
-                f"{self.values.shape} values for resolution {self.resolution}")
-
-    def max(self):
-        return float(np.max(self.values))
-
-
-def spectral_density_grid(T, resolution=None):
-    """Sample the spectral density on a uniform grid of [0, 1).
-
-    The default resolution ceil(4 pi d^2) is fine enough that the grid maximum
-    dominates the spectral norm of T for PSD inputs; coarser grids (down to 2d
-    points) trade tightness for speed.
-    """
-    d = T.dim
-    if resolution is None:
-        resolution = default_grid_resolution(d)
-    resolution = int(resolution)
-    if resolution < 2 * d:
-        raise ResolutionTooCoarse(
-            f"resolution {resolution} < 2d = {2 * d}")
-    theta = np.arange(resolution) / resolution
-    return SpectralDensityGrid(resolution, spectral_density(T, theta))
-
-
-def spectral_norm_bound(T, resolution=None):
-    """Max of the spectral density over a uniform grid of [0, 1)."""
-    return spectral_density_grid(T, resolution).max()
-
-
-def min_eigenvalue(T):
-    """Smallest eigenvalue of the densified matrix."""
-    return float(np.linalg.eigvalsh(T.dense)[0])
 
 
 def toeplitz_adjoint_project(M, ruler):

@@ -10,6 +10,8 @@ quantizer and sampler references are the library's earlier whole-array
 formulations, kept to hold its in-place kernels to the same bits.
 """
 
+import itertools
+
 import numpy as np
 
 from qtcov import rng
@@ -244,3 +246,11 @@ def music_direct_estimate(T_est, K, grid_size):
     freqs = np.array([golden_refine(pseudo, j * cell - cell, j * cell + cell) % 1.0
                       for j in chosen])
     return resolved, np.array(chosen), np.sort(freqs)
+
+
+def brute_force_frequency_mse(estimates, truth):
+    """Least mean squared circular distance over all K! matchings."""
+    diff = np.abs(estimates[:, None] - truth[None, :]) % 1.0
+    cost = np.minimum(diff, 1.0 - diff) ** 2
+    perms = np.array(list(itertools.permutations(range(len(estimates)))))
+    return cost[np.arange(len(estimates)), perms].mean(axis=1).min()

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtcov
-from oracles import (music_direct_derivatives, music_direct_estimate, music_direct_grid,
-                     music_noise_subspace, wishart_rhat)
+from oracles import (brute_force_frequency_mse, music_direct_derivatives,
+                     music_direct_estimate, music_direct_grid, music_noise_subspace,
+                     wishart_rhat)
 from qtcov import (DoaScene, circular_distance, estimate_frequencies,
-                   frequency_mse, min_eigenvalue, music_spectrum,
+                   frequency_mse, music_spectrum,
                    toeplitz_from_generators, vandermonde_synthesize)
 from qtcov import rng as qrng
 from qtcov.doa import _pick_peaks
@@ -15,6 +16,10 @@ from qtcov.errors import KOutOfRange, LengthMismatch, QtcovError
 from qtcov.harness import FIVE_SOURCE_SCENE
 
 FIVE_SOURCE_FREQS = (0.08, 0.21, 0.37, 0.68, 0.81)
+# eighths give duplicate and antipodal points and exact ties; the floats reach
+# past [0, 1), which frequency_mse reduces modulo one
+CIRCLE_POINTS = st.one_of(st.sampled_from([j / 8 for j in range(8)]),
+                          st.floats(-2, 3, allow_nan=False))
 
 
 def exact_scene_cov(freqs, d, noise=0.0):
@@ -28,7 +33,7 @@ class TestScene:
     def test_covariance_is_toeplitz_psd(self):
         scene = DoaScene(16, FIVE_SOURCE_FREQS, (1.0,) * 5, 0.1)
         R = scene.covariance()
-        assert min_eigenvalue(R) >= 0.1 - 1e-9
+        assert np.linalg.eigvalsh(R.dense)[0] >= 0.1 - 1e-9
 
     def test_snr_definition(self):
         scene = DoaScene(16, FIVE_SOURCE_FREQS, (1.0,) * 5, 0.1)
@@ -281,6 +286,20 @@ class TestFrequencyMse:
             b = rng.uniform(0, 1, 4)
             assert frequency_mse(a, b) == pytest.approx(frequency_mse(b, a))
             assert frequency_mse(a, b) <= 0.25
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda k: st.lists(
+        st.tuples(CIRCLE_POINTS, CIRCLE_POINTS), min_size=k, max_size=k)))
+    @example([(0.0, 0.125), (0.25, 0.375), (0.5, 0.625), (0.75, 0.875)])  # shifts tie
+    @example([(0.1, 0.6), (0.1, 0.1), (0.6, 0.6)])  # duplicates and antipodes
+    def test_matches_brute_force_matching(self, pairs):
+        est, truth = (np.array(v) for v in zip(*pairs))
+        best = brute_force_frequency_mse(est, truth)
+        assert abs(frequency_mse(est, truth) - best) <= 1e-12 * best
+
+    def test_rejects_empty_sets(self):
+        with pytest.raises(LengthMismatch):
+            frequency_mse([], [])
 
     def test_circular_distance(self):
         assert circular_distance(0.9, 0.1) == pytest.approx(0.2)

@@ -46,11 +46,24 @@ def tiny_config(**kw):
     return replace(base, **kw)
 
 
+# configs besides the presets that must survive the text round trip
+ROUNDTRIP_CONFIGS = {
+    "index_list_ruler": ExperimentConfig("custom", d=6, rulers=("1,2,4,6", "alpha:0.5")),
+}
+
+
 class TestConfig:
-    @pytest.mark.parametrize("exp", ["exp1", "exp2", "exp3a", "exp3b", "exp4", "exp4b", "exp5"])
+    @pytest.mark.parametrize("exp", ["exp1", "exp2", "exp3a", "exp3b", "exp4", "exp4b", "exp5",
+                                     *ROUNDTRIP_CONFIGS])
     def test_presets_roundtrip_through_text(self, exp):
-        cfg = default_config(exp)
+        cfg = ROUNDTRIP_CONFIGS[exp] if exp in ROUNDTRIP_CONFIGS else default_config(exp)
         assert parse_config(config_to_text(cfg)) == cfg
+
+    def test_rejects_out_of_range_bit_depth_before_running(self):
+        # under tail_bound the inf row would take the 2000 row's level, which underflows
+        with pytest.raises(ConfigError, match="bit depth 2000 is outside 1..63"):
+            parse_config("qtcov-config 1\nexperiment = custom\nd = 4\nbits = 2000, inf\n"
+                         "level_rule = tail_bound\n")
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -376,6 +389,21 @@ class TestCli:
         assert "estimated frequencies:" in r.stdout
         assert "frequency mse:" in r.stdout
 
+    def test_exp5_runs_without_scipy(self, tmp_path):
+        cfg = tmp_path / "doa.cfg"
+        cfg.write_text("qtcov-config 1\nexperiment = exp5\nd = 8\nn_values = 100\n"
+                       "trials = 1\nmusic_grid = 64\nscene_freqs = 0.1, 0.4\n"
+                       "scene_powers = 1, 1\n")
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from qtcov import cli\n"
+                f"sys.exit(cli.main(['experiment', '--config', {str(cfg)!r}, "
+                f"'--outdir', {str(tmp_path)!r}]))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        means = ResultTable.from_csv((tmp_path / "exp5.csv").read_text()).means()
+        assert means and all(row.metric == "freq_mse" and np.isfinite(row.value)
+                             for row in means)
+
 
 class TestInputErrors:
     """Bad input exits with code 1 and a one-line message, never a traceback."""
@@ -443,6 +471,13 @@ class TestInputErrors:
         assert main(["simulate", "--d", "4", "--n", "20", "--bits", "2000", "-o", str(batch)]) == 1
         assert "bit depth 2000 is outside 1..63" in capsys.readouterr().err
         assert not batch.exists()
+
+    def test_kbit_level_near_tiny_writes_clip_codes(self, tmp_path):
+        batch = tmp_path / "b.qtb"
+        assert main(["simulate", "--d", "6", "--n", "50", "--cov-seed", "1", "--delta",
+                     "2.3e-308", "--bits", "2", "-o", str(batch)]) == 0
+        data = qtcov.load_batch(str(batch)).data
+        assert set(data.real.ravel()) | set(data.imag.ravel()) == {-2.5 * 2.3e-308, 2.5 * 2.3e-308}
 
     def test_unparsable_ruler_spec(self):
         self.assert_clean_failure(self.run_cli("ruler", "--d", "16", "--ruler", "alpha:abc"),

@@ -98,6 +98,15 @@ class TestKBit:
         assert quantize_kbit(-5.0, 1.0, 2) == -2.5
         assert quantize_kbit(1.0, 1.0, 2) == 2.5  # boundary belongs to the clip
 
+    def test_level_near_tiny_clips_where_the_divide_overflows(self):
+        # 5 / 2.3e-308 overflows; the k-bit path clips such values, the uniform path raises
+        x, delta = np.array([5.0, -5.0, 0.0]), 2.3e-308
+        with np.errstate(over="raise"):
+            np.testing.assert_array_equal(quantize_kbit(x, delta, 2),
+                                          [2.5 * delta, -2.5 * delta, 0.5 * delta])
+            with pytest.raises(FloatingPointError, match="overflow"):
+                quantize_uniform(x, delta)
+
     def test_matches_uniform_in_interior(self, rng):
         x = rng.uniform(-2.9, 2.9, 1000)
         for k in (3, 4):
