@@ -4,6 +4,7 @@ import pytest
 from qtcov import toeplitz_adjoint_project, toeplitz_from_generators, vandermonde_synthesize
 from qtcov.errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
                           NonRealDiagonal, QtcovError, SizeMismatch)
+from qtcov.estimators import spectral_norm
 from qtcov.rulers import full_ruler, validate_ruler
 from qtcov.sampling import random_toeplitz_covariance
 
@@ -85,6 +86,36 @@ class TestVandermonde:
         assert np.linalg.eigvalsh(T.dense)[0] >= -1e-9 * T.generators[0].real
 
 
+def lag_sum_bound(T):
+    """sum_{|k| < d} |r_k|: the sup of the Toeplitz symbol's modulus, so a
+    closed-form upper bound on the spectral norm of a Hermitian Toeplitz
+    matrix."""
+    r = np.abs(T.generators)
+    return 2 * r.sum() - r[0]
+
+
+class TestSpectralNormBound:
+    # the harness divides by spectral_norm(truth); on a covariance it lies in
+    # [r_0, sum_k |r_k|], so it is never zero and never above the symbol bound
+    def test_identity(self):
+        T = toeplitz_from_generators([1.0] + [0.0] * 7)
+        assert spectral_norm(T.dense) == pytest.approx(1.0)
+        assert lag_sum_bound(T) == 1.0
+
+    def test_single_source_d8(self):
+        T = vandermonde_synthesize([0.3], [1.0], 8)
+        assert spectral_norm(T.dense) == pytest.approx(8.0)
+        assert lag_sum_bound(T) == pytest.approx(15.0)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_dominates_dense_norm_random_psd(self, seed):
+        d = 2 + seed % 11
+        T = random_toeplitz_covariance(d, seed)
+        norm = spectral_norm(T.dense)
+        assert lag_sum_bound(T) >= norm - 1e-9
+        assert norm >= T.generators[0].real - 1e-9
+
+
 class TestAdjointProject:
     def test_identity_full_ruler(self):
         out = toeplitz_adjoint_project(np.eye(3), full_ruler(3))
@@ -119,3 +150,9 @@ class TestAdjointProject:
         out = toeplitz_adjoint_project(random_hermitian(rng, 5), full_ruler(5))
         assert out[0].imag == 0.0
 
+
+class TestMinEigenvalue:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_synthesized_nonnegative(self, seed):
+        T = random_toeplitz_covariance(8, seed)
+        assert np.linalg.eigvalsh(T.dense)[0] >= -1e-9 * T.generators[0].real
