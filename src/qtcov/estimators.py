@@ -3,8 +3,8 @@
 qtscm: per-lag averaging of quantized cross-products with the ||Delta||^2/4
 diagonal bias removed (unbiased for any ruler).  qscm: the plain bias-
 corrected sample covariance without Toeplitz projection (full ruler only).
-The finite-bit estimator is qtscm applied to a batch produced by the 2k-bit
-quantizer; it needs no separate code path.
+The finite-bit estimator is qtscm applied to a batch quantized with a bit
+depth; it needs no separate code path.
 """
 
 from dataclasses import dataclass
@@ -39,15 +39,11 @@ class EstimationReport:
                 f"{self.spec.delta_i!r},{k},{self.seed},{err}")
 
 
-def _check_quantized(batch, spec):
+def _check_quantized(batch):
     if batch.stage != "quantized":
         raise QtcovError("estimators expect a quantized batch")
     if batch.count < 1 or batch.data.size == 0:
         raise EmptyBatch("batch has no samples")
-    spec = batch.spec if spec is None else spec
-    if spec is None:
-        raise QtcovError("quantization spec unknown; pass it explicitly")
-    return spec
 
 
 def quantized_sample_covariance(batch):
@@ -63,7 +59,7 @@ def _gram(batch, gram):
     return quantized_sample_covariance(batch) if gram is None else gram
 
 
-def qtscm(batch, spec=None, gram=None):
+def qtscm(batch, gram=None):
     """Toeplitz-projected sample covariance of quantized data, bias-corrected.
 
     gamma_hat[s] = mean over lag-s pairs and samples of zq_j zq_k^*, minus
@@ -71,19 +67,19 @@ def qtscm(batch, spec=None, gram=None):
     given, is the batch's quantized_sample_covariance, computed once and
     shared by the estimators of that batch.
     """
-    spec = _check_quantized(batch, spec)
+    _check_quantized(batch)
     gens = toeplitz_adjoint_project(_gram(batch, gram), batch.ruler)
-    gens[0] = gens[0].real - spec.lag0_bias
+    gens[0] = gens[0].real - batch.spec.lag0_bias
     return HermitianToeplitz(gens)
 
 
-def qscm(batch, spec=None, gram=None):
+def qscm(batch, gram=None):
     """Bias-corrected quantized sample covariance without Toeplitz projection
     (`gram` as in qtscm)."""
-    spec = _check_quantized(batch, spec)
+    _check_quantized(batch)
     if not batch.ruler.is_full():
         raise NotFullRuler("qscm is defined on the full ruler only")
-    return _gram(batch, gram) - spec.lag0_bias * np.eye(batch.dim)
+    return _gram(batch, gram) - batch.spec.lag0_bias * np.eye(batch.dim)
 
 
 def spectral_norm(M):

@@ -16,6 +16,7 @@ unresolved keeps its value and says so in its note.  Runs are sequential and
 deterministic: re-running a config byte-reproduces its CSV.
 """
 
+import contextlib
 import csv
 import io
 import math
@@ -135,6 +136,12 @@ class ExperimentConfig:
         for name in ("rulers", "deltas", "n_values", "estimators"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must list at least one entry")
+        for name in ("d_values", "rulers", "deltas", "bits", "n_values", "estimators"):
+            values = list(getattr(self, name))
+            for i, value in enumerate(values):
+                if value in values[:i]:  # a repeated entry would run its cells twice
+                    text = CONFIG_KEYS[name][1]((value,))
+                    raise ConfigError(f"{name} lists {text} twice")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}")
@@ -414,7 +421,7 @@ def run_experiment(config):
         values = [[] for _ in rows]
         degraded = [Counter() for _ in rows]  # "nonconverged"/"unresolved" -> trials
         specs, notes = {}, {}  # row index -> first trial's spec / first error's note
-        for n in dict.fromkeys(cfg.n_values):
+        for n in cfg.n_values:
             for t in range(cfg.trials):
                 # One-entry caches, dropped with the trial: the raw batch and
                 # unit dither of a ruler, and the quantized batch of a (ruler,
@@ -464,7 +471,11 @@ def run_experiment(config):
 
 
 def write_outputs(cfg, table, outdir=None):
-    """Write <experiment>.csv and <experiment>.svg; returns the paths."""
+    """Write <experiment>.csv and <experiment>.svg; returns the paths.
+
+    A table with nothing to plot writes no SVG, removes any earlier one, and
+    returns None as its path.
+    """
     outdir = outdir or os.environ.get("QTCOV_OUTDIR") or cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, f"{cfg.experiment}.csv")
@@ -472,8 +483,12 @@ def write_outputs(cfg, table, outdir=None):
         fh.write(table.to_csv())
     svg_path = os.path.join(outdir, f"{cfg.experiment}.svg")
     try:
-        with open(svg_path, "w") as fh:
-            fh.write(emit_plot(table, PRESETS[cfg.experiment][0]))
+        svg = emit_plot(table, PRESETS[cfg.experiment][0])
     except EmptyTable:
-        svg_path = None
+        # a stale plot would not belong to the CSV just written
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(svg_path)
+        return csv_path, None
+    with open(svg_path, "w") as fh:
+        fh.write(svg)
     return csv_path, svg_path

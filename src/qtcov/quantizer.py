@@ -3,13 +3,15 @@
 The scalar quantizer maps x to Delta * (floor(x / Delta) + 1/2); at Delta = 0
 it is the identity.  Complex values are quantized componentwise with levels
 (Delta_r, Delta_i) after adding a triangular dither (sum of two independent
-uniforms on [-Delta/2, Delta/2] per part).  The finite-bit variant clips to
-k bits per real component.  Dither makes the quantized second moment an
-unbiased shift of the true one: E[zq_j zq_k^*] = E[z_j z_k^*] plus
-(Delta_r^2 + Delta_i^2)/4 on the diagonal.
+uniforms on [-Delta/2, Delta/2] per part).  The finite-bit variant is the
+same quantizer with a bit depth: it clips to k bits per real component.
+Dither makes the quantized second moment an unbiased shift of the true one:
+E[zq_j zq_k^*] = E[z_j z_k^*] plus (Delta_r^2 + Delta_i^2)/4 on the diagonal.
 
-Every quantizer here runs through one kernel that quantizes a real plane in
-place; complex data is built plane by plane, with no complex temporary.
+`quantize_batch` is the one quantizer: it scales a level-free dither pair
+from `unit_dither` by the spec's levels and runs each real plane through one
+in-place kernel, so a pair drawn once replays or shares the dither across
+levels.
 """
 
 import math
@@ -103,76 +105,6 @@ def _quantize_plane(x, delta, k):
     x *= delta
 
 
-def _quantize_real(x, delta, k):
-    out = np.array(x, dtype=float)
-    _quantize_plane(out, delta, k)
-    return out if out.ndim else float(out)
-
-
-def _check_kbit(delta, k):
-    if delta <= 0:
-        raise QtcovError("finite-bit quantization requires delta > 0")
-    _check_depth(k)
-    _check_level(delta)
-
-
-def quantize_uniform(x, delta):
-    """Uniform mid-riser quantizer; delta = 0 passes x through unchanged."""
-    _check_level(delta)
-    return _quantize_real(x, delta, None)
-
-
-def quantize_kbit(x, delta, k):
-    """k-bit quantizer: uniform in the interior, clipped outside.
-
-    Values at or above (2^(k-1) - 1) * delta map to (2^(k-1) + 1/2) * delta,
-    values below the mirrored threshold map to the negative clip level.
-    """
-    _check_kbit(delta, k)
-    return _quantize_real(x, delta, k)
-
-
-def _quantize_parts(z, dither, scales, levels, k):
-    """Q(z + dither) for complex z, written into one new complex128 array.
-
-    Each real plane is formed as scale * dither part + z part in one
-    contiguous float64 scratch plane, quantized there in place with its level
-    and the bit depth k, and copied into the output's .real or .imag view;
-    no complex temporary is made.  Contiguous planes keep the ufuncs on
-    their vector loops, which the stride-16 views would not.
-    """
-    z = np.asarray(z)
-    out = np.empty(np.broadcast_shapes(z.shape, *map(np.shape, dither)), np.complex128)
-    x = np.empty(out.shape)
-    for plane, part, tau, scale, delta in zip((out.real, out.imag), (z.real, z.imag),
-                                              dither, scales, levels):
-        np.multiply(tau, scale, out=x)
-        x += part
-        _quantize_plane(x, delta, k)
-        plane[...] = x
-    return out if out.ndim else out[()]
-
-
-def quantize_complex(z, spec, dither):
-    """Componentwise dithered quantization of complex data (infinite-level)."""
-    levels = (spec.delta_r, spec.delta_i)
-    return _quantize_parts(z, (np.real(dither), np.imag(dither)), (1.0, 1.0), levels, None)
-
-
-def quantize_complex_2kbit(z, delta, k, dither):
-    """Componentwise dithered 2k-bit quantization (k bits per real part)."""
-    _check_kbit(delta, k)
-    return _quantize_parts(z, (np.real(dither), np.imag(dither)), (1.0, 1.0), (delta, delta), k)
-
-
-def draw_triangular_dither(delta, count, seed):
-    """count i.i.d. draws of U(-delta/2, delta/2) + U(-delta/2, delta/2)."""
-    if delta < 0:
-        raise QtcovError("dither level must be nonnegative")
-    u = rng.stream(seed, rng.DITHER).random((2, count)) - 0.5
-    return delta * (u[0] + u[1])
-
-
 def unit_dither(shape, seed):
     """Level-free dither sums (u0 + u1, u2 + u3) of four U(-1/2, 1/2) arrays.
 
@@ -192,31 +124,38 @@ def unit_dither(shape, seed):
     return sums[0], sums[1]
 
 
-def quantize_batch(batch, spec, dither_seed=None, unit=None):
+def quantize_batch(batch, spec, unit=None):
     """Quantize a raw batch; the dither is applied and discarded.
 
-    The dither is drawn internally from `dither_seed` (default: the batch
-    seed), independent of the Gaussian sample stream, unless `unit`, a pair
-    from `unit_dither(batch.data.shape, seed)`, is passed pre-drawn.  Either
-    way it is scaled by the levels of `spec`, so a pair drawn once serves
-    every level.  The planes delta_r * sr + Re z and delta_i * si + Im z are
-    quantized one at a time and written into one new complex128 array, with
-    the bits of `quantize_complex(batch.data, spec, delta_r * sr + 1j *
-    delta_i * si)` (or its 2k-bit form) but for the sign of an exact zero
-    input at a zero level.  Neither the batch nor the pair is written.
-    Estimators only ever see the returned quantized values.
+    `unit` is a pair from `unit_dither(batch.data.shape, seed)`, drawn
+    independently of the Gaussian sample stream; by default it is drawn from
+    the batch seed.  It is scaled by the levels of `spec`, so a pair drawn
+    once serves every level and replays the same dither.  Each real plane,
+    delta_r * sr + Re z and then delta_i * si + Im z, is formed in one
+    contiguous float64 scratch plane, quantized there in place with its level
+    and the spec's bit depth, and copied into the .real or .imag view of one
+    new complex128 array; no complex temporary is made, and contiguous planes
+    keep the ufuncs on their vector loops, which the stride-16 views would
+    not.  Neither the batch nor the pair is written.  Estimators only ever
+    see the returned quantized values.
     """
     if batch.stage != "raw":
         raise QtcovError("quantize_batch expects a raw batch")
+    z = batch.data
     if unit is None:
-        unit = unit_dither(batch.data.shape,
-                           batch.seed if dither_seed is None else dither_seed)
+        unit = unit_dither(z.shape, batch.seed)
     sr, si = unit
-    if sr.shape != batch.data.shape or si.shape != batch.data.shape:
+    if sr.shape != z.shape or si.shape != z.shape:
         raise QtcovError(f"dither shape {sr.shape} does not match the batch "
-                         f"shape {batch.data.shape}")
-    levels = (spec.delta_r, spec.delta_i)
-    data = _quantize_parts(batch.data, unit, levels, levels, spec.bits_k)
+                         f"shape {z.shape}")
+    data = np.empty(z.shape, np.complex128)
+    x = np.empty(z.shape)
+    for plane, part, s, delta in zip((data.real, data.imag), (z.real, z.imag),
+                                     (sr, si), (spec.delta_r, spec.delta_i)):
+        np.multiply(s, delta, out=x)
+        x += part
+        _quantize_plane(x, delta, spec.bits_k)
+        plane[...] = x
     return SampleBatch(batch.dim, batch.count, batch.ruler, data,
                        "quantized", batch.seed, spec)
 

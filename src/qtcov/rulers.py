@@ -96,11 +96,6 @@ class Ruler:
         return hash((self.dim, self.indices.tobytes()))
 
 
-def validate_ruler(indices, d):
-    """Return the Ruler for `indices` or raise naming the first missing lag."""
-    return Ruler(indices, d)
-
-
 def coverage_coefficient(ruler):
     """phi(Omega) = sum_s 1/|Omega_s|; smaller means more redundant coverage."""
     return float(np.sum(1.0 / ruler.lag_sizes))

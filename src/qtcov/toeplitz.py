@@ -53,11 +53,6 @@ def as_dense(M):
     return M.dense if isinstance(M, HermitianToeplitz) else np.asarray(M)
 
 
-def toeplitz_from_generators(generators):
-    """Build a HermitianToeplitz from gamma_0..gamma_{d-1} (gamma_0 real)."""
-    return HermitianToeplitz(generators)
-
-
 def vandermonde_synthesize(freqs, powers, d):
     """Positive semidefinite Toeplitz matrix sum_k powers[k] a(f_k) a(f_k)^H.
 

@@ -15,12 +15,13 @@ import pytest
 
 import qtcov
 from qtcov import rng as qrng
-from qtcov import (DoaScene, QuantizationSpec, coverage_coefficient,
+from qtcov import (DoaScene, QuantizationSpec, Ruler, coverage_coefficient,
                    estimate_frequencies, frequency_mse, full_ruler,
                    make_ruler_alpha, qspa_solve, qtscm, quantize_batch,
                    quantized_sample_covariance, random_toeplitz_covariance,
                    relative_spectral_error, sample_complex_gaussian,
-                   select_level_tail_bound, validate_ruler)
+                   select_level_tail_bound)
+from qtcov.quantizer import unit_dither
 from qtcov.sampling import SampleBatch
 
 from oracles import grid_oracle_d2, wishart_rhat
@@ -48,8 +49,8 @@ def _paired_gap_se(a, b):
 
 def test_criterion_01_coverage_coefficients():
     t0 = time.time()
-    phi_a = coverage_coefficient(validate_ruler(OMEGA_A, 16))
-    phi_b = coverage_coefficient(validate_ruler(OMEGA_B, 16))
+    phi_a = coverage_coefficient(Ruler(OMEGA_A, 16))
+    phi_b = coverage_coefficient(Ruler(OMEGA_B, 16))
     ok = abs(phi_a - 10.70) <= 0.01 and abs(phi_b - 7.11) <= 0.01
     _report(1, "coverage coefficients", ok,
             f"phi_A={phi_a:.4f}, phi_B={phi_b:.4f} ({time.time() - t0:.2f}s)")
@@ -106,7 +107,7 @@ def test_criterion_04_ruler_ordering():
     d, n, trials, seed = 16, 1000, 100, 36
     spec = QuantizationSpec(1.0, 1.0)
     T = random_toeplitz_covariance(d, seed)
-    rulers = {"B": validate_ruler(OMEGA_B, d), "A": validate_ruler(OMEGA_A, d),
+    rulers = {"B": Ruler(OMEGA_B, d), "A": Ruler(OMEGA_A, d),
               "half": make_ruler_alpha(d, 0.5)}
     errs = {k: [] for k in rulers}
     for t in range(trials):
@@ -134,9 +135,10 @@ def test_criterion_05_level_symmetry_and_growth():
     for t in range(trials):
         ts = qrng.trial_seed(seed, t)
         raw = sample_complex_gaussian(T, ruler, n, ts)
+        unit = unit_dither(raw.data.shape, ts)
         for i, dr in enumerate(levels):
             for j, di in enumerate(levels):
-                qb = quantize_batch(raw, QuantizationSpec(dr, di), dither_seed=ts)
+                qb = quantize_batch(raw, QuantizationSpec(dr, di), unit=unit)
                 errs[i, j, t] = relative_spectral_error(qtscm(qb), T)
     mean = errs.mean(axis=2)
     se = errs.std(axis=2, ddof=1) / np.sqrt(trials)
@@ -155,7 +157,7 @@ def test_criterion_05_level_symmetry_and_growth():
 def test_criterion_06_finite_bit_equivalence():
     t0 = time.time()
     d, n = 6, 8
-    ruler = validate_ruler([1, 2, 4, 6], d)
+    ruler = Ruler([1, 2, 4, 6], d)
     batches = 0
     for i in range(1000):
         k = 3 + i % 3
@@ -168,8 +170,9 @@ def test_criterion_06_finite_bit_equivalence():
         # dither moduli are at most sqrt(2)*delta, so max|z + tau| stays below
         # the no-clipping threshold (2^(k-1) - sqrt(2)) * delta by construction
         assert zmax + np.sqrt(2) * delta <= (2 ** (k - 1) - np.sqrt(2)) * delta
-        fin = quantize_batch(raw, QuantizationSpec(delta, delta, k), dither_seed=i)
-        inf = quantize_batch(raw, QuantizationSpec(delta, delta), dither_seed=i)
+        unit = unit_dither(raw.data.shape, i)
+        fin = quantize_batch(raw, QuantizationSpec(delta, delta, k), unit=unit)
+        inf = quantize_batch(raw, QuantizationSpec(delta, delta), unit=unit)
         assert np.array_equal(fin.data, inf.data)
         assert np.array_equal(qtscm(fin).generators, qtscm(inf).generators)
         batches += 1
@@ -188,12 +191,13 @@ def test_criterion_07_bit_sweep_plateau():
     for t in range(trials):
         ts = qrng.trial_seed(seed, t)
         raw = sample_complex_gaussian(T, ruler, n, ts)
+        unit = unit_dither(raw.data.shape, ts)
         for k in ks:
             delta = select_level_tail_bound(gamma0, n, ruler.size, k)
-            qb = quantize_batch(raw, QuantizationSpec(delta, delta, k), dither_seed=ts)
+            qb = quantize_batch(raw, QuantizationSpec(delta, delta, k), unit=unit)
             errs[k].append(relative_spectral_error(qtscm(qb), T))
         delta6 = select_level_tail_bound(gamma0, n, ruler.size, 6)
-        qb = quantize_batch(raw, QuantizationSpec(delta6, delta6), dither_seed=ts)
+        qb = quantize_batch(raw, QuantizationSpec(delta6, delta6), unit=unit)
         errs["inf"].append(relative_spectral_error(qtscm(qb), T))
     mean = {k: np.mean(v) for k, v in errs.items()}
     se = {k: np.std(v, ddof=1) / np.sqrt(trials) for k, v in errs.items()}
@@ -280,13 +284,16 @@ def test_criterion_10_quantizer_micro_properties():
     delta = 1.0
     gen = np.random.default_rng(10)
     x = gen.standard_normal(n)
-    tau = qtcov.draw_triangular_dither(delta, n, 11)
-    xq = qtcov.quantize_uniform(x + tau, delta)
+    # x as the one column of a d = 1 raw batch; its real plane takes the dither
+    raw = SampleBatch(1, n, full_ruler(1), x[:, None] + 0j, "raw", 11)
+    unit = unit_dither(raw.data.shape, 11)
+    tau = delta * unit[0][:, 0]
+    xq = quantize_batch(raw, QuantizationSpec(delta, delta), unit=unit).data.real[:, 0]
     noise_ok = abs(np.mean((xq - x) ** 2) - delta ** 2 / 4) <= 0.01 * delta ** 2 / 4
     dither_ok = abs(tau.var() - delta ** 2 / 6) <= 0.01 * delta ** 2 / 6
 
     d, nb = 4, 100_000
-    T = qtcov.toeplitz_from_generators([1.0, 0, 0, 0])
+    T = qtcov.HermitianToeplitz([1.0, 0, 0, 0])
     raw = sample_complex_gaussian(T, full_ruler(d), nb, 12)
     spec = QuantizationSpec(1.0, 1.0)
     zq = quantize_batch(raw, spec).data

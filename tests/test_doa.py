@@ -7,9 +7,8 @@ import qtcov
 from oracles import (brute_force_frequency_mse, music_direct_derivatives,
                      music_direct_estimate, music_direct_grid, music_noise_subspace,
                      wishart_rhat)
-from qtcov import (DoaScene, circular_distance, estimate_frequencies,
-                   frequency_mse, music_spectrum,
-                   toeplitz_from_generators, vandermonde_synthesize)
+from qtcov import (DoaScene, HermitianToeplitz, circular_distance, estimate_frequencies,
+                   frequency_mse, music_spectrum, vandermonde_synthesize)
 from qtcov import rng as qrng
 from qtcov.doa import _pick_peaks
 from qtcov.errors import KOutOfRange, LengthMismatch, QtcovError
@@ -26,7 +25,7 @@ def exact_scene_cov(freqs, d, noise=0.0):
     T = vandermonde_synthesize(freqs, (1.0,) * len(freqs), d)
     gens = T.generators.copy()
     gens[0] = gens[0].real + noise
-    return toeplitz_from_generators(gens)
+    return HermitianToeplitz(gens)
 
 
 class TestScene:
@@ -73,7 +72,7 @@ class TestSpectrum:
         assert spec[peak] >= 1e3 * max(away)
 
     def test_isotropic_spectrum_is_flat(self):
-        T = toeplitz_from_generators([1.0, 0, 0, 0])
+        T = HermitianToeplitz([1.0, 0, 0, 0])
         spec = music_spectrum(T, 1, 64)
         assert (spec.max() - spec.min()) / spec.mean() < 1e-9
 
@@ -118,7 +117,7 @@ class TestEstimateFrequencies:
         np.testing.assert_allclose(freqs, FIVE_SOURCE_FREQS, atol=2 / 4096)
 
     def test_degenerate_is_flagged(self):
-        T = toeplitz_from_generators([1.0, 0, 0, 0])
+        T = HermitianToeplitz([1.0, 0, 0, 0])
         resolved, freqs = estimate_frequencies(T, 1, 64)
         assert not resolved
         assert freqs.shape == (1,)
@@ -127,7 +126,7 @@ class TestEstimateFrequencies:
         T = exact_scene_cov(FIVE_SOURCE_FREQS, 16, noise=0.05)
         _, base = estimate_frequencies(T, 5, 1024)
         for c in (0.25, 2.0, 1024.0):
-            scaled = toeplitz_from_generators(c * T.generators)
+            scaled = HermitianToeplitz(c * T.generators)
             _, freqs = estimate_frequencies(scaled, 5, 1024)
             np.testing.assert_array_equal(freqs, base)
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from qtcov import (EstimationReport, QuantizationSpec, full_ruler, qscm, qtscm,
-                   quantize_batch, quantized_sample_covariance,
+from qtcov import (EstimationReport, HermitianToeplitz, QuantizationSpec, Ruler,
+                   full_ruler, qscm, qtscm, quantize_batch, quantized_sample_covariance,
                    random_toeplitz_covariance, relative_spectral_error,
-                   sample_complex_gaussian, toeplitz_adjoint_project,
-                   toeplitz_from_generators, validate_ruler)
+                   sample_complex_gaussian, toeplitz_adjoint_project)
 from qtcov import rng as qrng
 from qtcov.errors import EmptyBatch, NotFullRuler
 from qtcov.estimators import spectral_norm
@@ -30,7 +29,7 @@ class TestGram:
         np.testing.assert_array_equal(quantized_sample_covariance(b), np.zeros((2, 2)))
 
     def test_identity_plus_bias_mc(self):
-        T = toeplitz_from_generators([1.0, 0.0])
+        T = HermitianToeplitz([1.0, 0.0])
         raw = sample_complex_gaussian(T, full_ruler(2), 100_000, 71)
         b = quantize_batch(raw, QuantizationSpec(1.0, 1.0))
         R = quantized_sample_covariance(b)
@@ -53,7 +52,7 @@ class TestQtscm:
 
     def test_exact_identity_with_adjoint(self):
         T = random_toeplitz_covariance(6, 31)
-        ruler = validate_ruler([1, 2, 4, 6], 6)
+        ruler = Ruler([1, 2, 4, 6], 6)
         raw = sample_complex_gaussian(T, ruler, 40, 32)
         spec = QuantizationSpec(1.0, 0.5)
         b = quantize_batch(raw, spec)
@@ -82,8 +81,8 @@ class TestQtscm:
         d, n, trials = 16, 200, 150
         T = random_toeplitz_covariance(d, 50)
         spec = QuantizationSpec(1.0, 1.0)
-        rulers = [validate_ruler(OMEGA_A, d), validate_ruler(OMEGA_B, d),
-                  validate_ruler([1, 2, 3, 4, 8, 12, 16], d)]
+        rulers = [Ruler(OMEGA_A, d), Ruler(OMEGA_B, d),
+                  Ruler([1, 2, 3, 4, 8, 12, 16], d)]
         means = []
         for r in rulers:
             acc = np.zeros(d, complex)
@@ -112,7 +111,7 @@ class TestQscm:
         np.testing.assert_allclose(qscm(b), qtscm(b).dense)
 
     def test_requires_full_ruler(self):
-        ruler = validate_ruler([1, 2, 4], 4)
+        ruler = Ruler([1, 2, 4], 4)
         b = quantized(np.zeros((2, 3), complex), 4, ruler, QuantizationSpec(0, 0))
         with pytest.raises(NotFullRuler):
             qscm(b)

@@ -127,6 +127,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(f"qtcov-config 1\nexperiment = custom\n{lines}\n")
 
+    @pytest.mark.parametrize("lines, message", [
+        ("d_values = 4, 8, 4", "d_values lists 4 twice"),
+        ("d = 4\nrulers = full, 1 2 3 4, full", "rulers lists full twice"),
+        ("deltas = 1, 1:1", "deltas lists 1.0:1.0 twice"),
+        ("bits = 2, inf, 2", "bits lists 2 twice"),
+        ("bits = inf, 3, inf", "bits lists inf twice"),
+        ("n_values = 20, 20", "n_values lists 20 twice"),
+        ("estimators = qtscm, qscm, qtscm", "estimators lists qtscm twice"),
+    ])
+    def test_rejects_repeated_entries(self, lines, message):
+        # a repeated entry would run and write its cells twice
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(f"qtcov-config 1\nexperiment = custom\n{lines}\n")
+        with pytest.raises(ConfigError, match="rulers lists full twice"):
+            ExperimentConfig("custom", d=4, rulers=("full", "full"), deltas=((1, 1), (1, 1)),
+                             n_values=(20, 20), estimators=("qtscm", "qtscm"),
+                             trials=2).validate()
+
     @pytest.mark.parametrize("word, value", [("1", True), ("TRUE", True), ("yes", True),
                                              ("0", False), ("false", False), ("No", False)])
     def test_boolean_words(self, word, value):
@@ -180,7 +198,7 @@ class TestRunnerSemantics:
         for s in range(d):
             gens[s] = np.mean([z[j] * np.conj(z[j + s]) for j in range(d - s)])
         gens[0] = gens[0].real
-        est = qtcov.toeplitz_from_generators(gens)
+        est = qtcov.HermitianToeplitz(gens)
         expect = np.linalg.norm(est.dense - T.dense, 2) / np.linalg.norm(T.dense, 2)
         [mean_row] = table.means()
         assert mean_row.value == pytest.approx(expect, rel=1e-12)
@@ -493,6 +511,14 @@ class TestInputErrors:
 
 
 class TestOutputs:
+    def test_all_nan_table_writes_no_svg_and_drops_a_stale_one(self, tmp_path):
+        # an earlier plot must not stay beside a CSV it does not show
+        cfg = tiny_config(n_values=(0,))
+        (tmp_path / "custom.svg").write_text("<svg/>")
+        csv_path, svg_path = write_outputs(cfg, run_experiment(cfg), str(tmp_path))
+        assert svg_path is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["custom.csv"]
+
     def test_write_outputs_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTCOV_OUTDIR", str(tmp_path / "envdir"))
         cfg = tiny_config()

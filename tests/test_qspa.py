@@ -58,8 +58,8 @@ class TestObjective:
         Rhat = wishart_rhat(rng, 3, 30)
         gens = toeplitz_adjoint_project(Rhat, full_ruler(3))
         # Rhat is not Toeplitz, so evaluate at an exactly matching Toeplitz pair
-        from qtcov import toeplitz_from_generators
-        A = toeplitz_from_generators(gens).dense
+        from qtcov import HermitianToeplitz
+        A = HermitianToeplitz(gens).dense
         assert qspa_objective(gens, A, full_ruler(3), DELTA0) == pytest.approx(6.0)
 
     def test_scalar(self):
@@ -69,8 +69,8 @@ class TestObjective:
     def test_matches_dense_inverse_reference(self, rng):
         Rhat = wishart_rhat(rng, 3, 50)
         gens = feasible_generators(rng, 3, DELTA11.lag0_bias)
-        from qtcov import toeplitz_from_generators
-        A = toeplitz_from_generators(gens).dense
+        from qtcov import HermitianToeplitz
+        A = HermitianToeplitz(gens).dense
         ref = np.trace(np.linalg.inv(Rhat) @ A) + np.trace(np.linalg.inv(A) @ Rhat)
         val = qspa_objective(gens, Rhat, full_ruler(3), DELTA11)
         assert val == pytest.approx(ref.real, rel=1e-10)
@@ -213,10 +213,10 @@ class TestBarrierCalculus:
         Rhat = wishart_rhat(rng, m, 30)
         Rinv_sqrt = np.linalg.inv(np.linalg.cholesky(Rhat))
         vals_tr, vals_fro = [], []
-        from qtcov import toeplitz_from_generators
+        from qtcov import HermitianToeplitz
         for _ in range(10):
             gens = feasible_generators(rng, m, 0.0)
-            A = toeplitz_from_generators(gens).dense
+            A = HermitianToeplitz(gens).dense
             vals_tr.append(qspa_objective(gens, Rhat, ruler, DELTA0))
             W = np.linalg.inv(np.linalg.cholesky(A))
             M = W @ (Rhat - A) @ Rinv_sqrt.conj().T

@@ -8,52 +8,71 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import redrawn_quantize
-from qtcov import (QuantizationSpec, draw_triangular_dither, full_ruler,
-                   parse_ruler_spec, quantize_batch, quantize_complex, quantize_complex_2kbit,
-                   quantize_kbit, quantize_uniform, random_toeplitz_covariance,
-                   sample_complex_gaussian, select_level_datadriven,
-                   select_level_tail_bound, toeplitz_from_generators)
+from qtcov import (HermitianToeplitz, QuantizationSpec, full_ruler, parse_ruler_spec,
+                   quantize_batch, random_toeplitz_covariance, sample_complex_gaussian,
+                   select_level_datadriven, select_level_tail_bound)
 from qtcov.errors import EmptyBatch, NonPositiveGamma0, QtcovError
 from qtcov.quantizer import codes_to_values, unit_dither, values_to_codes
 from qtcov.sampling import SampleBatch, load_batch, save_batch
 
 
+def quantize(z, spec, unit=(0.0, 0.0)):
+    """quantize_batch on the values z (any shape), held as the one column of a
+    raw d = 1 full-ruler batch.  `unit` is the level-free dither pair, each
+    part shaped like z or a scalar; the default zero pair adds no dither."""
+    z = np.asarray(z, dtype=complex)
+    raw = SampleBatch(1, z.size, full_ruler(1), z.reshape(-1, 1), "raw", 0)
+    unit = [np.broadcast_to(s, z.shape).reshape(raw.data.shape) for s in unit]
+    out = quantize_batch(raw, spec, unit=unit).data.reshape(z.shape)
+    return out if out.ndim else out[()]
+
+
+def uniform(x, delta):
+    """The real part of quantizing x at level delta, with no dither."""
+    return quantize(x, QuantizationSpec(delta, delta)).real
+
+
+def kbit(x, delta, k):
+    """The real part of quantizing x at level delta and depth k, with no dither."""
+    return quantize(x, QuantizationSpec(delta, delta, k)).real
+
+
 class TestUniform:
     def test_examples(self):
-        assert quantize_uniform(0.3, 1.0) == 0.5
-        assert quantize_uniform(-0.7, 0.5) == -0.75
-        assert quantize_uniform(1.23, 0.0) == 1.23
+        assert uniform(0.3, 1.0) == 0.5
+        assert uniform(-0.7, 0.5) == -0.75
+        assert uniform(1.23, 0.0) == 1.23
 
     def test_nan_propagates(self):
-        assert math.isnan(quantize_uniform(float("nan"), 1.0))
+        assert math.isnan(uniform(float("nan"), 1.0))
 
     def test_cell_boundary_floor_semantics(self):
         # exactly representable edges map up to the cell midpoint above
-        assert quantize_uniform(2.0, 1.0) == 2.5
-        assert quantize_uniform(-1.0, 0.5) == -0.75
-        assert quantize_uniform(0.0, 0.25) == 0.125
+        assert uniform(2.0, 1.0) == 2.5
+        assert uniform(-1.0, 0.5) == -0.75
+        assert uniform(0.0, 0.25) == 0.125
 
     def test_error_bounded_by_half_step(self, rng):
         x = rng.standard_normal(10_000) * 5
         for delta in (0.1, 1.0, 3.7):
-            err = np.abs(quantize_uniform(x, delta) - x)
+            err = np.abs(uniform(x, delta) - x)
             assert err.max() <= delta / 2 + 1e-12
 
     def test_rejects_subnormal_level(self):
         # x / level would overflow to [inf, -inf]
         with pytest.raises(QtcovError, match="1e-310 is subnormal"):
-            quantize_uniform(np.array([1.0, -0.5]), 1e-310)
+            uniform(np.array([1.0, -0.5]), 1e-310)
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_level(self, level):
         # an infinite level would give [inf, inf], a nan one [nan, nan]
         with pytest.raises(QtcovError, match=f"{level!r} is not finite"):
-            quantize_uniform(np.array([1.0, -0.5]), level)
+            uniform(np.array([1.0, -0.5]), level)
 
     def test_rejects_negative_level(self):
         # a negative level would silently give [0.5, -0.5]
         with pytest.raises(QtcovError, match="nonnegative"):
-            quantize_uniform(np.array([1.0, -0.5]), -1.0)
+            uniform(np.array([1.0, -0.5]), -1.0)
 
 
 class TestSpec:
@@ -82,73 +101,78 @@ class TestSpec:
 
 class TestKBit:
     def test_interior(self):
-        assert quantize_kbit(0.3, 1.0, 2) == 0.5
+        assert kbit(0.3, 1.0, 2) == 0.5
 
     def test_rejects_subnormal_level(self):
         with pytest.raises(QtcovError, match="1e-310 is subnormal"):
-            quantize_kbit(np.array([1.0, -0.5]), 1e-310, 2)
+            kbit(np.array([1.0, -0.5]), 1e-310, 2)
 
     @pytest.mark.parametrize("level", [np.nan, np.inf])
     def test_rejects_non_finite_level(self, level):
         with pytest.raises(QtcovError, match="not finite"):
-            quantize_kbit(np.array([1.0, -0.5]), level, 2)
+            kbit(np.array([1.0, -0.5]), level, 2)
 
     def test_clips(self):
-        assert quantize_kbit(5.0, 1.0, 2) == 2.5
-        assert quantize_kbit(-5.0, 1.0, 2) == -2.5
-        assert quantize_kbit(1.0, 1.0, 2) == 2.5  # boundary belongs to the clip
+        assert kbit(5.0, 1.0, 2) == 2.5
+        assert kbit(-5.0, 1.0, 2) == -2.5
+        assert kbit(1.0, 1.0, 2) == 2.5  # boundary belongs to the clip
 
     def test_level_near_tiny_clips_where_the_divide_overflows(self):
         # 5 / 2.3e-308 overflows; the k-bit path clips such values, the uniform path raises
         x, delta = np.array([5.0, -5.0, 0.0]), 2.3e-308
         with np.errstate(over="raise"):
-            np.testing.assert_array_equal(quantize_kbit(x, delta, 2),
+            np.testing.assert_array_equal(kbit(x, delta, 2),
                                           [2.5 * delta, -2.5 * delta, 0.5 * delta])
             with pytest.raises(FloatingPointError, match="overflow"):
-                quantize_uniform(x, delta)
+                uniform(x, delta)
 
     def test_matches_uniform_in_interior(self, rng):
         x = rng.uniform(-2.9, 2.9, 1000)
         for k in (3, 4):
-            np.testing.assert_array_equal(quantize_kbit(x, 1.0, k), quantize_uniform(x, 1.0))
+            np.testing.assert_array_equal(kbit(x, 1.0, k), uniform(x, 1.0))
 
     def test_alphabet_size(self, rng):
         k, delta = 3, 0.5
         x = rng.standard_normal(200_000) * 4
-        vals = np.unique(quantize_kbit(x, delta, k))
+        vals = np.unique(kbit(x, delta, k))
         assert vals.size <= 2 ** k
         codes = vals / delta - 0.5
         np.testing.assert_allclose(codes, np.round(codes), atol=1e-12)
 
     def test_rejects_bad_params(self):
         with pytest.raises(QtcovError):
-            quantize_kbit(1.0, 0.0, 2)
+            kbit(1.0, 0.0, 2)
         with pytest.raises(QtcovError):
-            quantize_kbit(1.0, 1.0, 0)
+            kbit(1.0, 1.0, 0)
 
 
 class TestDither:
     def test_zero_level(self):
-        np.testing.assert_array_equal(draw_triangular_dither(0.0, 100, 1), np.zeros(100))
+        # a zero level applies no dither, whatever the drawn pair holds
+        z = np.arange(1, 101) * (0.3 - 0.7j)
+        np.testing.assert_array_equal(
+            quantize(z, QuantizationSpec(0.0, 0.0), unit_dither((100,), 1)), z)
 
     def test_moments(self):
-        d = draw_triangular_dither(2.0, 1_000_000, 3)
-        assert abs(d.mean()) < 0.005
-        assert d.var() == pytest.approx(4.0 / 6.0, rel=0.01)
-        assert np.abs(d).max() <= 2.0
+        # triangular dither at level 2 is 2 * (u0 + u1)
+        for part in unit_dither((1_000_000,), 3):
+            d = 2.0 * part
+            assert abs(d.mean()) < 0.005
+            assert d.var() == pytest.approx(4.0 / 6.0, rel=0.01)
+            assert np.abs(d).max() <= 2.0
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(draw_triangular_dither(1.0, 50, 9),
-                                      draw_triangular_dither(1.0, 50, 9))
+        assert list(map(bits_of, unit_dither((50,), 9))) == \
+            list(map(bits_of, unit_dither((50,), 9)))
 
 
 class TestComplexQuantization:
     def test_zero_level_identity(self):
         z = 0.37 - 1.2j
-        assert quantize_complex(z, QuantizationSpec(0.0, 0.0), 0.0) == z
+        assert quantize(z, QuantizationSpec(0.0, 0.0)) == z
 
     def test_componentwise(self):
-        out = quantize_complex(0.3 - 0.7j, QuantizationSpec(1.0, 0.5), 0.0)
+        out = quantize(0.3 - 0.7j, QuantizationSpec(1.0, 0.5))
         assert out == 0.5 - 0.75j
 
     def test_second_moment_identity_mc(self):
@@ -163,15 +187,14 @@ class TestComplexQuantization:
         assert np.max(np.abs(resid)) < 5.0 / np.sqrt(n) * (T.generators[0].real + 1)
 
     def test_2kbit_examples(self):
-        assert quantize_complex_2kbit(10 + 10j, 1.0, 2, 0.0) == 2.5 + 2.5j
+        assert quantize(10 + 10j, QuantizationSpec(1.0, 1.0, 2)) == 2.5 + 2.5j
 
     def test_2kbit_equals_unclipped_inside_box(self, rng):
         k, delta = 3, 1.0
         lim = (2 ** (k - 1) - 1) * delta
         z = rng.uniform(-lim * 0.99, lim * 0.99, 500) + 1j * rng.uniform(-lim * 0.99, lim * 0.99, 500)
-        spec = QuantizationSpec(delta, delta)
-        np.testing.assert_array_equal(quantize_complex_2kbit(z, delta, k, 0.0),
-                                      quantize_complex(z, spec, 0.0))
+        np.testing.assert_array_equal(quantize(z, QuantizationSpec(delta, delta, k)),
+                                      quantize(z, QuantizationSpec(delta, delta)))
 
 
 class TestBatchPipeline:
@@ -195,11 +218,12 @@ class TestBatchPipeline:
 
     def test_level_scales_common_dither_stream(self):
         # one seed, two levels: dither scales linearly, so outputs pair up
-        T = toeplitz_from_generators([0.0, 0.0])
+        T = HermitianToeplitz([0.0, 0.0])
         raw = sample_complex_gaussian(T, full_ruler(2), 50, 5)  # all zeros
-        a = quantize_batch(raw, QuantizationSpec(1.0, 1.0), dither_seed=77).data
-        b = quantize_batch(raw, QuantizationSpec(2.0, 2.0), dither_seed=77).data
-        np.testing.assert_array_equal(quantize_uniform(a.real * 2, 2.0), b.real)
+        unit = unit_dither(raw.data.shape, 77)
+        a = quantize_batch(raw, QuantizationSpec(1.0, 1.0), unit=unit).data
+        b = quantize_batch(raw, QuantizationSpec(2.0, 2.0), unit=unit).data
+        np.testing.assert_array_equal(uniform(a.real * 2, 2.0), b.real)
 
 
 LEVELS = st.just(0.0) | st.floats(0.01, 4.0)  # zero, or far from subnormal
@@ -240,20 +264,21 @@ class TestPreDrawnDither:
 
 
 class TestPlaneKernel:
-    """The in-place plane kernel gives the bits of the whole-array
-    quantizers kept in tests/oracles.py, on every entry point
-    (quantize_batch: TestPreDrawnDither)."""
+    """quantize_batch's in-place plane kernel gives the bits of the
+    whole-array quantizers kept in tests/oracles.py, without and with a bit
+    depth (its own dither draw is checked in TestPreDrawnDither)."""
 
     @staticmethod
-    def assert_public_quantizers_match(z, delta, bits, tau):
-        spec = QuantizationSpec(delta, delta / 2)
-        assert bits_of(quantize_complex(z, spec, tau)) == \
-            bits_of(oracles.quantize_complex(z, spec, tau))
-        assert bits_of(quantize_complex_2kbit(z, delta, bits, tau)) == \
-            bits_of(oracles.quantize_complex_2kbit(z, delta, bits, tau))
-        assert bits_of(quantize_uniform(z.real, delta)) == \
+    def assert_public_quantizers_match(z, delta, bits, unit):
+        sr, si = unit
+        for spec in (QuantizationSpec(delta, delta / 2), QuantizationSpec(delta, delta, bits)):
+            tau = spec.delta_r * sr + 1j * spec.delta_i * si
+            want = (oracles.quantize_complex(z, spec, tau) if spec.bits_k is None
+                    else oracles.quantize_complex_2kbit(z, delta, bits, tau))
+            assert bits_of(quantize(z, spec, unit)) == bits_of(want)
+        assert bits_of(uniform(z.real, delta)) == \
             bits_of(oracles.quantize_uniform(z.real, delta))
-        assert bits_of(quantize_kbit(z.imag, delta, bits)) == \
+        assert bits_of(kbit(z.imag, delta, bits)) == \
             bits_of(oracles.quantize_kbit(z.imag, delta, bits))
 
     @settings(max_examples=60, deadline=None)
@@ -262,15 +287,15 @@ class TestPlaneKernel:
     def test_public_quantizers_match_oracle(self, seed, delta, bits, scale):
         gen = np.random.default_rng(seed)
         z = scale * (gen.standard_normal(50) + 1j * gen.standard_normal(50))
-        tau = gen.uniform(-delta, delta, 50) + 1j * gen.uniform(-delta, delta, 50)
-        self.assert_public_quantizers_match(z, delta, bits, tau)
+        unit = gen.uniform(-1.0, 1.0, (2, 50))
+        self.assert_public_quantizers_match(z, delta, bits, unit)
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4])
     def test_clip_thresholds_match_oracle(self, bits):
         # half-integer multiples of the level, so values sit on the cell
         # edges and on both clip thresholds; the dither is a scalar zero
         z = 0.75 * (np.arange(-25, 25) + 1j * np.arange(25, -25, -1)) / 2
-        self.assert_public_quantizers_match(z, 0.75, bits, 0.0)
+        self.assert_public_quantizers_match(z, 0.75, bits, (0.0, 0.0))
 
     @pytest.mark.parametrize("spec", [QuantizationSpec(1.5, 0.5), QuantizationSpec(0.0, 0.0),
                                       QuantizationSpec(2.0, 2.0, 2)])
@@ -339,7 +364,7 @@ class TestLevelSelection:
             select_level_datadriven(empty)
 
     def test_datadriven_rayleigh_range(self):
-        T = toeplitz_from_generators([1.0, 0.0])
+        T = HermitianToeplitz([1.0, 0.0])
         raw = sample_complex_gaussian(T, full_ruler(2), 5000, 123)  # n|Omega| = 1e4
         assert 2.5 <= select_level_datadriven(raw) <= 5.5
 
@@ -348,9 +373,9 @@ class TestNoiseMoments:
     def test_quantization_noise_power(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(1_000_000)
+        unit = unit_dither(x.shape, 81)
         for delta in (0.5, 1.0):
-            tau = draw_triangular_dither(delta, x.size, 81)
-            xq = quantize_uniform(x + tau, delta)
+            xq = quantize(x, QuantizationSpec(delta, delta), unit).real
             assert np.mean((xq - x) ** 2) == pytest.approx(delta ** 2 / 4, rel=0.01)
 
     def test_unbiased_second_moment_rate(self):
@@ -360,8 +385,7 @@ class TestNoiseMoments:
         errs = {}
         for n in (10_000, 1_000_000):
             x = rng.standard_normal(n)
-            tau = draw_triangular_dither(delta, n, 82)
-            xq = quantize_uniform(x + tau, delta)
+            xq = quantize(x, QuantizationSpec(delta, delta), unit_dither((n,), 82)).real
             errs[n] = abs(np.mean(xq * xq) - np.mean(x * x) - delta ** 2 / 4)
             assert errs[n] < 5.0 / np.sqrt(n)
 
@@ -396,8 +420,6 @@ class TestSpecValidation:
     def test_rejects_depth_above_63(self, k):
         with pytest.raises(QtcovError, match=f"bit depth {k} is outside 1..63"):
             QuantizationSpec(1.0, 1.0, k)
-        with pytest.raises(QtcovError, match=f"bit depth {k} is outside 1..63"):
-            quantize_kbit(np.array([1.0, -3.0]), 1.0, k)
 
     def test_bits_require_equal_positive_levels(self):
         with pytest.raises(QtcovError):

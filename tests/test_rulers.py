@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtcov import (coverage_coefficient, full_ruler, make_ruler_alpha,
-                   parse_ruler_spec, validate_ruler)
+from qtcov import (Ruler, coverage_coefficient, full_ruler, make_ruler_alpha,
+                   parse_ruler_spec)
 from qtcov.errors import Duplicate, MissingLag, NotARuler, OutOfRange
 
 OMEGA_A = [1, 2, 3, 4, 5, 6, 7, 8, 16]
@@ -15,26 +15,26 @@ OMEGA_B = [1, 2, 3, 5, 8, 11, 14, 15, 16]
 
 class TestValidation:
     def test_reference_half_ruler_valid(self):
-        r = validate_ruler([1, 2, 3, 4, 8, 12, 16], 16)
+        r = Ruler([1, 2, 3, 4, 8, 12, 16], 16)
         assert r.size == 7
 
     def test_small_valid(self):
-        assert validate_ruler([1, 2, 4], 4).size == 3
+        assert Ruler([1, 2, 4], 4).size == 3
 
     def test_missing_lag_named(self):
         with pytest.raises(MissingLag) as exc:
-            validate_ruler([1, 4], 4)
+            Ruler([1, 4], 4)
         assert exc.value.lag == 1
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            validate_ruler([0, 1, 2], 4)
+            Ruler([0, 1, 2], 4)
         with pytest.raises(OutOfRange):
-            validate_ruler([1, 2, 5], 4)
+            Ruler([1, 2, 5], 4)
 
     def test_duplicate(self):
         with pytest.raises(Duplicate):
-            validate_ruler([1, 2, 2, 4], 4)
+            Ruler([1, 2, 2, 4], 4)
 
     def test_exhaustive_against_difference_enumeration(self):
         # every subset of {1..d} agrees with brute-force lag coverage
@@ -44,7 +44,7 @@ class TestValidation:
                     diffs = {k - j for j in subset for k in subset if k >= j}
                     covers = diffs == set(range(d))
                     try:
-                        validate_ruler(subset, d)
+                        Ruler(subset, d)
                         assert covers, subset
                     except MissingLag:
                         assert not covers, subset
@@ -83,7 +83,7 @@ def rulers(draw):
     idx = set(draw(st.lists(st.integers(1, d), max_size=d))) | {1}
     covered = {k - j for j in idx for k in idx}
     idx |= {1 + s for s in range(d) if s not in covered}
-    return validate_ruler(sorted(idx), d)
+    return Ruler(sorted(idx), d)
 
 
 def lag_pairs(r, s):
@@ -102,12 +102,12 @@ class TestLagPairs:
         assert lag_pairs(full_ruler(4), 0) == ((1, 1), (2, 2), (3, 3), (4, 4))
 
     def test_omega_b_lag_one(self):
-        r = validate_ruler(OMEGA_B, 16)
+        r = Ruler(OMEGA_B, 16)
         assert lag_pairs(r, 1) == ((1, 2), (2, 3), (14, 15), (15, 16))
 
     @pytest.mark.parametrize("indices,d", [(OMEGA_A, 16), (OMEGA_B, 16), ([1, 2, 4], 4)])
     def test_pairs_are_ordered(self, indices, d):
-        r = validate_ruler(indices, d)
+        r = Ruler(indices, d)
         for s in range(d):
             for j, k in lag_pairs(r, s):
                 assert k - j == s and j <= k
@@ -129,10 +129,10 @@ class TestLagPairs:
 
 class TestCoverage:
     def test_omega_a(self):
-        assert coverage_coefficient(validate_ruler(OMEGA_A, 16)) == pytest.approx(10.70, abs=0.01)
+        assert coverage_coefficient(Ruler(OMEGA_A, 16)) == pytest.approx(10.70, abs=0.01)
 
     def test_omega_b(self):
-        assert coverage_coefficient(validate_ruler(OMEGA_B, 16)) == pytest.approx(7.11, abs=0.01)
+        assert coverage_coefficient(Ruler(OMEGA_B, 16)) == pytest.approx(7.11, abs=0.01)
 
     def test_full_d4(self):
         assert coverage_coefficient(full_ruler(4)) == pytest.approx(25 / 12)
@@ -157,17 +157,17 @@ class TestColumns:
 
     def test_sparse_ruler_copies_its_columns(self):
         block = np.arange(12.0).reshape(3, 4)
-        cols = validate_ruler([1, 2, 4], 4).columns(block)
+        cols = Ruler([1, 2, 4], 4).columns(block)
         np.testing.assert_array_equal(cols, block[:, [0, 1, 3]])
         assert not np.shares_memory(cols, block)
 
 
 class TestSerialization:
     def test_string_roundtrip(self):
-        r = validate_ruler(OMEGA_B, 16)
+        r = Ruler(OMEGA_B, 16)
         assert parse_ruler_spec(r.to_string(), 16) == r
 
     def test_parse_named_specs(self):
         assert parse_ruler_spec("full", 5) == full_ruler(5)
         assert parse_ruler_spec("alpha:0.5", 16) == make_ruler_alpha(16, 0.5)
-        assert parse_ruler_spec("1,2,4", 4) == validate_ruler([1, 2, 4], 4)
+        assert parse_ruler_spec("1,2,4", 4) == Ruler([1, 2, 4], 4)

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import complex_gaussian_draw
-from qtcov import (QuantizationSpec, full_ruler, load_batch,
+from qtcov import (HermitianToeplitz, QuantizationSpec, Ruler, full_ruler, load_batch,
                    parse_ruler_spec, quantize_batch, random_toeplitz_covariance,
-                   sample_complex_gaussian, save_batch, toeplitz_from_generators,
-                   validate_ruler)
+                   sample_complex_gaussian, save_batch)
 from qtcov.errors import BatchFormatError, NotPSD, QtcovError
 
 
@@ -33,13 +32,13 @@ class TestRandomCovariance:
 
 class TestComplexGaussian:
     def test_identity_covariance_mc(self):
-        T = toeplitz_from_generators([1.0, 0.0])
+        T = HermitianToeplitz([1.0, 0.0])
         b = sample_complex_gaussian(T, full_ruler(2), 100_000, 7)
         emp = b.data.T @ b.data.conj() / b.count
         assert np.linalg.norm(emp - np.eye(2), 2) < 0.03
 
     def test_zero_covariance(self):
-        T = toeplitz_from_generators([0.0, 0.0, 0.0])
+        T = HermitianToeplitz([0.0, 0.0, 0.0])
         b = sample_complex_gaussian(T, full_ruler(3), 100, 3)
         assert np.all(b.data == 0)
 
@@ -71,7 +70,7 @@ class TestComplexGaussian:
 
     def test_sparse_ruler_is_column_restriction(self):
         T = random_toeplitz_covariance(6, 4)
-        ruler = validate_ruler([1, 2, 4, 6], 6)
+        ruler = Ruler([1, 2, 4, 6], 6)
         full = sample_complex_gaussian(T, full_ruler(6), 50, 17)
         sparse = sample_complex_gaussian(T, ruler, 50, 17)
         np.testing.assert_array_equal(sparse.data, full.data[:, ruler.positions])
@@ -103,7 +102,7 @@ class TestComplexGaussian:
         assert peak <= 2.5 * batch.data.nbytes
 
     def test_rejects_indefinite(self):
-        T = toeplitz_from_generators([1.0, 2.0])  # eigenvalues -1 and 3
+        T = HermitianToeplitz([1.0, 2.0])  # eigenvalues -1 and 3
         with pytest.raises(NotPSD):
             sample_complex_gaussian(T, full_ruler(2), 10, 0)
 
@@ -112,7 +111,7 @@ class TestBatchSerialization:
     @pytest.mark.parametrize("bits", [None, 2, 4])
     def test_roundtrip(self, tmp_path, bits):
         T = random_toeplitz_covariance(5, 8)
-        ruler = validate_ruler([1, 2, 3, 5], 5)
+        ruler = Ruler([1, 2, 3, 5], 5)
         raw = sample_complex_gaussian(T, ruler, 20, 31)
         spec = QuantizationSpec(0.75, 0.75, bits) if bits else QuantizationSpec(0.75, 0.5)
         batch = quantize_batch(raw, spec)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qtcov import toeplitz_adjoint_project, toeplitz_from_generators, vandermonde_synthesize
+from qtcov import HermitianToeplitz, toeplitz_adjoint_project, vandermonde_synthesize
 from qtcov.errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
                           NonRealDiagonal, QtcovError, SizeMismatch)
 from qtcov.estimators import spectral_norm
-from qtcov.rulers import full_ruler, validate_ruler
+from qtcov.rulers import Ruler, full_ruler
 from qtcov.sampling import random_toeplitz_covariance
 
 
@@ -15,38 +15,38 @@ def steering(f, d):
 
 class TestConstruction:
     def test_scalar(self):
-        T = toeplitz_from_generators([1.0])
+        T = HermitianToeplitz([1.0])
         assert T.dense.tolist() == [[1.0 + 0j]]
 
     def test_two_by_two(self):
-        T = toeplitz_from_generators([2.0, 1j])
+        T = HermitianToeplitz([2.0, 1j])
         expect = np.array([[2.0, 1j], [-1j, 2.0]])
         np.testing.assert_array_equal(T.dense, expect)
 
     def test_hermitian_reflection(self):
-        T = toeplitz_from_generators([1.0, 0.5 + 0.5j, 0.2])
+        T = HermitianToeplitz([1.0, 0.5 + 0.5j, 0.2])
         assert T.dense[0, 2] == 0.2
         assert T.dense[2, 0] == 0.2
 
     def test_rejects_complex_diagonal(self):
         with pytest.raises(NonRealDiagonal):
-            toeplitz_from_generators([1.0 + 1e-14j, 0.5])
+            HermitianToeplitz([1.0 + 1e-14j, 0.5])
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyGenerators):
-            toeplitz_from_generators([])
+            HermitianToeplitz([])
 
     @pytest.mark.parametrize("d", [1, 2, 5, 12])
     def test_densify_roundtrip_and_hermitian(self, rng, d):
         gens = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         gens[0] = gens[0].real
-        T = toeplitz_from_generators(gens)
+        T = HermitianToeplitz(gens)
         M = T.dense
         np.testing.assert_array_equal(M[0, :], T.generators)
         np.testing.assert_array_equal(M, M.conj().T)
 
     def test_generators_immutable(self):
-        T = toeplitz_from_generators([1.0, 1j])
+        T = HermitianToeplitz([1.0, 1j])
         with pytest.raises(ValueError):
             T.generators[0] = 5.0
 
@@ -98,7 +98,7 @@ class TestSpectralNormBound:
     # the harness divides by spectral_norm(truth); on a covariance it lies in
     # [r_0, sum_k |r_k|], so it is never zero and never above the symbol bound
     def test_identity(self):
-        T = toeplitz_from_generators([1.0] + [0.0] * 7)
+        T = HermitianToeplitz([1.0] + [0.0] * 7)
         assert spectral_norm(T.dense) == pytest.approx(1.0)
         assert lag_sum_bound(T) == 1.0
 
@@ -125,8 +125,8 @@ class TestAdjointProject:
     def test_toeplitz_restriction_recovers_generators_exactly(self, rng, indices):
         gens = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         gens[0] = gens[0].real
-        T = toeplitz_from_generators(gens)
-        ruler = validate_ruler(indices, 5)
+        T = HermitianToeplitz(gens)
+        ruler = Ruler(indices, 5)
         M = T.dense[np.ix_(ruler.positions, ruler.positions)]
         out = toeplitz_adjoint_project(M, ruler)
         np.testing.assert_array_equal(out, T.generators)
