@@ -12,8 +12,9 @@ from .errors import QtcovError
 from .estimators import (EstimationReport, quantized_sample_covariance,
                          relative_spectral_error)
 from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, PRESETS, PROFILE_CAPS, config_to_text,
-                      default_config, parse_config, parse_level_pair, qspa_from_batch,
-                      resolve_ruler, run_experiment, write_outputs)
+                      default_config, parse_config, parse_level_pair, resolve_ruler,
+                      run_experiment, write_outputs)
+from .qspa import qspa_solve
 from .quantizer import QuantizationSpec, quantize_batch
 from .rulers import coverage_coefficient
 from .sampling import (load_batch, random_toeplitz_covariance,
@@ -39,7 +40,7 @@ def _load_truth(path):
 def _traced_qspa(path):
     """The qspa table entry, also writing the solver's per-iteration trace to `path`."""
     def solve(batch, gram, opts):
-        sol = qspa_from_batch(batch, gram, opts)
+        sol = qspa_solve(gram, batch.ruler, batch.spec, opts, n=batch.count)
         with open(path, "w") as fh:
             fh.write(sol.trace_csv())
         return sol.T_breve, sol.converged

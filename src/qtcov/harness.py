@@ -50,14 +50,8 @@ RULER_ALIASES = {
 FIVE_SOURCE_SCENE = DoaScene(16, (0.08, 0.21, 0.37, 0.68, 0.81), (1.0,) * 5, 0.1)
 
 
-def qspa_from_batch(batch, gram, opts=None):
-    """The qspa fit to a quantized batch from its Gram matrix
-    `quantized_sample_covariance(batch)` (a QspaSolution)."""
-    return qspa_solve(gram, batch.ruler, batch.spec, opts, n=batch.count)
-
-
 def _qspa(batch, gram, opts):
-    sol = qspa_from_batch(batch, gram, opts)
+    sol = qspa_solve(gram, batch.ruler, batch.spec, opts, n=batch.count)
     return sol.T_breve, sol.converged
 
 
@@ -140,8 +134,7 @@ class ExperimentConfig:
             values = list(getattr(self, name))
             for i, value in enumerate(values):
                 if value in values[:i]:  # a repeated entry would run its cells twice
-                    text = CONFIG_KEYS[name][1]((value,))
-                    raise ConfigError(f"{name} lists {text} twice")
+                    raise ConfigError(f"{name} lists {_entry(name, value)} twice")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}")
@@ -150,9 +143,28 @@ class ExperimentConfig:
         for k in self.bits:
             if k is not None:
                 _check_depth(k, ConfigError)
-        for dd in self.d_values or (self.d,):
+        for k in self.bits or (None,):
+            # deltas that give a cell the same levels would run its cells twice
+            read = {}
+            for pair in self.deltas:
+                levels = _configured_levels(self, k, pair)
+                if levels in read:
+                    raise ConfigError(f"deltas {_entry('deltas', read[levels])} and "
+                                      f"{_entry('deltas', pair)} give the same cells under "
+                                      f"level_rule = {self.level_rule} at bits = "
+                                      f"{_entry('bits', k)}")
+                read[levels] = pair
+        if self.scene is not None and self.d_values:
+            raise ConfigError(f"d_values cannot sweep a scene config; "
+                              f"the scene fixes d = {self.scene.d}")
+        for d in self.dims():
+            spelled = {}
             for rspec in self.rulers:
-                resolve_ruler(rspec, dd)
+                ruler = resolve_ruler(rspec, d)
+                if ruler in spelled:
+                    raise ConfigError(f"rulers {_entry('rulers', spelled[ruler])} and "
+                                      f"{_entry('rulers', rspec)} are the same ruler at d = {d}")
+                spelled[ruler] = rspec
         if self.scene is not None and self.music_grid < 8 * self.scene.d:
             raise ConfigError(f"music_grid {self.music_grid} < 8d = {8 * self.scene.d}")
         if self.profile not in PROFILE_CAPS:
@@ -161,6 +173,10 @@ class ExperimentConfig:
             raise ConfigError(f"n up to {max(self.n_values)} exceeds the {self.profile} "
                               f"profile cap of {PROFILE_CAPS[self.profile]}")
         return self
+
+    def dims(self):
+        """The dimensions a run covers: the scene's, or the d sweep."""
+        return (self.scene.d,) if self.scene is not None else self.d_values or (self.d,)
 
 
 @dataclass
@@ -277,6 +293,11 @@ CONFIG_KEYS = {
 }
 
 
+def _entry(key, value):
+    """One entry of a list-valued config key, written in config syntax."""
+    return CONFIG_KEYS[key][1]((value,))
+
+
 def _target(key):
     """(owner, field) a config key sets; owner "qspa", "scene" or "" for the config."""
     owner, _, name = key.partition("_")
@@ -342,25 +363,34 @@ def default_config(experiment, profile="ci", seed=1234, outdir="results"):
 
 # --- runners -------------------------------------------------------------------
 
-def _cell_spec(cfg, raw, k, delta_pair, gamma0):
-    """QuantizationSpec for one grid cell under the configured level rule.
+def _configured_levels(cfg, k, delta_pair):
+    """The (delta_r, delta_i) a cell of bit depth k takes from its configured
+    pair, or None where the level rule picks the level from the data.
 
-    A None bit depth means the unclipped quantizer; under the tail_bound rule
-    it reuses the level of the largest configured depth (the plateau
-    reference).
+    A k-bit quantizer uses delta_r for both parts.  The tail_bound rule picks
+    every level once any bit depth is finite: a None depth then reuses the
+    level of the largest configured depth (the plateau reference).
     """
     finite_ks = [b for b in cfg.bits if b is not None]
-    if cfg.level_rule == "tail_bound" and (k is not None or finite_ks):
-        ref_k = k if k is not None else max(finite_ks)
-        delta = select_level_tail_bound(gamma0, raw.count, raw.ruler.size, ref_k,
-                                        cfg.delta_prime, cfg.c_bit)
-        return QuantizationSpec(delta, delta, k)
+    if cfg.level_rule == "datadriven" or (cfg.level_rule == "tail_bound"
+                                          and (k is not None or finite_ks)):
+        return None
+    return delta_pair if k is None else (delta_pair[0], delta_pair[0])
+
+
+def _cell_spec(cfg, raw, k, delta_pair, gamma0):
+    """QuantizationSpec for one grid cell under the configured level rule;
+    a None bit depth means the unclipped quantizer."""
+    levels = _configured_levels(cfg, k, delta_pair)
+    if levels is not None:
+        return QuantizationSpec(*levels, k)
     if cfg.level_rule == "datadriven":
         delta = select_level_datadriven(raw)
-        return QuantizationSpec(delta, delta, k)
-    if k is not None:
-        return QuantizationSpec(delta_pair[0], delta_pair[0], k)
-    return QuantizationSpec(*delta_pair)
+    else:
+        ref_k = k if k is not None else max(b for b in cfg.bits if b is not None)
+        delta = select_level_tail_bound(gamma0, raw.count, raw.ruler.size, ref_k,
+                                        cfg.delta_prime, cfg.c_bit)
+    return QuantizationSpec(delta, delta, k)
 
 
 def _problems(cfg):
@@ -375,7 +405,7 @@ def _problems(cfg):
             return frequency_mse(freqs, scene.freqs), resolved
         yield scene.d, scene.covariance(), "freq_mse", freq_mse
         return
-    for d in cfg.d_values or (cfg.d,):
+    for d in cfg.dims():
         T = random_toeplitz_covariance(d, cfg.seed)
         truth = T.dense
         norm = spectral_norm(truth)

@@ -35,6 +35,7 @@ only on lag-shifted products of X and Y, so they come from one 2-D FFT
 cross-correlation over the signed lags, in O(d^2 log d) for any ruler.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,14 +85,6 @@ class QspaSolution:
         return "\n".join(lines) + "\n"
 
 
-def regularize_sample_cov(Rhat, eps):
-    """Rhat + eps * I."""
-    if eps < 0:
-        raise QtcovError("regularization must be nonnegative")
-    Rhat = np.asarray(Rhat)
-    return Rhat + eps * np.eye(Rhat.shape[0])
-
-
 def auto_epsilon(Rhat, n=None):
     """Diagonal perturbation for ill-conditioned sample covariances.
 
@@ -125,16 +118,6 @@ def _generators_from_params(v):
     u[0] = v[0]
     u[1:] = v[1::2] + 1j * v[2::2]
     return u
-
-
-def _gen_table(u):
-    # lookup table t[s + d - 1] = u_s (s >= 0), conj(u_{-s}) (s < 0)
-    return np.concatenate([np.conj(u[:0:-1]), u])
-
-
-def _lag_index_matrix(ruler):
-    pos = ruler.positions
-    return (pos[None, :] - pos[:, None]) + ruler.dim - 1
 
 
 def _lag_sums(W, ruler):
@@ -227,21 +210,13 @@ class _BarrierProblem:
         cholR = _try_chol(Rhat)
         if cholR is None:
             raise SingularRhat("sample covariance is not positive definite; "
-                               "apply regularize_sample_cov first")
+                               "set a positive qspa epsilon_reg, or leave it automatic")
         self.Rhat = Rhat
         self.Rinv = _chol_inverse(cholR)
         self.ruler = ruler
         self.full = full_ruler(ruler.dim)
         self.c = float(c)
-        self.block_idx = _lag_index_matrix(ruler)
-        self.full_idx = _lag_index_matrix(self.full)
-
-    def block(self, u):
-        return _gen_table(u)[self.block_idx]
-
-    def shifted_full(self, u):
-        d = self.full.dim
-        return _gen_table(u)[self.full_idx] - self.c * np.eye(d)
+        self.block_pos = np.ix_(ruler.positions, ruler.positions)
 
     def _two_trace(self, A, LA):
         """tr(Rhat^-1 A) + tr(A^-1 Rhat) and A^-1, from the Cholesky factor LA of A."""
@@ -250,21 +225,14 @@ class _BarrierProblem:
         f2 = float(np.sum(Ainv * self.Rhat.T).real)
         return f1 + f2, Ainv
 
-    def objective(self, v):
-        """The two-trace fitting objective f(u), or None if A(u) is not
-        positive definite."""
-        A = self.block(_generators_from_params(v))
-        LA = _try_chol(A)
-        return None if LA is None else self._two_trace(A, LA)[0]
-
     def evaluate(self, v):
-        """The _Point at v, or None if v is infeasible."""
-        u = _generators_from_params(v)
-        A = self.block(u)
+        """The _Point at v, or None if A(u) or T(u) - cI is not positive definite."""
+        T = HermitianToeplitz(_generators_from_params(v)).dense
+        A = T[self.block_pos]
         LA = _try_chol(A)
         if LA is None:
             return None
-        LB = _try_chol(self.shifted_full(u))
+        LB = _try_chol(T - self.c * np.eye(self.ruler.dim))
         if LB is None:
             return None
         objective, Ainv = self._two_trace(A, LA)
@@ -287,36 +255,16 @@ class _BarrierProblem:
 def qspa_objective(u, Rhat, ruler, spec):
     """tr(Rhat^-1 A(u)) + tr(A(u)^-1 Rhat) for generators u.
 
-    Raises SingularRhat if Rhat is not positive definite and InfeasibleU if
-    the ruler block of T(u) is not.
+    Defined on the barrier's domain: raises SingularRhat if Rhat is not
+    positive definite, and InfeasibleU unless both A(u) and T(u) - cI
+    (c = ||Delta||^2/4 of spec) are.  On the full ruler at c = 0 the second
+    condition is the first.
     """
     prob = _BarrierProblem(Rhat, ruler, spec.lag0_bias)
-    obj = prob.objective(_params_from_generators(np.asarray(u, dtype=np.complex128)))
-    if obj is None:
-        raise InfeasibleU("ruler block of T(u) is not positive definite")
-    return obj
-
-
-def _initial_point(prob, spec):
-    """Generators of the bias-corrected projection estimate, lifted to feasibility."""
-    gens = toeplitz_adjoint_project(prob.Rhat, prob.ruler)
-    gens[0] = gens[0].real - spec.lag0_bias
-    shifted = HermitianToeplitz(gens).dense - prob.c * np.eye(prob.ruler.dim)
-    lmin = float(np.linalg.eigvalsh(shifted)[0])
-    if lmin < 1e-6:
-        gens[0] += 1e-6 - lmin
-    return _params_from_generators(gens)
-
-
-def _toeplitz_psd_shortcut(prob, Rhat):
-    """Exact optimum when the full-ruler sample covariance is already Toeplitz PSD."""
-    gens = toeplitz_adjoint_project(Rhat, prob.ruler)
-    scale = max(1.0, float(np.max(np.abs(Rhat))))
-    if not np.allclose(HermitianToeplitz(gens).dense, Rhat, rtol=0.0, atol=1e-13 * scale):
-        return None
-    if float(np.linalg.eigvalsh(Rhat)[0]) < -1e-12 * scale:
-        return None
-    return gens
+    p = prob.evaluate(_params_from_generators(u))
+    if p is None:
+        raise InfeasibleU("A(u) or T(u) - cI is not positive definite")
+    return p.objective
 
 
 def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
@@ -331,28 +279,35 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
 
     Returns a QspaSolution; `converged` is False if the iteration budget ran
     out, in which case the best iterate found is returned.
+
+    One Toeplitz projection of Rhat starts the solve.  On the full ruler at
+    c = 0 it is the exact optimum when it reproduces Rhat and is PSD (the
+    barrier stalls on such inputs); otherwise its bias-removed form (the
+    qtscm estimate), lifted to feasibility, starts the barrier.
     """
     opts = opts or QspaOptions()
     Rhat = np.asarray(Rhat, dtype=np.complex128)
     eps = auto_epsilon(Rhat, n) if opts.epsilon_reg is None else float(opts.epsilon_reg)
-    Rwork = regularize_sample_cov(Rhat, eps) if eps > 0 else Rhat
+    if eps > 0:
+        Rhat = Rhat + eps * np.eye(Rhat.shape[0])
 
     c = spec.lag0_bias
-    prob = _BarrierProblem(Rwork, ruler, c)
-    d = ruler.dim
-    n_params = 2 * d - 1
-
+    prob = _BarrierProblem(Rhat, ruler, c)
+    gens = toeplitz_adjoint_project(Rhat, ruler)
     if c == 0.0 and ruler.is_full():
-        gens = _toeplitz_psd_shortcut(prob, Rwork)
-        if gens is not None:
-            obj = prob.objective(_params_from_generators(gens))
-            if obj is None:
-                obj = 2.0 * ruler.size
-            breve = HermitianToeplitz(gens)
-            return QspaSolution(gens, obj, 0.0, 0, breve, True,
+        scale = max(1.0, float(np.max(np.abs(Rhat))))
+        if (np.allclose(HermitianToeplitz(gens).dense, Rhat, rtol=0.0, atol=1e-13 * scale)
+                and float(np.linalg.eigvalsh(Rhat)[0]) >= -1e-12 * scale):
+            p = prob.evaluate(_params_from_generators(gens))
+            obj = 2.0 * ruler.size if p is None else p.objective
+            return QspaSolution(gens, obj, 0.0, 0, HermitianToeplitz(gens), True,
                                 trace=[(0, 0.0, obj, 0.0)])
 
-    return _barrier_iterations(prob, _initial_point(prob, spec), opts, n_params, c)
+    gens[0] = gens[0].real - c
+    lmin = float(np.linalg.eigvalsh(HermitianToeplitz(gens).dense - c * np.eye(ruler.dim))[0])
+    if lmin < 1e-6:
+        gens[0] += 1e-6 - lmin
+    return _barrier_iterations(prob, _params_from_generators(gens), opts)
 
 
 _MU_SHRINK = 0.05   # mu factor per centering
@@ -371,7 +326,7 @@ def _backtrack(prob, v, dv, min_step, accept=None):
     return None
 
 
-def _barrier_iterations(prob, v, opts, n_params, c):
+def _barrier_iterations(prob, v, opts):
     p = prob.evaluate(v)
     if p is None:
         raise InfeasibleU("barrier evaluated at an infeasible point")
@@ -382,8 +337,8 @@ def _barrier_iterations(prob, v, opts, n_params, c):
     total_newton = 0
     trace = []
     converged = False
-    kkt = np.inf
-    obj = np.nan
+    kkt = math.inf
+    obj = math.nan
     for outer in range(opts.max_outer):
         # Center at the current mu with damped Newton steps.  The stationarity
         # residual is the Newton decrement sqrt(g^T H^-1 g): lambda^2 / 2
@@ -396,7 +351,7 @@ def _barrier_iterations(prob, v, opts, n_params, c):
             grad, H, grad_logdet = prob.newton_system(p, mu)
             dv, tangent = _solve_newton(H, np.column_stack([grad, grad_logdet])).T
             lam2 = -float(grad @ dv)
-            kkt = np.sqrt(max(lam2, 0.0))
+            kkt = math.sqrt(max(lam2, 0.0))
             # Loose centering at large mu (the center is about to move anyway),
             # tight once mu is small.
             ctol = max(1e-14 * (1.0 + abs(val)), min(1e-2 * mu, 1e-9 * (1.0 + abs(val))))
@@ -411,7 +366,7 @@ def _barrier_iterations(prob, v, opts, n_params, c):
             p = trial
         obj = p.objective
         trace.append((outer, mu, obj, kkt))
-        if n_params * mu < opts.newton_tol and kkt < 1e-6 * (1.0 + abs(obj)):
+        if v.size * mu < opts.newton_tol and kkt < 1e-6 * (1.0 + abs(obj)):
             converged = True
             break
         mu_next = mu * _MU_SHRINK
@@ -425,7 +380,7 @@ def _barrier_iterations(prob, v, opts, n_params, c):
 
     u = _generators_from_params(p.v)
     breve_gens = u.copy()
-    breve_gens[0] = breve_gens[0].real - c
+    breve_gens[0] = breve_gens[0].real - prob.c
     return QspaSolution(u, obj, kkt, total_newton,
                         HermitianToeplitz(breve_gens), converged, trace)
 

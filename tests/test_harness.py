@@ -13,7 +13,7 @@ from qtcov import harness
 from qtcov import rng as qrng
 from qtcov.cli import build_parser, main
 from qtcov.doa import DoaScene
-from qtcov.errors import ConfigError, EmptyTable, MixedMetrics
+from qtcov.errors import ConfigError, EmptyTable, MixedMetrics, QtcovError
 from qtcov.harness import (ExperimentConfig, ResultTable, Row, config_to_text,
                            default_config, parse_config, resolve_ruler,
                            run_experiment, write_outputs)
@@ -48,7 +48,7 @@ def tiny_config(**kw):
 
 # configs besides the presets that must survive the text round trip
 ROUNDTRIP_CONFIGS = {
-    "index_list_ruler": ExperimentConfig("custom", d=6, rulers=("1,2,4,6", "alpha:0.5")),
+    "index_list_ruler": ExperimentConfig("custom", d=6, rulers=("1,2,4,6", "full")),
 }
 
 
@@ -144,6 +144,42 @@ class TestConfig:
             ExperimentConfig("custom", d=4, rulers=("full", "full"), deltas=((1, 1), (1, 1)),
                              n_values=(20, 20), estimators=("qtscm", "qtscm"),
                              trials=2).validate()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("d = 4\nrulers = full, 1 2 3 4, alpha:1",
+         "rulers full and 1 2 3 4 are the same ruler at d = 4"),
+        ("d_values = 16, 4\nrulers = alpha:0.5, alpha:0.6",
+         "rulers alpha:0.5 and alpha:0.6 are the same ruler at d = 4"),
+        ("d = 4\nbits = 2\ndeltas = 1:1, 1:2",
+         "deltas 1.0:1.0 and 1.0:2.0 give the same cells under level_rule = fixed at bits = 2"),
+        ("d = 4\nbits = inf, 3\ndeltas = 1:1, 1:2",
+         "deltas 1.0:1.0 and 1.0:2.0 give the same cells under level_rule = fixed at bits = 3"),
+        ("d = 4\nlevel_rule = tail_bound\nbits = 2\ndeltas = 1, 3",
+         "deltas 1.0:1.0 and 3.0:3.0 give the same cells under level_rule = tail_bound"),
+        ("d = 4\nlevel_rule = datadriven\ndeltas = 1, 3",
+         "deltas 1.0:1.0 and 3.0:3.0 give the same cells under level_rule = datadriven"),
+        ("d = 8\nd_values = 8, 12\nscene_freqs = 0.1, 0.3\nscene_powers = 1, 1",
+         "d_values cannot sweep a scene config; the scene fixes d = 8"),
+    ])
+    def test_rejects_entries_that_run_the_same_cells(self, lines, message):
+        # distinct entries that resolve to the same cells would write identical rows
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(f"qtcov-config 1\nexperiment = custom\nn_values = 50\n{lines}\n")
+
+    @pytest.mark.parametrize("lines", [
+        "deltas = 1:1, 1:2",
+        "level_rule = tail_bound\ndeltas = 1, 3",
+        "bits = 2\ndeltas = 1:1, 2:1",
+    ])
+    def test_keeps_deltas_that_give_distinct_cells(self, lines):
+        cfg = parse_config(f"qtcov-config 1\nexperiment = custom\nd = 4\n{lines}\n")
+        assert len(cfg.deltas) == 2
+
+    def test_rulers_checked_at_the_scene_dimension(self):
+        # the run covers the scene's d, where 1 2 3 4 misses lags
+        scene = DoaScene(8, (0.1, 0.3), (1.0, 1.0), 0.1)
+        with pytest.raises(QtcovError, match="lag"):
+            tiny_config(rulers=("1,2,3,4",), scene=scene).validate()
 
     @pytest.mark.parametrize("word, value", [("1", True), ("TRUE", True), ("yes", True),
                                              ("0", False), ("false", False), ("No", False)])
@@ -387,7 +423,12 @@ class TestCli:
         assert len(lines) == 3
         errs = [float(line.split(",")[-1]) for line in lines[1:]]
         assert all(0 < e < 1.5 for e in errs)
-        assert trace.read_text().startswith("iteration,mu,objective,kkt_residual")
+        header, *records = trace.read_text().splitlines()
+        assert header == "iteration,mu,objective,kkt_residual"
+        assert records
+        for record in records:
+            for value in record.split(","):
+                float(value)  # raises on a numpy scalar repr such as np.float64(...)
 
     def test_experiment_writes_outputs(self, tmp_path):
         env_cfg = tmp_path / "exp.cfg"

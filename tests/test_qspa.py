@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from qtcov import rng as qrng
-from qtcov import (QuantizationSpec, auto_epsilon, full_ruler, harness, make_ruler_alpha,
-                   parse_ruler_spec, qspa, qspa_objective, qspa_solve, quantize_batch,
-                   quantized_sample_covariance, random_toeplitz_covariance,
-                   regularize_sample_cov, sample_complex_gaussian,
-                   toeplitz_adjoint_project)
+from qtcov import (HermitianToeplitz, QuantizationSpec, auto_epsilon, full_ruler, harness,
+                   make_ruler_alpha, parse_ruler_spec, qspa, qspa_objective, qspa_solve,
+                   quantize_batch, quantized_sample_covariance, random_toeplitz_covariance,
+                   sample_complex_gaussian, toeplitz_adjoint_project)
 from qtcov.errors import InfeasibleU, QtcovError, SingularRhat
 from qtcov.qspa import QspaOptions, _BarrierProblem, _params_from_generators
 
@@ -101,18 +100,11 @@ class TestOptions:
 
 
 class TestRegularization:
-    def test_zero_eps_is_identity(self, rng):
-        Rhat = wishart_rhat(rng, 3, 10)
-        np.testing.assert_array_equal(regularize_sample_cov(Rhat, 0.0), Rhat)
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(regularize_sample_cov(np.zeros((2, 2)), 1.0), np.eye(2))
-
     def test_auto_eps_lifts_singular_rhat(self, rng):
         Rhat = wishart_rhat(rng, 4, 2)  # rank deficient: n < |ruler|
         eps = auto_epsilon(Rhat, n=2)
         assert eps > 0
-        lifted = regularize_sample_cov(Rhat, eps)
+        lifted = Rhat + eps * np.eye(4)
         assert np.linalg.eigvalsh(lifted)[0] >= eps / 2
 
     def test_auto_eps_zero_for_healthy_input(self, rng):
@@ -127,6 +119,15 @@ class TestSolve:
         np.testing.assert_allclose(sol.u, T.generators, atol=1e-12)
         assert sol.objective == pytest.approx(8.0)
         np.testing.assert_allclose(sol.T_breve.dense, T.dense, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_exact_toeplitz_input_takes_the_shortcut(self, d):
+        # the barrier alone runs out of Newton steps on these inputs
+        T = random_toeplitz_covariance(d, 77)
+        sol = qspa_solve(T.dense, full_ruler(d), DELTA0)
+        assert sol.converged
+        assert sol.iterations == 0
+        np.testing.assert_allclose(sol.u, T.generators, rtol=0.0, atol=1e-12)
 
     def test_scalar_active_constraint(self):
         spec = QuantizationSpec(np.sqrt(2), np.sqrt(2))  # bias = 1
@@ -183,6 +184,9 @@ class TestSolve:
         lines = text.strip().splitlines()
         assert lines[0] == "iteration,mu,objective,kkt_residual"
         assert len(lines) == len(sol.trace) + 1
+        for line in lines[1:]:
+            for value in line.split(","):
+                float(value)  # raises on a numpy scalar repr such as np.float64(...)
 
 
 class TestBarrierCalculus:
@@ -242,7 +246,8 @@ class TestStructuredHessian:
         # and close to its boundary
         for margin in (1.0, 1e-2, 1e-4):
             gens = feasible_generators(rng, d, c, margin=0.0)
-            gens[0] += margin - np.linalg.eigvalsh(prob.shifted_full(gens))[0]
+            shifted = HermitianToeplitz(gens).dense - c * np.eye(d)
+            gens[0] += margin - np.linalg.eigvalsh(shifted)[0]
             point = prob.evaluate(_params_from_generators(gens))
             mu = float(rng.uniform(0.05, 2.0))
             _, H, _ = prob.newton_system(point, mu)
