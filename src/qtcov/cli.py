@@ -9,14 +9,13 @@ import numpy as np
 from . import __version__
 from .doa import estimate_frequencies, frequency_mse
 from .errors import QtcovError
-from .estimators import (EstimationReport, quantized_sample_covariance,
-                         relative_spectral_error)
+from .estimators import quantized_sample_covariance, relative_spectral_error
 from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, PRESETS, PROFILE_CAPS, config_to_text,
-                      default_config, parse_config, parse_level_pair, resolve_ruler,
-                      run_experiment, write_outputs)
+                      default_config, parse_config, parse_level_pair, run_experiment,
+                      write_outputs)
 from .qspa import qspa_solve
 from .quantizer import QuantizationSpec, quantize_batch
-from .rulers import coverage_coefficient
+from .rulers import coverage_coefficient, resolve_ruler
 from .sampling import (load_batch, random_toeplitz_covariance,
                        sample_complex_gaussian, save_batch)
 from .toeplitz import HermitianToeplitz
@@ -80,16 +79,18 @@ def cmd_estimate(args):
     estimators = ESTIMATORS
     if args.qspa_trace:
         estimators = {**ESTIMATORS, "qspa": _traced_qspa(args.qspa_trace)}
-    rows = [EstimationReport.CSV_HEADER]
+    rows = ["estimator,d,n,ruler,delta_r,delta_i,k,seed,rel_error_spectral"]
     gram = quantized_sample_covariance(batch)
     for name in args.estimator:
+        # the estimator runs first: it rejects a raw batch, which has no spec
         est, converged = estimators[name](batch, gram, None)
         if not converged:
             print(f"warning: {name} did not converge", file=sys.stderr)
-        err = relative_spectral_error(est, truth) if truth is not None else None
-        report = EstimationReport(est, name, batch.spec, batch.ruler,
-                                  batch.count, batch.seed, err)
-        rows.append(report.csv_row())
+        err = "" if truth is None else repr(relative_spectral_error(est, truth))
+        spec = batch.spec
+        k = "" if spec.bits_k is None else spec.bits_k
+        rows.append(f"{name},{batch.dim},{batch.count},\"{batch.ruler.to_string()}\","
+                    f"{spec.delta_r!r},{spec.delta_i!r},{k},{batch.seed},{err}")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -131,11 +132,12 @@ def cmd_doa(args):
     batch = _simulate(scene.covariance(), args)
     est, converged = ESTIMATORS[args.estimator](batch, quantized_sample_covariance(batch), None)
     if not converged:
-        print(f"warning: {args.estimator} did not converge")
+        print(f"warning: {args.estimator} did not converge", file=sys.stderr)
     resolved, freqs = estimate_frequencies(est, scene.k_sources, args.grid)
     print("estimated frequencies:", " ".join(f"{f:.6f}" for f in freqs))
     if not resolved:
-        print("warning: degenerate spectrum, output padded with largest grid points")
+        print("warning: degenerate spectrum, output padded with largest grid points",
+              file=sys.stderr)
     print("true frequencies:     ", " ".join(f"{f:.6f}" for f in scene.freqs))
     print(f"frequency mse: {frequency_mse(freqs, scene.freqs):.6e}")
     return 0

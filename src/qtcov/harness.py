@@ -34,18 +34,12 @@ from .estimators import qscm, qtscm, quantized_sample_covariance, spectral_norm
 from .quantizer import (QuantizationSpec, _check_depth, quantize_batch,
                         select_level_datadriven, select_level_tail_bound, unit_dither)
 from .qspa import QspaOptions, qspa_solve
-from .rulers import Ruler, full_ruler, parse_ruler_spec
+from .rulers import full_ruler, resolve_ruler
 from .sampling import SampleBatch, random_toeplitz_covariance, sample_complex_gaussian
 from .svgplot import emit_plot
 from .toeplitz import as_dense
 
 CONFIG_FORMAT = "qtcov-config 1"
-
-# named rulers from the d=16 comparison study
-RULER_ALIASES = {
-    "A": (1, 2, 3, 4, 5, 6, 7, 8, 16),
-    "B": (1, 2, 3, 5, 8, 11, 14, 15, 16),
-}
 
 FIVE_SOURCE_SCENE = DoaScene(16, (0.08, 0.21, 0.37, 0.68, 0.81), (1.0,) * 5, 0.1)
 
@@ -90,14 +84,6 @@ PRESETS = {
                                  estimators=tuple(ESTIMATORS), scene=FIVE_SOURCE_SCENE)),
     "custom": ("line-linear", {}),
 }
-
-
-def resolve_ruler(spec, d):
-    """Ruler from a spec string, accepting the named d=16 study rulers."""
-    name = spec.strip()
-    if name.upper() in RULER_ALIASES:
-        return Ruler(RULER_ALIASES[name.upper()], d)
-    return parse_ruler_spec(spec, d)
 
 
 @dataclass
@@ -472,7 +458,7 @@ def run_experiment(config):
                     try:
                         if drawn_key != row.ruler:
                             drawn_key = raw = unit = None
-                            raw = SampleBatch(d, n, ruler, ruler.columns(block), "raw", ts)
+                            raw = SampleBatch(ruler, ruler.columns(block), ts)
                             unit = unit_dither(raw.data.shape, ts)
                             drawn_key = row.ruler
                         spec = _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0)

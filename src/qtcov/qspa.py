@@ -285,6 +285,8 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
     barrier stalls on such inputs); otherwise its bias-removed form (the
     qtscm estimate), lifted to feasibility, starts the barrier.
     """
+    if spec is None:  # a raw batch has no spec
+        raise QtcovError("estimators expect a quantized batch")
     opts = opts or QspaOptions()
     Rhat = np.asarray(Rhat, dtype=np.complex128)
     eps = auto_epsilon(Rhat, n) if opts.epsilon_reg is None else float(opts.epsilon_reg)

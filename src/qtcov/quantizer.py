@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import rng
-from .errors import EmptyBatch, NonPositiveGamma0, QtcovError
+from .errors import NonPositiveGamma0, QtcovError
 from .sampling import SampleBatch
 
 
@@ -125,7 +125,8 @@ def unit_dither(shape, seed):
 
 
 def quantize_batch(batch, spec, unit=None):
-    """Quantize a raw batch; the dither is applied and discarded.
+    """The quantized batch of a raw one (a batch without a spec): the same
+    ruler and seed, new data, and `spec`.  The dither is applied and discarded.
 
     `unit` is a pair from `unit_dither(batch.data.shape, seed)`, drawn
     independently of the Gaussian sample stream; by default it is drawn from
@@ -139,7 +140,7 @@ def quantize_batch(batch, spec, unit=None):
     not.  Neither the batch nor the pair is written.  Estimators only ever
     see the returned quantized values.
     """
-    if batch.stage != "raw":
+    if batch.spec is not None:
         raise QtcovError("quantize_batch expects a raw batch")
     z = batch.data
     if unit is None:
@@ -156,8 +157,7 @@ def quantize_batch(batch, spec, unit=None):
         x += part
         _quantize_plane(x, delta, spec.bits_k)
         plane[...] = x
-    return SampleBatch(batch.dim, batch.count, batch.ruler, data,
-                       "quantized", batch.seed, spec)
+    return SampleBatch(batch.ruler, data, batch.seed, spec)
 
 
 def select_level_tail_bound(gamma0, n, ruler_size, k, delta_prime=math.log(10.0),
@@ -180,8 +180,6 @@ def select_level_tail_bound(gamma0, n, ruler_size, k, delta_prime=math.log(10.0)
 
 def select_level_datadriven(batch):
     """Max modulus over all entries of a raw batch (parameter-free level rule)."""
-    if batch.data.size == 0:
-        raise EmptyBatch("cannot select a level from an empty batch")
     return float(np.max(np.abs(batch.data)))
 
 

@@ -18,7 +18,6 @@ import numpy as np
 GAUSS = 1        # complex Gaussian sample draws
 DITHER = 2       # quantization dither draws
 COVARIANCE = 3   # random covariance synthesis
-NOISE = 4        # additive scene noise
 
 _MASK64 = (1 << 64) - 1
 

@@ -3,7 +3,9 @@
 A ruler is a subset of {1, ..., d} whose ordered pairwise differences cover
 every lag 0..d-1, so each Toeplitz generator can be estimated from at least
 one index pair.  Indices are 1-based throughout to match the usual array
-listings; 0-based matrix positions are kept internally.
+listings; 0-based matrix positions are kept internally.  `resolve_ruler`
+is the one parser of ruler specs: 'full', 'alpha:X', the study rulers 'A'
+and 'B', or an index list.
 """
 
 import numpy as np
@@ -137,11 +139,21 @@ def full_ruler(d):
     return Ruler(np.arange(1, d + 1), d)
 
 
-def parse_ruler_spec(spec, d):
-    """Parse a ruler description: 'full', 'alpha:X', or a comma list like '1,2,5'."""
+# the named rulers A and B of the d=16 comparison study, keyed in lower case
+_NAMED_RULERS = {
+    "a": (1, 2, 3, 4, 5, 6, 7, 8, 16),
+    "b": (1, 2, 3, 5, 8, 11, 14, 15, 16),
+}
+
+
+def resolve_ruler(spec, d):
+    """Ruler from a spec: 'full', 'alpha:X', a study ruler name 'A' or 'B', or
+    a comma list of indices like '1,2,5'."""
     text = spec.strip().lower()
     if text == "full":
         return full_ruler(d)
+    if text in _NAMED_RULERS:
+        return Ruler(_NAMED_RULERS[text], d)
     try:
         if text.startswith("alpha:"):
             return make_ruler_alpha(d, float(text.split(":", 1)[1]))

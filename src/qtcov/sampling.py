@@ -1,9 +1,11 @@
-"""Ground-truth covariance synthesis and complex Gaussian sample generation.
+"""Ground-truth covariance synthesis, complex Gaussian sample generation and
+the batch file format.
 
-Samples are circularly symmetric: z ~ CN(0, T) with E[z z^H] = T, vanishing
-pseudo-covariance E[z z^T], and per-coordinate real/imaginary variance
-gamma_0 / 2 each.  All draws are reproducible through the stream derivation
-in `qtcov.rng`.
+A `SampleBatch` is n >= 1 draws on a ruler with their seed, plus the
+QuantizationSpec once they are quantized.  Samples are circularly
+symmetric: z ~ CN(0, T) with E[z z^H] = T, vanishing pseudo-covariance
+E[z z^T], and per-coordinate real/imaginary variance gamma_0 / 2 each.  All
+draws are reproducible through the stream derivation in `qtcov.rng`.
 """
 
 import numpy as np
@@ -18,33 +20,39 @@ _REQUIRED_FIELDS = ("d", "n", "ruler", "stage", "seed", "payload")
 
 
 class SampleBatch:
-    """n complex observation vectors restricted to a ruler.
+    """n >= 1 complex observation vectors restricted to a ruler.
 
-    stage is "raw" (straight from the Gaussian sampler) or "quantized"; a
-    quantized batch carries the QuantizationSpec that produced it.  `seed` is
-    the 64-bit seed the batch was derived from.
+    A batch is its ruler, its (n, |ruler|) data, the 64-bit seed it was
+    derived from and, once quantized, the QuantizationSpec that produced it;
+    `dim`, `count` and `stage` ("raw" without a spec, "quantized" with one)
+    are read off those.
     """
 
-    __slots__ = ("dim", "count", "ruler", "data", "stage", "seed", "spec")
+    __slots__ = ("ruler", "data", "seed", "spec")
 
-    def __init__(self, dim, count, ruler, data, stage, seed, spec=None):
+    def __init__(self, ruler, data, seed, spec=None):
         data = np.asarray(data, dtype=np.complex128)
-        if stage not in ("raw", "quantized"):
-            raise QtcovError(f"unknown stage {stage!r}")
-        if data.shape != (count, ruler.size):
+        if data.ndim != 2 or data.shape[1] != ruler.size:
             raise QtcovError(
-                f"data shape {data.shape} does not match (n={count}, |ruler|={ruler.size})")
-        if ruler.dim != dim:
-            raise QtcovError(f"ruler dimension {ruler.dim} != batch dimension {dim}")
-        if stage == "quantized" and spec is None:
-            raise QtcovError("quantized batches must carry their QuantizationSpec")
-        self.dim = int(dim)
-        self.count = int(count)
+                f"data shape {data.shape} does not match (n, |ruler|={ruler.size})")
+        if data.shape[0] == 0:
+            raise EmptyBatch("batch has no samples")
         self.ruler = ruler
         self.data = data
-        self.stage = stage
         self.seed = int(seed)
         self.spec = spec
+
+    @property
+    def dim(self):
+        return self.ruler.dim
+
+    @property
+    def count(self):
+        return self.data.shape[0]
+
+    @property
+    def stage(self):
+        return "raw" if self.spec is None else "quantized"
 
     def __repr__(self):
         return (f"SampleBatch(d={self.dim}, n={self.count}, |ruler|={self.ruler.size}, "
@@ -99,7 +107,7 @@ def sample_complex_gaussian(T, ruler, n, seed):
     w.real, w.imag = parts
     del parts  # freed before z is allocated: the peak is w plus z
     z = w @ F.T
-    return SampleBatch(T.dim, n, ruler, ruler.columns(z), "raw", seed)
+    return SampleBatch(ruler, ruler.columns(z), seed)
 
 
 # --- batch file format -------------------------------------------------------
@@ -162,11 +170,15 @@ def load_batch(path):
         raise
     except (ValueError, KeyError) as err:
         raise BatchFormatError(f"bad batch header in {path}: {err!r}") from None
+    if fields["stage"] != ("raw" if spec is None else "quantized"):
+        raise BatchFormatError(f"stage {fields['stage']!r} in {path} does not fit its levels")
+    if n < 1:
+        raise BatchFormatError(f"n={n} in {path}: a batch holds at least one sample")
     kind = fields["payload"]
     if kind not in ("codes", "complex128") or (kind == "codes" and spec is None):
         raise BatchFormatError(f"payload kind {kind!r} in {path} does not fit its header")
     # 16 bytes per entry either way: one complex128, or two int64 codes
-    if n < 0 or len(payload) != 16 * n * ruler.size:
+    if len(payload) != 16 * n * ruler.size:
         raise BatchFormatError(f"payload of {len(payload)} bytes in {path} does not hold "
                                f"n={n} x |ruler|={ruler.size} entries")
     shape = (n, ruler.size)
@@ -176,4 +188,4 @@ def load_batch(path):
         data = codes_to_values((flat[:half].reshape(shape), flat[half:].reshape(shape)), spec)
     else:
         data = np.frombuffer(payload, dtype="<c16").reshape(shape).copy()
-    return SampleBatch(d, n, ruler, data, fields["stage"], seed, spec)
+    return SampleBatch(ruler, data, seed, spec)

@@ -85,7 +85,7 @@ class _Canvas:
 
 
 def _line_plot(rows, metric, x_field, log_x, log_y):
-    xs = sorted({getattr(r, x_field) for r in rows})
+    xs = sorted({getattr(r, x_field) for r in rows} - {None})
     ys = [r.value for r in rows if math.isfinite(r.value)]
     if not ys:
         raise EmptyTable("all values are NaN")
@@ -136,13 +136,21 @@ def _line_plot(rows, metric, x_field, log_x, log_y):
         if not pts:
             continue
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
-        cv.add(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for x, y in pts:
-            cv.add(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.5" fill="{color}"/>')
+        # the unclipped series has no bit depth: on a k axis it is dashed across
+        dash = ' stroke-dasharray="6,4"' if pts[0][0] is None else ""
+        if dash:
+            for _, y in pts:
+                cv.add(f'<line x1="{_ML}" y1="{sy(y):.1f}" x2="{_W - _MR}" y2="{sy(y):.1f}" '
+                       f'stroke="{color}" stroke-width="1.5"{dash}/>')
+        else:
+            coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
+            cv.add(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                   f'stroke-width="1.5"/>')
+            for x, y in pts:
+                cv.add(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.5" fill="{color}"/>')
         ly = _MT + 16 + 16 * i
         cv.add(f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 34}" y2="{ly - 4}" '
-               f'stroke="{color}" stroke-width="1.5"/>')
+               f'stroke="{color}" stroke-width="1.5"{dash}/>')
         cv.text(_ML + 40, ly, label, anchor="start", size=11)
     return cv.finish()
 
@@ -196,7 +204,9 @@ def emit_plot(table, kind):
     """Render a ResultTable as an SVG document string.
 
     kind: "line-loglog", "line-linear", or "heatmap".  Line plots pick the
-    x-axis as the first coordinate that varies among n, d, and bit depth.
+    x-axis as the first coordinate whose set values vary among n, d, bit
+    depth and delta_r; on a bit-depth axis the unclipped series (no depth)
+    are dashed horizontal lines.
     """
     rows, metric = _check(table)
     if kind == "heatmap":
@@ -205,8 +215,7 @@ def emit_plot(table, kind):
         raise ValueError(f"unknown plot kind {kind!r}")
     x_field = "n"
     for field in ("n", "d", "k", "delta_r"):
-        vals = {getattr(r, field) for r in rows}
-        if len(vals) > 1 and None not in vals:
+        if len({getattr(r, field) for r in rows} - {None}) > 1:
             x_field = field
             break
     log = kind == "line-loglog"

@@ -38,8 +38,7 @@ def _report(num, label, ok, detail):
 
 def _restrict(batch, ruler, n=None):
     n = batch.count if n is None else n
-    return SampleBatch(batch.dim, n, ruler, batch.data[:n, ruler.positions],
-                       batch.stage, batch.seed, batch.spec)
+    return SampleBatch(ruler, batch.data[:n, ruler.positions], batch.seed, batch.spec)
 
 
 def _paired_gap_se(a, b):
@@ -285,7 +284,7 @@ def test_criterion_10_quantizer_micro_properties():
     gen = np.random.default_rng(10)
     x = gen.standard_normal(n)
     # x as the one column of a d = 1 raw batch; its real plane takes the dither
-    raw = SampleBatch(1, n, full_ruler(1), x[:, None] + 0j, "raw", 11)
+    raw = SampleBatch(full_ruler(1), x[:, None] + 0j, 11)
     unit = unit_dither(raw.data.shape, 11)
     tau = delta * unit[0][:, 0]
     xq = quantize_batch(raw, QuantizationSpec(delta, delta), unit=unit).data.real[:, 0]

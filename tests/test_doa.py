@@ -199,7 +199,7 @@ class TestAgainstDirectMusic:
         scene = FIVE_SOURCE_SCENE
         spec = qtcov.QuantizationSpec(2.0, 2.0, 2)
         for rspec in ("full", "alpha:0.5"):
-            ruler = qtcov.parse_ruler_spec(rspec, scene.d)
+            ruler = qtcov.resolve_ruler(rspec, scene.d)
             for n in (1000, 10000):
                 for t in range(3):
                     raw = qtcov.sample_complex_gaussian(scene.covariance(), ruler, n,

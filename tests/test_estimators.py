@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qtcov import (EstimationReport, HermitianToeplitz, QuantizationSpec, Ruler,
-                   full_ruler, qscm, qtscm, quantize_batch, quantized_sample_covariance,
+from qtcov import (HermitianToeplitz, QuantizationSpec, Ruler, cli, full_ruler, qscm,
+                   qtscm, quantize_batch, quantized_sample_covariance,
                    random_toeplitz_covariance, relative_spectral_error,
-                   sample_complex_gaussian, toeplitz_adjoint_project)
+                   sample_complex_gaussian, save_batch, toeplitz_adjoint_project)
 from qtcov import rng as qrng
 from qtcov.errors import EmptyBatch, NotFullRuler
 from qtcov.estimators import spectral_norm
@@ -14,18 +14,18 @@ OMEGA_A = [1, 2, 3, 4, 5, 6, 7, 8, 16]
 OMEGA_B = [1, 2, 3, 5, 8, 11, 14, 15, 16]
 
 
-def quantized(data, d, ruler, spec, seed=0):
-    return SampleBatch(d, data.shape[0], ruler, data, "quantized", seed, spec)
+def quantized(data, ruler, spec, seed=0):
+    return SampleBatch(ruler, data, seed, spec)
 
 
 class TestGram:
     def test_single_sample_outer_product(self):
-        b = quantized(np.array([[1.0, 1j]]), 2, full_ruler(2), QuantizationSpec(0, 0))
+        b = quantized(np.array([[1.0, 1j]]), full_ruler(2), QuantizationSpec(0, 0))
         np.testing.assert_array_equal(quantized_sample_covariance(b),
                                       np.array([[1, -1j], [1j, 1]]))
 
     def test_zero_batch(self):
-        b = quantized(np.zeros((5, 2), complex), 2, full_ruler(2), QuantizationSpec(0, 0))
+        b = quantized(np.zeros((5, 2), complex), full_ruler(2), QuantizationSpec(0, 0))
         np.testing.assert_array_equal(quantized_sample_covariance(b), np.zeros((2, 2)))
 
     def test_identity_plus_bias_mc(self):
@@ -36,18 +36,18 @@ class TestGram:
         assert np.linalg.norm(R - 1.5 * np.eye(2), 2) < 0.05
 
     def test_empty(self):
-        b = quantized(np.zeros((0, 2), complex), 2, full_ruler(2), QuantizationSpec(0, 0))
+        # an empty batch cannot be built, so no Gram matrix of one exists
         with pytest.raises(EmptyBatch):
-            quantized_sample_covariance(b)
+            quantized(np.zeros((0, 2), complex), full_ruler(2), QuantizationSpec(0, 0))
 
 
 class TestQtscm:
     def test_zero_batch_zero_level(self):
-        b = quantized(np.zeros((3, 4), complex), 4, full_ruler(4), QuantizationSpec(0, 0))
+        b = quantized(np.zeros((3, 4), complex), full_ruler(4), QuantizationSpec(0, 0))
         np.testing.assert_array_equal(qtscm(b).dense, np.zeros((4, 4)))
 
     def test_scalar_bias_arithmetic(self):
-        b = quantized(np.array([[3.0 + 0j]]), 1, full_ruler(1), QuantizationSpec(2.0, 2.0))
+        b = quantized(np.array([[3.0 + 0j]]), full_ruler(1), QuantizationSpec(2.0, 2.0))
         assert qtscm(b).generators[0] == 7.0  # 9 - (4 + 4)/4
 
     def test_exact_identity_with_adjoint(self):
@@ -96,23 +96,22 @@ class TestQtscm:
             assert np.max(np.abs(m - means[0])) < 8 * scale / np.sqrt(trials * n)
 
     def test_empty_batch(self):
-        b = quantized(np.zeros((0, 2), complex), 2, full_ruler(2), QuantizationSpec(0, 0))
         with pytest.raises(EmptyBatch):
-            qtscm(b)
+            quantized(np.zeros((0, 2), complex), full_ruler(2), QuantizationSpec(0, 0))
 
 
 class TestQscm:
     def test_zero(self):
-        b = quantized(np.zeros((2, 3), complex), 3, full_ruler(3), QuantizationSpec(0, 0))
+        b = quantized(np.zeros((2, 3), complex), full_ruler(3), QuantizationSpec(0, 0))
         np.testing.assert_array_equal(qscm(b), np.zeros((3, 3)))
 
     def test_scalar_equals_qtscm(self):
-        b = quantized(np.array([[2.0 - 1j]]), 1, full_ruler(1), QuantizationSpec(1.0, 0.5))
+        b = quantized(np.array([[2.0 - 1j]]), full_ruler(1), QuantizationSpec(1.0, 0.5))
         np.testing.assert_allclose(qscm(b), qtscm(b).dense)
 
     def test_requires_full_ruler(self):
         ruler = Ruler([1, 2, 4], 4)
-        b = quantized(np.zeros((2, 3), complex), 4, ruler, QuantizationSpec(0, 0))
+        b = quantized(np.zeros((2, 3), complex), ruler, QuantizationSpec(0, 0))
         with pytest.raises(NotFullRuler):
             qscm(b)
 
@@ -134,15 +133,20 @@ class TestQscm:
 
 
 class TestReport:
-    def test_csv_row(self):
+    def test_csv_row(self, tmp_path, capsys):
+        # `qtcov estimate` writes one row per estimator after its header
         T = random_toeplitz_covariance(4, 70)
-        ruler = full_ruler(4)
-        spec = QuantizationSpec(1.0, 1.0, 2)
-        rep = EstimationReport(T, "qtscm", spec, ruler, 100, 7, 0.25)
-        row = rep.csv_row()
+        raw = sample_complex_gaussian(T, full_ruler(4), 100, 7)
+        batch = quantize_batch(raw, QuantizationSpec(1.0, 1.0, 2))
+        save_batch(batch, tmp_path / "b.qtb")
+        np.savetxt(tmp_path / "truth.csv", T.generators)
+        assert cli.main(["estimate", "--batch", str(tmp_path / "b.qtb"),
+                         "--truth", str(tmp_path / "truth.csv")]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split(",")[0] == "estimator"
         assert row.split(",")[0] == "qtscm"
         assert '"1,2,3,4"' in row
-        assert row.endswith("0.25")
+        assert row.endswith("," + repr(relative_spectral_error(qtscm(batch), T)))
 
     def test_relative_error_of_truth_is_zero(self):
         T = random_toeplitz_covariance(4, 71)

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import qtcov
-from qtcov import harness
+from qtcov import cli, harness
 from qtcov import rng as qrng
 from qtcov.cli import build_parser, main
 from qtcov.doa import DoaScene
 from qtcov.errors import ConfigError, EmptyTable, MixedMetrics, QtcovError
-from qtcov.harness import (ExperimentConfig, ResultTable, Row, config_to_text,
+from qtcov.harness import (PRESETS, ExperimentConfig, ResultTable, Row, config_to_text,
                            default_config, parse_config, resolve_ruler,
                            run_experiment, write_outputs)
 from qtcov.qspa import QspaOptions
@@ -373,6 +373,19 @@ class TestPlots:
         se = [r.value for r in table.rows if r.stat == "stderr"]
         assert gap < 4 * max(se)
 
+    def test_bit_depth_axis_draws_the_unclipped_reference_dashed(self):
+        # exp4 sweeps the bit depth; its unclipped rows have no depth, so
+        # they are a dashed line across the k range, not a point on it
+        cfg = replace(default_config("exp4"), trials=2, estimators=("qtscm",),
+                      rulers=("full",))
+        svg = emit_plot(run_experiment(cfg), PRESETS["exp4"][0])
+        assert ">k</text>" in svg and ">delta_r</text>" not in svg
+        assert svg.count("<polyline") == 1 and svg.count("<circle") == 5
+        dashed = [ln for ln in svg.splitlines() if "stroke-dasharray" in ln]
+        assert len(dashed) == 2  # the reference line and its legend entry
+        assert 'x1="70"' in dashed[0] and 'x2="620"' in dashed[0]  # the plot's width
+        assert "qtscm full unclipped" in svg
+
     def test_empty_table(self):
         with pytest.raises(EmptyTable):
             emit_plot(ResultTable(), "line-linear")
@@ -447,6 +460,16 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "estimated frequencies:" in r.stdout
         assert "frequency mse:" in r.stdout
+
+    def test_doa_warnings_go_to_stderr(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli.ESTIMATORS, "qtscm",
+                            lambda batch, gram, opts: (qtcov.qtscm(batch, gram), False))
+        monkeypatch.setattr(cli, "estimate_frequencies",
+                            lambda est, k, grid: (False, np.linspace(0.1, 0.9, k)))
+        assert main(["doa", "--n", "200", "--estimator", "qtscm", "--grid", "256"]) == 0
+        out, err = capsys.readouterr()
+        assert "warning" not in out and "estimated frequencies:" in out
+        assert "qtscm did not converge" in err and "degenerate spectrum" in err
 
     def test_exp5_runs_without_scipy(self, tmp_path):
         cfg = tmp_path / "doa.cfg"
@@ -541,6 +564,30 @@ class TestInputErrors:
     def test_unparsable_ruler_spec(self):
         self.assert_clean_failure(self.run_cli("ruler", "--d", "16", "--ruler", "alpha:abc"),
                                   "alpha:abc")
+
+    @pytest.mark.parametrize("estimator", list(harness.ESTIMATORS))
+    def test_raw_batch_file(self, tmp_path, capsys, estimator):
+        raw = qtcov.sample_complex_gaussian(qtcov.random_toeplitz_covariance(4, 1),
+                                            qtcov.full_ruler(4), 20, 2)
+        qtcov.save_batch(raw, tmp_path / "raw.qtb")
+        assert main(["estimate", "--batch", str(tmp_path / "raw.qtb"),
+                     "--estimator", estimator]) == 1
+        assert "estimators expect a quantized batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, keep_payload, message", [
+        (b"\nn=20\n", b"\nn=0\n", False, "at least one sample"),
+        (b"\nstage=quantized\n", b"\nstage=raw\n", True, "does not fit its levels"),
+    ], ids=["no_samples", "raw_stage_with_levels"])
+    def test_hand_edited_batch_header(self, tmp_path, capsys, old, new, keep_payload, message):
+        batch = tmp_path / "b.qtb"
+        assert main(["simulate", "--d", "4", "--n", "20", "--bits", "2", "-o", str(batch)]) == 0
+        head, payload = batch.read_bytes().split(b"\n\n", 1)
+        assert old in head + b"\n"
+        batch.write_bytes((head + b"\n").replace(old, new) + b"\n"
+                          + (payload if keep_payload else b""))
+        capsys.readouterr()
+        assert main(["estimate", "--batch", str(batch)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_truncated_batch_file(self, tmp_path):
         batch = tmp_path / "b.qtb"

@@ -5,8 +5,8 @@ import pytest
 
 from qtcov import rng as qrng
 from qtcov import (HermitianToeplitz, QuantizationSpec, auto_epsilon, full_ruler, harness,
-                   make_ruler_alpha, parse_ruler_spec, qspa, qspa_objective, qspa_solve,
-                   quantize_batch, quantized_sample_covariance, random_toeplitz_covariance,
+                   make_ruler_alpha, qspa, qspa_objective, qspa_solve, quantize_batch,
+                   quantized_sample_covariance, random_toeplitz_covariance, resolve_ruler,
                    sample_complex_gaussian, toeplitz_adjoint_project)
 from qtcov.errors import InfeasibleU, QtcovError, SingularRhat
 from qtcov.qspa import QspaOptions, _BarrierProblem, _params_from_generators
@@ -150,8 +150,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("rspec,d", [("full", 5), ("alpha:0.5", 9), ("1,2,4,6", 6)])
     def test_feasibility_and_lower_bound(self, rspec, d, rng):
-        from qtcov import parse_ruler_spec
-        ruler = parse_ruler_spec(rspec, d)
+        ruler = resolve_ruler(rspec, d)
         T = random_toeplitz_covariance(d, 123 + d)
         raw = sample_complex_gaussian(T, ruler, 300, 7)
         batch = quantize_batch(raw, DELTA11)
@@ -238,7 +237,7 @@ class TestStructuredHessian:
     @pytest.mark.parametrize("d", [2, 3, 8, 16, 33])
     def test_matches_stacked_oracle(self, d, rspec, monkeypatch):
         rng = np.random.default_rng(7000 + d)
-        ruler = parse_ruler_spec(rspec, d)
+        ruler = resolve_ruler(rspec, d)
         Rhat = wishart_rhat(rng, ruler.size, 4 * ruler.size)
         c = DELTA11.lag0_bias
         prob = _BarrierProblem(Rhat, ruler, c)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import redrawn_quantize
-from qtcov import (HermitianToeplitz, QuantizationSpec, full_ruler, parse_ruler_spec,
-                   quantize_batch, random_toeplitz_covariance, sample_complex_gaussian,
+from qtcov import (HermitianToeplitz, QuantizationSpec, full_ruler, quantize_batch,
+                   random_toeplitz_covariance, resolve_ruler, sample_complex_gaussian,
                    select_level_datadriven, select_level_tail_bound)
 from qtcov.errors import EmptyBatch, NonPositiveGamma0, QtcovError
 from qtcov.quantizer import codes_to_values, unit_dither, values_to_codes
@@ -21,7 +21,7 @@ def quantize(z, spec, unit=(0.0, 0.0)):
     raw d = 1 full-ruler batch.  `unit` is the level-free dither pair, each
     part shaped like z or a scalar; the default zero pair adds no dither."""
     z = np.asarray(z, dtype=complex)
-    raw = SampleBatch(1, z.size, full_ruler(1), z.reshape(-1, 1), "raw", 0)
+    raw = SampleBatch(full_ruler(1), z.reshape(-1, 1), 0)
     unit = [np.broadcast_to(s, z.shape).reshape(raw.data.shape) for s in unit]
     out = quantize_batch(raw, spec, unit=unit).data.reshape(z.shape)
     return out if out.ndim else out[()]
@@ -246,7 +246,7 @@ class TestPreDrawnDither:
     @example(seed=6, rspec="alpha:0.5", pair=(1.0, 1.0), bits=2, datadriven=True)
     def test_shared_unit_pair_is_byte_identical(self, seed, rspec, pair, bits, datadriven):
         T = random_toeplitz_covariance(8, 21)
-        raw = sample_complex_gaussian(T, parse_ruler_spec(rspec, 8), 40, seed)
+        raw = sample_complex_gaussian(T, resolve_ruler(rspec, 8), 40, seed)
         if datadriven:
             pair = (select_level_datadriven(raw),) * 2
         if bits is not None:
@@ -304,7 +304,7 @@ class TestPlaneKernel:
         # runner builds it; quantizing must leave it and the dither pair alone
         T = random_toeplitz_covariance(16, 8)
         block = sample_complex_gaussian(T, full_ruler(16), 300, 9).data
-        raw = SampleBatch(16, 300, full_ruler(16), full_ruler(16).columns(block), "raw", 9)
+        raw = SampleBatch(full_ruler(16), full_ruler(16).columns(block), 9)
         assert raw.data is block
         unit = unit_dither(raw.data.shape, 9)
         before = [bits_of(a) for a in (raw.data, *unit)]
@@ -355,13 +355,12 @@ class TestLevelSelection:
 
     def test_datadriven_examples(self):
         r = full_ruler(2)
-        batch = SampleBatch(2, 1, r, np.array([[3.0, -4.0j]]), "raw", 0)
+        batch = SampleBatch(r, np.array([[3.0, -4.0j]]), 0)
         assert select_level_datadriven(batch) == 4.0
-        zero = SampleBatch(2, 1, r, np.zeros((1, 2)), "raw", 0)
+        zero = SampleBatch(r, np.zeros((1, 2)), 0)
         assert select_level_datadriven(zero) == 0.0
-        empty = SampleBatch(2, 0, r, np.zeros((0, 2)), "raw", 0)
-        with pytest.raises(EmptyBatch):
-            select_level_datadriven(empty)
+        with pytest.raises(EmptyBatch):  # no batch to select a level from
+            SampleBatch(r, np.zeros((0, 2)), 0)
 
     def test_datadriven_rayleigh_range(self):
         T = HermitianToeplitz([1.0, 0.0])
@@ -401,7 +400,7 @@ class TestCodes:
 
     def test_depth_63_clip_codes_roundtrip_through_a_batch_file(self, tmp_path):
         data = np.array([[1e19 - 1e19j, -1e19 + 0.3j, 0.2 - 2.6j]])
-        raw = SampleBatch(3, 1, full_ruler(3), data, "raw", 5)
+        raw = SampleBatch(full_ruler(3), data, 5)
         batch = quantize_batch(raw, QuantizationSpec(1.0, 1.0, 63))
         clip = 2.0 ** 62  # the codes 2^62 and -2^62 - 1, each plus 1/2
         assert batch.data[0, 0] == clip - 1j * clip and batch.data[0, 1].real == -clip

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtcov import (Ruler, coverage_coefficient, full_ruler, make_ruler_alpha,
-                   parse_ruler_spec)
+                   resolve_ruler)
 from qtcov.errors import Duplicate, MissingLag, NotARuler, OutOfRange
 
 OMEGA_A = [1, 2, 3, 4, 5, 6, 7, 8, 16]
@@ -165,9 +165,11 @@ class TestColumns:
 class TestSerialization:
     def test_string_roundtrip(self):
         r = Ruler(OMEGA_B, 16)
-        assert parse_ruler_spec(r.to_string(), 16) == r
+        assert resolve_ruler(r.to_string(), 16) == r
 
     def test_parse_named_specs(self):
-        assert parse_ruler_spec("full", 5) == full_ruler(5)
-        assert parse_ruler_spec("alpha:0.5", 16) == make_ruler_alpha(16, 0.5)
-        assert parse_ruler_spec("1,2,4", 4) == Ruler([1, 2, 4], 4)
+        assert resolve_ruler("full", 5) == full_ruler(5)
+        assert resolve_ruler("alpha:0.5", 16) == make_ruler_alpha(16, 0.5)
+        assert resolve_ruler("1,2,4", 4) == Ruler([1, 2, 4], 4)
+        assert resolve_ruler("A", 16) == Ruler(OMEGA_A, 16)
+        assert resolve_ruler(" b ", 16) == Ruler(OMEGA_B, 16)  # any case, padded

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import complex_gaussian_draw
-from qtcov import (HermitianToeplitz, QuantizationSpec, Ruler, full_ruler, load_batch,
-                   parse_ruler_spec, quantize_batch, random_toeplitz_covariance,
+from qtcov import (HermitianToeplitz, QuantizationSpec, Ruler, SampleBatch, full_ruler,
+                   load_batch, quantize_batch, random_toeplitz_covariance, resolve_ruler,
                    sample_complex_gaussian, save_batch)
-from qtcov.errors import BatchFormatError, NotPSD, QtcovError
+from qtcov.errors import BatchFormatError, EmptyBatch, NotPSD, QtcovError
 
 
 class TestRandomCovariance:
@@ -82,7 +82,7 @@ class TestComplexGaussian:
         # one (2, n, d) draw written into w.real and w.imag gives the bits of
         # two (n, d) draws joined by a + 1j*b
         T = random_toeplitz_covariance(d, seed % 97)
-        ruler = parse_ruler_spec(rspec, d)
+        ruler = resolve_ruler(rspec, d)
         batch = sample_complex_gaussian(T, ruler, n, seed)
         assert batch.data.tobytes() == complex_gaussian_draw(T, ruler, n, seed).tobytes()
         full = sample_complex_gaussian(T, full_ruler(d), n, seed)
@@ -105,6 +105,37 @@ class TestComplexGaussian:
         T = HermitianToeplitz([1.0, 2.0])  # eigenvalues -1 and 3
         with pytest.raises(NotPSD):
             sample_complex_gaussian(T, full_ruler(2), 10, 0)
+
+
+class TestSampleBatch:
+    RULER = Ruler([1, 2, 3, 5], 5)
+
+    def test_dim_is_the_ruler_dimension(self):
+        assert SampleBatch(self.RULER, np.zeros((7, 4)), 3).dim == 5
+
+    def test_count_is_the_number_of_rows(self):
+        assert SampleBatch(self.RULER, np.zeros((7, 4)), 3).count == 7
+
+    def test_stage_follows_the_spec(self):
+        raw = SampleBatch(self.RULER, np.zeros((7, 4)), 3)
+        quantized = quantize_batch(raw, QuantizationSpec(1.0, 1.0))
+        assert (raw.stage, quantized.stage) == ("raw", "quantized")
+        assert SampleBatch(self.RULER, raw.data, 3, QuantizationSpec(0, 0)).stage == "quantized"
+
+    def test_derived_fields_cannot_be_set(self):
+        batch = SampleBatch(self.RULER, np.zeros((7, 4)), 3)
+        for name in ("dim", "count", "stage"):
+            with pytest.raises(AttributeError):
+                setattr(batch, name, 1)
+
+    @pytest.mark.parametrize("shape", [(7, 3), (7, 5), (4,), (2, 7, 4)])
+    def test_data_must_be_rows_on_the_ruler(self, shape):
+        with pytest.raises(QtcovError, match="does not match"):
+            SampleBatch(self.RULER, np.zeros(shape), 3)
+
+    def test_empty_batch_cannot_be_built(self):
+        with pytest.raises(EmptyBatch, match="batch has no samples"):
+            SampleBatch(self.RULER, np.zeros((0, 4)), 3)
 
 
 class TestBatchSerialization:
@@ -206,6 +237,24 @@ class TestBatchFileProperties:
         blob = blob.replace(b"d=1\n", b"d=1000000000000\n", 1)
         with pytest.raises(QtcovError, match="lag 1 is not covered"):
             _load_blob(blob)
+
+    @pytest.mark.parametrize("quantized, written, swapped", [
+        (False, b"stage=raw\n", b"stage=quantized\n"),
+        (True, b"stage=quantized\n", b"stage=raw\n"),
+    ], ids=["raw", "quantized"])
+    def test_stage_that_disagrees_with_the_levels_is_batch_format_error(
+            self, quantized, written, swapped):
+        # save_batch writes "quantized" exactly when it writes levels
+        blob = _saved_blob(_simulated_batch(4, 10, None, 1.0, 3, quantized))
+        assert written in blob
+        with pytest.raises(BatchFormatError, match="stage"):
+            _load_blob(blob.replace(written, swapped, 1))
+
+    def test_zero_samples_is_batch_format_error(self):
+        blob = _saved_blob(_simulated_batch(4, 1, 2, 1.0, 3))
+        head = blob.split(b"\n\n", 1)[0].replace(b"\nn=1\n", b"\nn=0\n", 1)
+        with pytest.raises(BatchFormatError, match="at least one sample"):
+            _load_blob(head + b"\n\n")
 
     def test_missing_field_is_batch_format_error(self):
         blob = _saved_blob(_simulated_batch(4, 10, 2, 1.0, 3))
