@@ -104,18 +104,16 @@ def cmd_experiment(args):
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-        if args.profile:
-            cfg = replace(cfg, profile=args.profile)
     else:
-        cfg = default_config(args.preset, profile=args.profile or "ci",
-                             outdir=args.outdir or "results")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = default_config(args.preset, profile=args.profile or "ci")
+    # the flags override the config's keys, and the result is what prints and runs
+    overrides = {"profile": args.profile, "seed": args.seed, "outdir": args.outdir}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None}).validate()
     if args.show_config:
         sys.stdout.write(config_to_text(cfg))
         return 0
     table = run_experiment(cfg)
-    csv_path, svg_path = write_outputs(cfg, table, args.outdir)
+    csv_path, svg_path = write_outputs(cfg, table)
     print(f"wrote {csv_path}" + (f" and {svg_path}" if svg_path else ""))
     return 0
 

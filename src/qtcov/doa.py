@@ -75,20 +75,6 @@ def _grid_spectrum(c, grid_size):
     return 1.0 / np.maximum(denom, np.finfo(float).eps * c[0].real)
 
 
-def music_spectrum(T_est, K, grid_size):
-    """Pseudo-spectrum 1 / ||E_n^H a(theta)||^2 on the grid theta_j = j / grid_size.
-
-    Args:
-        T_est: estimated covariance (HermitianToeplitz or dense Hermitian array).
-        K: number of sources; d - K eigenvectors span the noise subspace E_n.
-        grid_size: number of grid points, at least 8d.
-
-    Returns:
-        Real vector of length grid_size.
-    """
-    return _grid_spectrum(_lag_coefficients(T_est, K, grid_size), grid_size)
-
-
 def _pick_peaks(spectrum, K):
     """(resolved, grid indices): the K largest circular local maxima, padded
     with the largest remaining grid points when fewer exist."""

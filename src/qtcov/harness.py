@@ -11,8 +11,10 @@ as a level-free unit pair and shared by every level of that ruler; each
 quantization spec is applied once and its batch and Gram matrix shared by the
 estimators of that cell.  One runner serves both metrics; only the truth and
 the scoring function (relative spectral error, or MUSIC frequency MSE) differ.
-A cell whose qspa solves stop unconverged or whose MUSIC spectra are
-unresolved keeps its value and says so in its note.  Runs are sequential and
+Each grid cell is one `_Cell` record, which gathers its trial values, its
+degraded-trial counts and its first error, and writes its own rows.  A cell
+whose qspa solves stop unconverged or whose MUSIC spectra are unresolved
+keeps its value and says so in its note.  Runs are sequential and
 deterministic: re-running a config byte-reproduces its CSV.
 """
 
@@ -182,24 +184,13 @@ class Row:
 
 
 class ResultTable:
-    """Append-only row container with deterministic CSV round trip."""
+    """Result rows with a deterministic CSV form."""
 
     HEADER = ("experiment", "estimator", "d", "n", "delta_r", "delta_i",
               "k", "ruler", "stat", "metric", "value", "note")
 
     def __init__(self, rows=None):
         self.rows = list(rows or [])
-
-    def append(self, row):
-        self.rows.append(row)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def means(self, **match):
-        out = [r for r in self.rows if r.stat == "mean"
-               and all(getattr(r, k) == v for k, v in match.items())]
-        return out
 
     def to_csv(self):
         buf = io.StringIO()
@@ -210,20 +201,6 @@ class ResultTable:
                         repr(r.delta_i), "" if r.k is None else r.k, r.ruler,
                         r.stat, r.metric, repr(r.value), r.note])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text):
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != cls.HEADER:
-            raise QtcovError(f"unexpected CSV header {header}")
-        rows = []
-        for rec in reader:
-            rows.append(Row(rec[0], rec[1], int(rec[2]), int(rec[3]),
-                            float(rec[4]), float(rec[5]),
-                            None if rec[6] == "" else int(rec[6]),
-                            rec[7], rec[8], rec[9], float(rec[10]), rec[11]))
-        return cls(rows)
 
 
 # --- config file format -------------------------------------------------------
@@ -336,13 +313,12 @@ def config_to_text(cfg):
     return "\n".join(out) + "\n"
 
 
-def default_config(experiment, profile="ci", seed=1234, outdir="results"):
+def default_config(experiment, profile="ci"):
     """Preset config of a built-in experiment (desk scale), its n_values cut at
     the profile's cap."""
     if experiment not in PRESETS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    cfg = ExperimentConfig(experiment, profile=profile, seed=seed, outdir=outdir,
-                           **PRESETS[experiment][1])
+    cfg = ExperimentConfig(experiment, profile=profile, **PRESETS[experiment][1])
     cap = PROFILE_CAPS.get(profile, math.inf)  # validate names an unknown profile
     return replace(cfg, n_values=tuple(n for n in cfg.n_values if n <= cap)).validate()
 
@@ -401,60 +377,77 @@ def _problems(cfg):
         yield d, T, "rel_error_spectral", rel_error
 
 
-@np.errstate(over="ignore")  # values near the float limit get an inf stderr
-def _append_stats(table, cfg, proto_row, values):
-    vals = np.asarray(values, dtype=float)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    table.append(replace(proto_row, stat="mean", value=mean))
-    table.append(replace(proto_row, stat="stderr", value=stderr))
-    if cfg.emit_trials:
-        for t, v in enumerate(vals):
-            table.append(replace(proto_row, stat=f"trial:{t}", value=float(v)))
+@dataclass
+class _Cell:
+    """One grid cell of a run: its prototype row, its first trial's spec, one
+    value per trial, the trials whose qspa solve stopped unconverged or whose
+    MUSIC spectrum was unresolved, and its first error's note, after which
+    it runs no more trials."""
+    row: Row
+    spec: Optional[QuantizationSpec] = None
+    values: list = field(default_factory=list)
+    degraded: Counter = field(default_factory=Counter)  # "nonconverged"/"unresolved" -> trials
+    error: Optional[str] = None
+
+    @np.errstate(over="ignore")  # values near the float limit get an inf stderr
+    def rows(self, emit_trials):
+        """Its mean and stderr rows, then one row per trial if asked; a cell
+        that failed is one nan row carrying its error's note."""
+        if self.error is not None:
+            return [replace(self.row, value=math.nan, note=self.error)]
+        vals = np.asarray(self.values, dtype=float)
+        note = "; ".join(f"{kind} {count}/{len(vals)}"
+                         for kind, count in self.degraded.items() if count)
+        proto = replace(self.row, delta_r=self.spec.delta_r, delta_i=self.spec.delta_i, note=note)
+        stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        stats = [("mean", float(np.mean(vals))), ("stderr", stderr)]
+        if emit_trials:
+            stats += [(f"trial:{t}", float(v)) for t, v in enumerate(vals)]
+        return [replace(proto, stat=stat, value=value) for stat, value in stats]
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def run_experiment(config):
     """Run a config; returns the ResultTable (deterministic in the config).
 
-    A row's first QtcovError, numpy LinAlgError or floating-point overflow,
+    A cell's first QtcovError, numpy LinAlgError or floating-point overflow,
     division by zero or invalid operation makes it one nan row carrying that
     error's note; an error in the shared (d, n, trial) draw does so for
-    every row of that (d, n).  A row with unconverged qspa solves or
+    every cell of that (d, n).  A cell with unconverged qspa solves or
     unresolved MUSIC spectra keeps its value, and its note counts them, e.g.
     "nonconverged 3/100".
     """
     cfg = config.validate()
-    table = ResultTable()
+    rows = []
     for d, truth, metric, score in _problems(cfg):
         gamma0 = truth.generators[0].real
         full = full_ruler(d)
         rulers = {rspec: resolve_ruler(rspec, d) for rspec in cfg.rulers}
-        rows = [Row(cfg.experiment, est, d, n, pair[0], pair[1], k, rspec, "mean", metric, 0.0)
-                for rspec in cfg.rulers for k in (cfg.bits or (None,)) for pair in cfg.deltas
-                for n in cfg.n_values for est in cfg.estimators
-                if est != "qscm" or rulers[rspec].is_full()]
-        values = [[] for _ in rows]
-        degraded = [Counter() for _ in rows]  # "nonconverged"/"unresolved" -> trials
-        specs, notes = {}, {}  # row index -> first trial's spec / first error's note
+        cells = [_Cell(Row(cfg.experiment, est, d, n, pair[0], pair[1], k, rspec, "mean",
+                           metric, 0.0))
+                 for rspec in cfg.rulers for k in (cfg.bits or (None,)) for pair in cfg.deltas
+                 for n in cfg.n_values for est in cfg.estimators
+                 if est != "qscm" or rulers[rspec].is_full()]
         for n in cfg.n_values:
+            cells_of_n = [cell for cell in cells if cell.row.n == n]
             for t in range(cfg.trials):
                 # One-entry caches, dropped with the trial: the raw batch and
                 # unit dither of a ruler, and the quantized batch of a (ruler,
-                # spec) with its Gram matrix.  Rows of one ruler, and rows
-                # differing only in the estimator, are adjacent in `rows`.  An
+                # spec) with its Gram matrix.  Cells of one ruler, and cells
+                # differing only in the estimator, are adjacent in `cells`.  An
                 # entry is released before its successor is built, and keyed
                 # only once built.
                 drawn_key = quantized_key = raw = unit = batch = gram = None
                 ts = rng.trial_seed(cfg.seed, t)
-                live = [i for i, row in enumerate(rows) if row.n == n and i not in notes]
+                live = [cell for cell in cells_of_n if cell.error is None]
                 try:
                     block = sample_complex_gaussian(truth, full, n, ts).data
                 except (QtcovError, np.linalg.LinAlgError, FloatingPointError) as err:
-                    notes.update((i, f"{type(err).__name__}: {err}") for i in live)
+                    for cell in live:
+                        cell.error = f"{type(err).__name__}: {err}"
                     continue
-                for i in live:
-                    row, ruler = rows[i], rulers[rows[i].ruler]
+                for cell in live:
+                    row, ruler = cell.row, rulers[cell.row.ruler]
                     try:
                         if drawn_key != row.ruler:
                             drawn_key = raw = unit = None
@@ -462,7 +455,8 @@ def run_experiment(config):
                             unit = unit_dither(raw.data.shape, ts)
                             drawn_key = row.ruler
                         spec = _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0)
-                        specs.setdefault(i, spec)
+                        if cell.spec is None:
+                            cell.spec = spec
                         if quantized_key != (row.ruler, spec):
                             quantized_key = batch = gram = None
                             batch = quantize_batch(raw, spec, unit=unit)
@@ -470,34 +464,25 @@ def run_experiment(config):
                             quantized_key = (row.ruler, spec)
                         est, converged = ESTIMATORS[row.estimator](batch, gram, cfg.qspa)
                         value, resolved = score(est)
-                        values[i].append(value)
-                        degraded[i].update(nonconverged=not converged, unresolved=not resolved)
+                        cell.values.append(value)
+                        cell.degraded.update(nonconverged=not converged, unresolved=not resolved)
                     except (QtcovError, np.linalg.LinAlgError, FloatingPointError) as err:
-                        notes[i] = f"{type(err).__name__}: {err}"
-        for i, row in enumerate(rows):
-            if i in notes:
-                table.append(replace(row, value=math.nan, note=notes[i]))
-            else:
-                note = "; ".join(f"{kind} {count}/{len(values[i])}"
-                                 for kind, count in degraded[i].items() if count)
-                _append_stats(table, cfg, replace(row, delta_r=specs[i].delta_r,
-                                                  delta_i=specs[i].delta_i, note=note),
-                              values[i])
-    return table
+                        cell.error = f"{type(err).__name__}: {err}"
+        rows += (row for cell in cells for row in cell.rows(cfg.emit_trials))
+    return ResultTable(rows)
 
 
-def write_outputs(cfg, table, outdir=None):
-    """Write <experiment>.csv and <experiment>.svg; returns the paths.
+def write_outputs(cfg, table):
+    """Write <experiment>.csv and <experiment>.svg to cfg.outdir; returns the paths.
 
     A table with nothing to plot writes no SVG, removes any earlier one, and
     returns None as its path.
     """
-    outdir = outdir or os.environ.get("QTCOV_OUTDIR") or cfg.outdir
-    os.makedirs(outdir, exist_ok=True)
-    csv_path = os.path.join(outdir, f"{cfg.experiment}.csv")
+    os.makedirs(cfg.outdir, exist_ok=True)
+    csv_path = os.path.join(cfg.outdir, f"{cfg.experiment}.csv")
     with open(csv_path, "w") as fh:
         fh.write(table.to_csv())
-    svg_path = os.path.join(outdir, f"{cfg.experiment}.svg")
+    svg_path = os.path.join(cfg.outdir, f"{cfg.experiment}.svg")
     try:
         svg = emit_plot(table, PRESETS[cfg.experiment][0])
     except EmptyTable:

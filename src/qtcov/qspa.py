@@ -252,21 +252,6 @@ class _BarrierProblem:
         return grad_f - mu * grad_logdet, 0.5 * (H + H.T), grad_logdet
 
 
-def qspa_objective(u, Rhat, ruler, spec):
-    """tr(Rhat^-1 A(u)) + tr(A(u)^-1 Rhat) for generators u.
-
-    Defined on the barrier's domain: raises SingularRhat if Rhat is not
-    positive definite, and InfeasibleU unless both A(u) and T(u) - cI
-    (c = ||Delta||^2/4 of spec) are.  On the full ruler at c = 0 the second
-    condition is the first.
-    """
-    prob = _BarrierProblem(Rhat, ruler, spec.lag0_bias)
-    p = prob.evaluate(_params_from_generators(u))
-    if p is None:
-        raise InfeasibleU("A(u) or T(u) - cI is not positive definite")
-    return p.objective
-
-
 def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
     """Fit a Toeplitz covariance to the quantized sample covariance Rhat.
 

@@ -8,9 +8,9 @@ from oracles import (brute_force_frequency_mse, music_direct_derivatives,
                      music_direct_estimate, music_direct_grid, music_noise_subspace,
                      wishart_rhat)
 from qtcov import (DoaScene, HermitianToeplitz, circular_distance, estimate_frequencies,
-                   frequency_mse, music_spectrum, vandermonde_synthesize)
+                   frequency_mse, vandermonde_synthesize)
 from qtcov import rng as qrng
-from qtcov.doa import _pick_peaks
+from qtcov.doa import _grid_spectrum, _lag_coefficients, _pick_peaks
 from qtcov.errors import KOutOfRange, LengthMismatch, QtcovError
 from qtcov.harness import FIVE_SOURCE_SCENE
 
@@ -19,6 +19,12 @@ FIVE_SOURCE_FREQS = (0.08, 0.21, 0.37, 0.68, 0.81)
 # past [0, 1), which frequency_mse reduces modulo one
 CIRCLE_POINTS = st.one_of(st.sampled_from([j / 8 for j in range(8)]),
                           st.floats(-2, 3, allow_nan=False))
+
+
+def pseudo_spectrum(T, K, grid_size):
+    """The MUSIC pseudo-spectrum 1 / ||E_n^H a(j / grid_size)||^2 that
+    estimate_frequencies picks its peaks from."""
+    return _grid_spectrum(_lag_coefficients(T, K, grid_size), grid_size)
 
 
 def exact_scene_cov(freqs, d, noise=0.0):
@@ -65,7 +71,7 @@ class TestSpectrum:
     def test_single_source_peak_dominates(self):
         d, f, grid = 8, 0.3, 640  # f falls exactly on the grid
         T = exact_scene_cov([f], d)
-        spec = music_spectrum(T, 1, grid)
+        spec = pseudo_spectrum(T, 1, grid)
         peak = int(np.argmax(spec))
         assert abs(peak / grid - f) <= 1 / grid
         away = [spec[j] for j in range(grid) if min(abs(j - peak), grid - abs(j - peak)) >= 2]
@@ -73,13 +79,13 @@ class TestSpectrum:
 
     def test_isotropic_spectrum_is_flat(self):
         T = HermitianToeplitz([1.0, 0, 0, 0])
-        spec = music_spectrum(T, 1, 64)
+        spec = pseudo_spectrum(T, 1, 64)
         assert (spec.max() - spec.min()) / spec.mean() < 1e-9
 
     def test_five_source_scene_gives_five_peaks(self):
         T = exact_scene_cov(FIVE_SOURCE_FREQS, 16)
         grid = 4096
-        spec = music_spectrum(T, 5, grid)
+        spec = pseudo_spectrum(T, 5, grid)
         left, right = np.roll(spec, 1), np.roll(spec, -1)
         peaks = np.flatnonzero((spec > left) & (spec > right))
         top5 = np.sort(peaks[np.argsort(spec[peaks])[-5:]])
@@ -88,19 +94,19 @@ class TestSpectrum:
     def test_k_out_of_range(self):
         T = exact_scene_cov([0.3], 8)
         with pytest.raises(KOutOfRange):
-            music_spectrum(T, 8, 512)
+            pseudo_spectrum(T, 8, 512)
         with pytest.raises(KOutOfRange):
-            music_spectrum(T, 0, 512)
+            pseudo_spectrum(T, 0, 512)
 
     def test_grid_too_small(self):
         T = exact_scene_cov([0.3], 8)
         with pytest.raises(QtcovError):
-            music_spectrum(T, 1, 32)
+            pseudo_spectrum(T, 1, 32)
 
     def test_accepts_dense_input(self):
         T = exact_scene_cov([0.3], 8)
-        np.testing.assert_array_equal(music_spectrum(T.dense, 1, 512),
-                                      music_spectrum(T, 1, 512))
+        np.testing.assert_array_equal(pseudo_spectrum(T.dense, 1, 512),
+                                      pseudo_spectrum(T, 1, 512))
 
 
 class TestEstimateFrequencies:
@@ -178,7 +184,7 @@ class TestAgainstDirectMusic:
         resolved0, chosen0, freqs0 = music_direct_estimate(T, K, G)
         En = music_noise_subspace(T, K)
 
-        spectrum = music_spectrum(T, K, G)
+        spectrum = pseudo_spectrum(T, K, G)
         resolved, chosen = _pick_peaks(spectrum, K)
         assert resolved == resolved0
         assert sorted(chosen) == sorted(chosen0)
@@ -217,7 +223,7 @@ class TestPolynomialTraps:
     @pytest.mark.parametrize("d, f, grid", [(8, 0.3, 640), (4, 0.0625, 32), (4, 0.25, 32)])
     def test_noiseless_source_on_the_grid(self, d, f, grid):
         T = exact_scene_cov([f], d)
-        spec = music_spectrum(T, 1, grid)
+        spec = pseudo_spectrum(T, 1, grid)
         assert np.all(np.isfinite(spec)) and np.all(spec > 0)
         resolved, freqs = estimate_frequencies(T, 1, grid)
         assert resolved

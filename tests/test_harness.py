@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import re
@@ -38,6 +39,11 @@ SHOW_CONFIG_DIGESTS = {
     ("exp5", "ci"): "50590f923140f1792fc0fc75ec80dae92a73a462835337e78953aa951fbce5e0",
     ("exp5", "full"): "6f9e5e30b393005f05009ad117f562845d1e2f20754c36011cd0a36cb6929271",
 }
+
+
+def mean_rows(table):
+    """The table's mean rows, in table order."""
+    return [r for r in table.rows if r.stat == "mean"]
 
 
 def tiny_config(**kw):
@@ -197,11 +203,6 @@ class TestConfig:
 
 
 class TestResultTable:
-    def test_csv_roundtrip_exact(self):
-        table = run_experiment(tiny_config())
-        text = table.to_csv()
-        assert ResultTable.from_csv(text).to_csv() == text
-
     def test_runs_are_byte_identical(self):
         cfg = tiny_config(estimators=("qtscm", "qscm"), n_values=(20, 50))
         a = run_experiment(cfg).to_csv()
@@ -236,7 +237,7 @@ class TestRunnerSemantics:
         gens[0] = gens[0].real
         est = qtcov.HermitianToeplitz(gens)
         expect = np.linalg.norm(est.dense - T.dense, 2) / np.linalg.norm(T.dense, 2)
-        [mean_row] = table.means()
+        [mean_row] = mean_rows(table)
         assert mean_row.value == pytest.approx(expect, rel=1e-12)
 
     def test_qscm_skipped_on_sparse_rulers(self):
@@ -257,7 +258,7 @@ class TestRunnerSemantics:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         monkeypatch.setitem(harness.ESTIMATORS, "qscm", broken)
         table = run_experiment(tiny_config(estimators=("qtscm", "qscm")))
-        means = {r.estimator: r for r in table.means()}
+        means = {r.estimator: r for r in mean_rows(table)}
         assert math.isnan(means["qscm"].value)
         assert means["qscm"].note == "LinAlgError: Matrix is not positive definite"
         assert np.isfinite(means["qtscm"].value) and means["qtscm"].note == ""
@@ -265,7 +266,7 @@ class TestRunnerSemantics:
     def test_subnormal_level_is_named_in_its_row_note(self):
         table = run_experiment(parse_config("qtcov-config 1\nexperiment = custom\nd = 4\n"
                                             "deltas = 1e-310:1e-310, 0.5:0.5\n"))
-        means = table.means()
+        means = mean_rows(table)
         assert len(means) == 2
         assert math.isnan(means[0].value)
         assert means[0].note == "QtcovError: quantization level 1e-310 is subnormal"
@@ -274,7 +275,7 @@ class TestRunnerSemantics:
     def test_non_finite_level_is_named_in_its_row_note(self):
         table = run_experiment(parse_config("qtcov-config 1\nexperiment = custom\nd = 4\n"
                                             "deltas = nan:nan, inf:0.5, 0.5:0.5\n"))
-        means = table.means()
+        means = mean_rows(table)
         assert [r.note for r in means[:2]] == ["QtcovError: quantization level nan is not finite",
                                                "QtcovError: quantization level inf is not finite"]
         assert all(math.isnan(r.value) for r in means[:2])
@@ -282,7 +283,7 @@ class TestRunnerSemantics:
 
     def test_overflow_is_named_in_its_row_note(self):
         table = run_experiment(tiny_config(deltas=((1e300, 1e300), (0.5, 0.5))))
-        means = table.means()
+        means = mean_rows(table)
         assert math.isnan(means[0].value)
         assert means[0].note.startswith("FloatingPointError: overflow")
         assert np.isfinite(means[1].value) and means[1].note == ""
@@ -304,7 +305,7 @@ class TestRunnerSemantics:
             monkeypatch.setattr(harness, name, counted(name))
         table = run_experiment(cfg)
         assert table.to_csv() == plain
-        assert len(table.means()) == 8  # 2 rulers x 2 levels x 2 estimators
+        assert len(mean_rows(table)) == 8  # 2 rulers x 2 levels x 2 estimators
         assert calls == {"unit_dither": 3 * 2, "quantize_batch": 3 * 2 * 2}
 
     def test_one_gram_matrix_per_quantized_batch(self, monkeypatch):
@@ -326,7 +327,7 @@ class TestRunnerSemantics:
         cfg = tiny_config(d=6, estimators=("qspa",), qspa=replace(QspaOptions(), max_outer=1))
         table = run_experiment(cfg)
         assert [r.note for r in table.rows] == ["nonconverged 3/3"] * 2
-        assert np.isfinite(table.means()[0].value)
+        assert np.isfinite(mean_rows(table)[0].value)
         assert "nonconverged 3/3" in table.to_csv()
 
     def test_unresolved_spectrum_noted_and_kept(self, monkeypatch):
@@ -336,14 +337,14 @@ class TestRunnerSemantics:
         scene = DoaScene(8, (0.1, 0.3, 0.6), (1.0, 1.0, 1.0), 0.1)
         table = run_experiment(tiny_config(scene=scene, music_grid=512, emit_trials=True))
         assert [r.note for r in table.rows] == ["unresolved 3/3"] * 5
-        assert np.isfinite(table.means()[0].value)
+        assert np.isfinite(mean_rows(table)[0].value)
 
     def test_doa_runner_rows(self):
         cfg = replace(default_config("exp5"), trials=2, n_values=(200,),
                       rulers=("alpha:0.5",), estimators=("qtscm",))
         table = run_experiment(cfg)
         assert all(r.metric == "freq_mse" for r in table.rows)
-        assert len(table.means()) == 1
+        assert len(mean_rows(table)) == 1
 
 
 class TestPlots:
@@ -368,7 +369,7 @@ class TestPlots:
         table = run_experiment(cfg)
         svg = emit_plot(table, "heatmap")
         assert svg.count("<rect") >= 4  # 4 cells plus background
-        vals = {(r.delta_r, r.delta_i): r.value for r in table.means()}
+        vals = {(r.delta_r, r.delta_i): r.value for r in mean_rows(table)}
         gap = abs(vals[(1.0, 3.0)] - vals[(3.0, 1.0)])
         se = [r.value for r in table.rows if r.stat == "stderr"]
         assert gap < 4 * max(se)
@@ -454,6 +455,32 @@ class TestCli:
         assert (tmp_path / "custom.csv").exists()
         assert (tmp_path / "custom.svg").exists()
 
+    def test_show_config_prints_the_config_that_runs(self, tmp_path, capsys, monkeypatch):
+        # the flags override the file's outdir and seed in the run and in the printout
+        path = tmp_path / "exp.cfg"
+        path.write_text("qtcov-config 1\nexperiment = custom\nd = 4\nn_values = 30\n"
+                        "trials = 2\nseed = 7\noutdir = from_file\n")
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: ran.append(cfg) or run_experiment(cfg))
+        argv = ["experiment", "--config", str(path), "--outdir", str(tmp_path / "out"),
+                "--seed", "5"]
+        assert main(argv + ["--show-config"]) == 0
+        shown = parse_config(capsys.readouterr().out)
+        assert shown.outdir == str(tmp_path / "out") and shown.seed == 5
+        assert main(argv) == 0
+        assert ran == [shown]
+        assert (tmp_path / "out" / "custom.csv").exists()
+
+    def test_show_config_rejects_an_n_above_the_overriding_profile_cap(self, tmp_path, capsys):
+        path = tmp_path / "big.cfg"
+        path.write_text("qtcov-config 1\nexperiment = custom\nprofile = full\n"
+                        "n_values = 100000\n")
+        assert main(["experiment", "--config", str(path), "--profile", "ci",
+                     "--show-config"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds the ci profile cap" in err
+
     def test_doa_command(self):
         r = self.run_cli("doa", "--n", "500", "--seed", "2", "--estimator",
                          "qtscm", "--grid", "1024")
@@ -482,9 +509,10 @@ class TestCli:
                 f"'--outdir', {str(tmp_path)!r}]))")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        means = ResultTable.from_csv((tmp_path / "exp5.csv").read_text()).means()
-        assert means and all(row.metric == "freq_mse" and np.isfinite(row.value)
-                             for row in means)
+        with open(tmp_path / "exp5.csv", newline="") as fh:
+            means = [r for r in csv.DictReader(fh) if r["stat"] == "mean"]
+        assert means and all(r["metric"] == "freq_mse" and np.isfinite(float(r["value"]))
+                             for r in means)
 
 
 class TestInputErrors:
@@ -601,15 +629,8 @@ class TestInputErrors:
 class TestOutputs:
     def test_all_nan_table_writes_no_svg_and_drops_a_stale_one(self, tmp_path):
         # an earlier plot must not stay beside a CSV it does not show
-        cfg = tiny_config(n_values=(0,))
+        cfg = tiny_config(n_values=(0,), outdir=str(tmp_path))
         (tmp_path / "custom.svg").write_text("<svg/>")
-        csv_path, svg_path = write_outputs(cfg, run_experiment(cfg), str(tmp_path))
+        csv_path, svg_path = write_outputs(cfg, run_experiment(cfg))
         assert svg_path is None
         assert sorted(p.name for p in tmp_path.iterdir()) == ["custom.csv"]
-
-    def test_write_outputs_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QTCOV_OUTDIR", str(tmp_path / "envdir"))
-        cfg = tiny_config()
-        table = run_experiment(cfg)
-        csv_path, svg_path = write_outputs(cfg, table)
-        assert str(tmp_path / "envdir") in csv_path

@@ -5,10 +5,10 @@ import pytest
 
 from qtcov import rng as qrng
 from qtcov import (HermitianToeplitz, QuantizationSpec, auto_epsilon, full_ruler, harness,
-                   make_ruler_alpha, qspa, qspa_objective, qspa_solve, quantize_batch,
+                   make_ruler_alpha, qspa, qspa_solve, quantize_batch,
                    quantized_sample_covariance, random_toeplitz_covariance, resolve_ruler,
                    sample_complex_gaussian, toeplitz_adjoint_project)
-from qtcov.errors import InfeasibleU, QtcovError, SingularRhat
+from qtcov.errors import QtcovError, SingularRhat
 from qtcov.qspa import QspaOptions, _BarrierProblem, _params_from_generators
 
 from oracles import (fitting_objective_d2, grid_oracle_d2, reference_qspa_solve,
@@ -45,6 +45,13 @@ def criterion8_problems(trials):
              ruler, spec, None, n) for t in range(trials)]
 
 
+def two_trace_objective(u, Rhat, ruler, spec):
+    """tr(Rhat^-1 A(u)) + tr(A(u)^-1 Rhat) at generators u, or None unless
+    both A(u) and T(u) - cI are positive definite."""
+    p = _BarrierProblem(Rhat, ruler, spec.lag0_bias).evaluate(_params_from_generators(u))
+    return None if p is None else p.objective
+
+
 def feasible_generators(rng, d, c, margin=1.0):
     T = random_toeplitz_covariance(d, rng.integers(2 ** 32))
     gens = T.generators.copy()
@@ -59,11 +66,11 @@ class TestObjective:
         # Rhat is not Toeplitz, so evaluate at an exactly matching Toeplitz pair
         from qtcov import HermitianToeplitz
         A = HermitianToeplitz(gens).dense
-        assert qspa_objective(gens, A, full_ruler(3), DELTA0) == pytest.approx(6.0)
+        assert two_trace_objective(gens, A, full_ruler(3), DELTA0) == pytest.approx(6.0)
 
     def test_scalar(self):
-        assert qspa_objective([1.0], np.array([[2.0 + 0j]]), full_ruler(1),
-                              DELTA0) == pytest.approx(2.5)
+        assert two_trace_objective([1.0], np.array([[2.0 + 0j]]), full_ruler(1),
+                                   DELTA0) == pytest.approx(2.5)
 
     def test_matches_dense_inverse_reference(self, rng):
         Rhat = wishart_rhat(rng, 3, 50)
@@ -71,17 +78,16 @@ class TestObjective:
         from qtcov import HermitianToeplitz
         A = HermitianToeplitz(gens).dense
         ref = np.trace(np.linalg.inv(Rhat) @ A) + np.trace(np.linalg.inv(A) @ Rhat)
-        val = qspa_objective(gens, Rhat, full_ruler(3), DELTA11)
+        val = two_trace_objective(gens, Rhat, full_ruler(3), DELTA11)
         assert val == pytest.approx(ref.real, rel=1e-10)
 
     def test_singular_rhat(self):
         with pytest.raises(SingularRhat):
-            qspa_objective([1.0, 0.0], np.zeros((2, 2)), full_ruler(2), DELTA0)
+            two_trace_objective([1.0, 0.0], np.zeros((2, 2)), full_ruler(2), DELTA0)
 
     def test_infeasible_u(self, rng):
         Rhat = wishart_rhat(rng, 2, 20)
-        with pytest.raises(InfeasibleU):
-            qspa_objective([1.0, 2.0], Rhat, full_ruler(2), DELTA0)
+        assert two_trace_objective([1.0, 2.0], Rhat, full_ruler(2), DELTA0) is None
 
 
 class TestOptions:
@@ -220,7 +226,7 @@ class TestBarrierCalculus:
         for _ in range(10):
             gens = feasible_generators(rng, m, 0.0)
             A = HermitianToeplitz(gens).dense
-            vals_tr.append(qspa_objective(gens, Rhat, ruler, DELTA0))
+            vals_tr.append(two_trace_objective(gens, Rhat, ruler, DELTA0))
             W = np.linalg.inv(np.linalg.cholesky(A))
             M = W @ (Rhat - A) @ Rinv_sqrt.conj().T
             vals_fro.append(np.linalg.norm(M, "fro") ** 2)
