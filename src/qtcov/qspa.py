@@ -31,8 +31,10 @@ give the barrier value there, and those of the accepted point also give the
 next Newton step and the end-of-centering objective.  Gradients reduce to
 per-lag sums of Hermitian weight matrices (the adjoint of the generator-to-
 matrix map).  Hessian entries tr(X E_a Y E_b) over lag directions E_a depend
-only on lag-shifted products of X and Y, so they come from one 2-D FFT
-cross-correlation over the signed lags, in O(d^2 log d) for any ruler.
+only on lag-shifted products of X and Y, a 2-D cross-correlation over the
+signed lags.  Each Newton system takes it from dense DFT-matrix products with
+constants built once per problem: three two-sided 2d x |Omega| transforms
+and one real product back to generator coordinates, O(d^3) for any ruler.
 """
 
 import math
@@ -74,6 +76,8 @@ class QspaSolution:
     kkt_residual: float           # Newton-decrement stationarity residual
     iterations: int               # damped Newton steps (line searches); excludes
                                   # each centering's final system and predictors
+    newton_systems: int           # Newton systems (Hessians) built
+    evaluations: int              # points factored, feasible or not
     T_breve: HermitianToeplitz    # bias-removed covariance estimate
     converged: bool
     trace: list = field(default_factory=list)  # (outer, mu, objective, kkt)
@@ -135,39 +139,29 @@ def _grad_from_lag_sums(h):
     return g
 
 
-def _lag_hessian(terms):
-    """H[a, b] = Re sum over (X, Y, ruler) in terms of tr(X E_a Y E_b).
+def _lag_dft(d):
+    """Constants of the lag Hessian for dimension d, over n = 2d signed lags.
 
-    E_a = dA/dv_a is the direction matrix of generator coordinate a on the
-    ruler block.  With F_l the signed-lag indicator (F_l[j, k] = 1 iff
-    k - j = l), E_0 = F_0, E(Re u_s) = F_s + F_-s, E(Im u_s) = i F_s - i F_-s,
-    and K[l, l'] = tr(X F_l Y F_l') = sum_{p, j} X[p, j] Y[j + l, p - l']
-    over the d x d embedding, a 2-D cross-correlation of X with Y^T.  All
-    terms share one inverse FFT.
+    W[r, a] = exp(2 pi i r a / n) for r < n and positions a < d, so W[:, P]
+    M W[:, P]^T is the 2-D DFT of M embedded at positions P (2d - 1 signed
+    lags per axis fit without wrap-around).  G1 = conj(coef) W / n^2 and
+    G2 = (coef W)^T take a lag spectrum back to generator coordinates, where
+    coef[a, l] is the weight of the signed-lag indicator F_l in E_a (column l
+    mod n).  E(Re u_s) and E(Im u_s) weigh lags s and -s by conjugate pairs,
+    so both maps are real: rows 1, 2 cos and +-2 sin of the lag-s phase.
     """
-    d = terms[0][2].dim
-    # 2d - 1 signed lags per axis fit without wrap-around; 2d is a faster FFT
-    # length (2d - 1 is prime for d = 16 and d = 64)
     n = 2 * d
-    spectrum = 0.0
-    for X, Y, ruler in terms:
-        pos = np.ix_(ruler.positions, ruler.positions)
-        Xe = np.zeros((n, n), dtype=np.complex128)
-        Ze = np.zeros((n, n), dtype=np.complex128)
-        Xe[pos] = X
-        Ze[pos] = Y.T
-        spectrum = spectrum + np.fft.ifft2(Xe, norm="forward") * np.fft.fft2(Ze)
-    # C[r, c] = sum_{p, j} X[p, j] Y^T[p + r, j + c], signed shifts taken mod n
-    C = np.fft.ifft2(spectrum)
-    # coefficients of each E_a over signed lags l, column l mod n
-    s = np.arange(1, d)
-    coef = np.zeros((2 * d - 1, n), dtype=np.complex128)
-    coef[0, 0] = 1.0
-    coef[2 * s - 1, s] = coef[2 * s - 1, n - s] = 1.0
-    coef[2 * s, s] = 1j
-    coef[2 * s, n - s] = -1j
-    # K[l, l'] = C[-l', l]; the coefficients of lag -l' are conj(coef[:, l'])
-    return (coef.conj() @ C @ coef.T).real.T
+    # exponents reduced mod n, so the phases stay exact at large d
+    angle = 2.0 * np.pi / n * np.arange(n)
+    W = np.exp(1j * angle)[np.outer(np.arange(n), np.arange(d)) % n]
+    lag_angle = angle[np.outer(np.arange(1, d), np.arange(n)) % n]
+    G = np.empty((2 * d - 1, n))
+    G[0] = 1.0
+    G[1::2] = 2.0 * np.cos(lag_angle)
+    G[2::2] = 2.0 * np.sin(lag_angle)
+    G1 = G / n ** 2
+    G[2::2] *= -1.0
+    return W, G1, G.T
 
 
 def _try_chol(M):
@@ -217,6 +211,11 @@ class _BarrierProblem:
         self.full = full_ruler(ruler.dim)
         self.c = float(c)
         self.block_pos = np.ix_(ruler.positions, ruler.positions)
+        W, self.G1, self.G2 = _lag_dft(ruler.dim)
+        self.W_ruler = W[:, ruler.positions]
+        self.W_full = W[:, self.full.positions]
+        self.evaluations = 0
+        self.newton_systems = 0
 
     def _two_trace(self, A, LA):
         """tr(Rhat^-1 A) + tr(A^-1 Rhat) and A^-1, from the Cholesky factor LA of A."""
@@ -227,6 +226,7 @@ class _BarrierProblem:
 
     def evaluate(self, v):
         """The _Point at v, or None if A(u) or T(u) - cI is not positive definite."""
+        self.evaluations += 1
         T = HermitianToeplitz(_generators_from_params(v)).dense
         A = T[self.block_pos]
         LA = _try_chol(A)
@@ -242,14 +242,34 @@ class _BarrierProblem:
         """Gradient and Hessian of the barrier at the _Point p, and the
         gradient of its log-determinant term (the barrier gradient is
         grad f - mu * that)."""
+        self.newton_systems += 1
         Binv = _chol_inverse(p.LB)
         S = p.Ainv @ self.Rhat @ p.Ainv
         grad_f = _grad_from_lag_sums(_lag_sums(self.Rinv - S, self.ruler))
         grad_logdet = _grad_from_lag_sums(_lag_sums(p.Ainv, self.ruler)
                                           + _lag_sums(Binv, self.full))
-        H = _lag_hessian(((2.0 * S + mu * p.Ainv, p.Ainv, self.ruler),
-                          (mu * Binv, Binv, self.full)))
+        H = self.lag_hessian(2.0 * S + mu * p.Ainv, p.Ainv, Binv, mu)
         return grad_f - mu * grad_logdet, 0.5 * (H + H.T), grad_logdet
+
+    def lag_hessian(self, X, Y, Binv, mu):
+        """H[a, b] = Re tr(X E_a Y E_b) + mu Re tr(Binv E'_a Binv E'_b) for
+        Hermitian X, Y on the ruler block and Binv on the full d x d matrix.
+
+        E_a = dA/dv_a is the direction matrix of generator coordinate a on the
+        ruler block, E'_a = dT/dv_a its full-matrix form.  With F_l the
+        signed-lag indicator (F_l[j, k] = 1 iff k - j = l), E_0 = F_0,
+        E(Re u_s) = F_s + F_-s, E(Im u_s) = i F_s - i F_-s, and K[l, l'] =
+        tr(X F_l Y F_l') = sum_{p, j} X[p, j] Y[j + l, p - l'], a 2-D
+        cross-correlation of X with Y^T over signed lags.  Its spectrum is
+        F_X o conj(F_Y) with F_M = W M W^T at the block's positions (the DFT
+        of Y^T is conj(F_Y) for Hermitian Y), and G1, G2 take the real part
+        of the spectra's sum back to generator coordinates.
+        """
+        FX = self.W_ruler @ X @ self.W_ruler.T
+        FY = self.W_ruler @ Y @ self.W_ruler.T
+        FB = self.W_full @ Binv @ self.W_full.T
+        spectrum = (FX * FY.conj()).real + mu * (FB * FB.conj()).real
+        return self.G1 @ spectrum @ self.G2
 
 
 def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
@@ -287,8 +307,8 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
                 and float(np.linalg.eigvalsh(Rhat)[0]) >= -1e-12 * scale):
             p = prob.evaluate(_params_from_generators(gens))
             obj = 2.0 * ruler.size if p is None else p.objective
-            return QspaSolution(gens, obj, 0.0, 0, HermitianToeplitz(gens), True,
-                                trace=[(0, 0.0, obj, 0.0)])
+            return QspaSolution(gens, obj, 0.0, 0, 0, prob.evaluations,
+                                HermitianToeplitz(gens), True, trace=[(0, 0.0, obj, 0.0)])
 
     gens[0] = gens[0].real - c
     lmin = float(np.linalg.eigvalsh(HermitianToeplitz(gens).dense - c * np.eye(ruler.dim))[0])
@@ -324,8 +344,7 @@ def _barrier_iterations(prob, v, opts):
     total_newton = 0
     trace = []
     converged = False
-    kkt = math.inf
-    obj = math.nan
+    best = None  # (point, kkt) of least objective among the start and the centers
     for outer in range(opts.max_outer):
         # Center at the current mu with damped Newton steps.  The stationarity
         # residual is the Newton decrement sqrt(g^T H^-1 g): lambda^2 / 2
@@ -339,6 +358,8 @@ def _barrier_iterations(prob, v, opts):
             dv, tangent = _solve_newton(H, np.column_stack([grad, grad_logdet])).T
             lam2 = -float(grad @ dv)
             kkt = math.sqrt(max(lam2, 0.0))
+            if best is None:
+                best = (p, kkt)
             # Loose centering at large mu (the center is about to move anyway),
             # tight once mu is small.
             ctol = max(1e-14 * (1.0 + abs(val)), min(1e-2 * mu, 1e-9 * (1.0 + abs(val))))
@@ -351,10 +372,12 @@ def _barrier_iterations(prob, v, opts):
             if trial is None:
                 break
             p = trial
-        obj = p.objective
-        trace.append((outer, mu, obj, kkt))
-        if v.size * mu < opts.newton_tol and kkt < 1e-6 * (1.0 + abs(obj)):
+        trace.append((outer, mu, p.objective, kkt))
+        if p.objective < best[0].objective:
+            best = (p, kkt)
+        if v.size * mu < opts.newton_tol and kkt < 1e-6 * (1.0 + abs(p.objective)):
             converged = True
+            best = (p, kkt)
             break
         mu_next = mu * _MU_SHRINK
         if centered:
@@ -365,21 +388,29 @@ def _barrier_iterations(prob, v, opts):
             p = _backtrack(prob, p.v, (mu - mu_next) * tangent, 0.2) or p
         mu = mu_next
 
+    # a converged solve returns its last center; an unconverged one, the
+    # point of least objective among the start and the centers
+    p, kkt = best
     u = _generators_from_params(p.v)
     breve_gens = u.copy()
     breve_gens[0] = breve_gens[0].real - prob.c
-    return QspaSolution(u, obj, kkt, total_newton,
-                        HermitianToeplitz(breve_gens), converged, trace)
+    return QspaSolution(u, p.objective, kkt, total_newton, prob.newton_systems,
+                        prob.evaluations, HermitianToeplitz(breve_gens), converged, trace)
 
 
 def _solve_newton(H, rhs):
-    """-H^-1 rhs for a vector or a matrix of right-hand sides."""
+    """-H^-1 rhs for a vector or a matrix of right-hand sides.
+
+    A Cholesky factorization tests H (plus a growing diagonal jitter) for
+    positive definiteness; the solve itself is one LU solve, cheaper than
+    inverting the factor."""
     jitter = 0.0
     scale = float(np.trace(H)) / H.shape[0]
     for _ in range(8):
+        Hj = H + jitter * np.eye(H.shape[0])
         try:
-            Linv = np.linalg.inv(np.linalg.cholesky(H + jitter * np.eye(H.shape[0])))
-            return -(Linv.T @ (Linv @ rhs))
+            np.linalg.cholesky(Hj)
+            return -np.linalg.solve(Hj, rhs)
         except np.linalg.LinAlgError:
             jitter = max(2.0 * jitter, 1e-12 * max(scale, 1.0))
     return -np.linalg.lstsq(H, rhs, rcond=None)[0]

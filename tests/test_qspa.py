@@ -1,12 +1,14 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
 from qtcov import rng as qrng
 from qtcov import (HermitianToeplitz, QuantizationSpec, auto_epsilon, full_ruler, harness,
-                   make_ruler_alpha, qspa, qspa_solve, quantize_batch,
-                   quantized_sample_covariance, random_toeplitz_covariance, resolve_ruler,
+                   make_ruler_alpha, qspa_solve, quantize_batch,
+                   quantized_sample_covariance, random_toeplitz_covariance,
+                   relative_spectral_error, resolve_ruler,
                    sample_complex_gaussian, toeplitz_adjoint_project)
 from qtcov.errors import QtcovError, SingularRhat
 from qtcov.qspa import QspaOptions, _BarrierProblem, _params_from_generators
@@ -50,6 +52,11 @@ def two_trace_objective(u, Rhat, ruler, spec):
     both A(u) and T(u) - cI are positive definite."""
     p = _BarrierProblem(Rhat, ruler, spec.lag0_bias).evaluate(_params_from_generators(u))
     return None if p is None else p.objective
+
+
+def stacked_hessian(prob, X, Y, Binv, mu):
+    """_BarrierProblem.lag_hessian from the stacked direction-matrix oracle."""
+    return stacked_lag_hessian(((X, Y, prob.ruler), (mu * Binv, Binv, prob.full)))
 
 
 def feasible_generators(rng, d, c, margin=1.0):
@@ -182,6 +189,30 @@ class TestSolve:
         assert not sol.converged  # best iterate still returned
         assert np.isfinite(sol.objective)
 
+    def test_unconverged_solve_returns_its_best_point(self):
+        # exact, ill-conditioned Toeplitz input with c > 0: the lifted
+        # projection start is within 1e-7 of T, but centering stalls at
+        # objectives above the start's until the budget runs out
+        d = 8
+        T = random_toeplitz_covariance(d, 77)
+        spec = QuantizationSpec(0.1, 0.1)
+        sol = qspa_solve(T.dense, full_ruler(d), spec)
+        assert not sol.converged
+        assert sol.objective <= min(row[2] for row in sol.trace)
+        assert sol.objective == two_trace_objective(sol.u, T.dense, full_ruler(d), spec)
+        assert relative_spectral_error(sol.T_breve, T) < 1e-6
+
+    def test_work_counts(self, rng):
+        Rhat = wishart_rhat(rng, 4, 40)
+        sol = qspa_solve(Rhat, full_ruler(4), DELTA11, n=40)
+        # a system per line search and per centering that ends centered; the
+        # start, at least one point per line search, and the predictors' tries
+        assert sol.converged
+        assert sol.iterations < sol.newton_systems <= sol.iterations + len(sol.trace)
+        assert sol.evaluations >= sol.iterations + 1
+        shortcut = qspa_solve(random_toeplitz_covariance(4, 77).dense, full_ruler(4), DELTA0)
+        assert (shortcut.iterations, shortcut.newton_systems, shortcut.evaluations) == (0, 0, 1)
+
     def test_trace_csv(self, rng):
         Rhat = wishart_rhat(rng, 2, 20)
         sol = qspa_solve(Rhat, full_ruler(2), DELTA11, n=20)
@@ -237,10 +268,11 @@ class TestBarrierCalculus:
 
 
 class TestStructuredHessian:
-    """The FFT lag Hessian against the stacked direction-matrix construction."""
+    """The DFT-matrix lag Hessian against the stacked direction-matrix construction."""
 
-    @pytest.mark.parametrize("rspec", ["full", "alpha:0.5"])
-    @pytest.mark.parametrize("d", [2, 3, 8, 16, 33])
+    @pytest.mark.parametrize("d, rspec", [
+        *itertools.product([2, 3, 8, 16, 33, 64], ["full", "alpha:0.5"]),
+        (13, "1,2,3,7,10,13")])
     def test_matches_stacked_oracle(self, d, rspec, monkeypatch):
         rng = np.random.default_rng(7000 + d)
         ruler = resolve_ruler(rspec, d)
@@ -257,7 +289,7 @@ class TestStructuredHessian:
             mu = float(rng.uniform(0.05, 2.0))
             _, H, _ = prob.newton_system(point, mu)
             with monkeypatch.context() as mp:
-                mp.setattr(qspa, "_lag_hessian", stacked_lag_hessian)
+                mp.setattr(_BarrierProblem, "lag_hessian", stacked_hessian)
                 _, H_ref, _ = prob.newton_system(point, mu)
             assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
 
@@ -265,10 +297,11 @@ class TestStructuredHessian:
         problems = golden_problems()
         solved = [qspa_solve(Rhat, ruler, spec, opts, n=n)
                   for Rhat, ruler, spec, opts, n in problems]
-        monkeypatch.setattr(qspa, "_lag_hessian", stacked_lag_hessian)
+        monkeypatch.setattr(_BarrierProblem, "lag_hessian", stacked_hessian)
         for (Rhat, ruler, spec, opts, n), sol in zip(problems, solved):
             ref = qspa_solve(Rhat, ruler, spec, opts, n=n)
-            assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+            assert ((sol.iterations, sol.newton_systems, sol.evaluations, sol.converged)
+                    == (ref.iterations, ref.newton_systems, ref.evaluations, ref.converged))
             assert sol.objective == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
             assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
 
