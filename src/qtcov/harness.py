@@ -9,7 +9,11 @@ its ruler columns, so grid cells are compared under common random numbers
 while trials stay independent.  The dither is drawn once per (trial, ruler)
 as a level-free unit pair and shared by every level of that ruler; each
 quantization spec is applied once and its batch and Gram matrix shared by the
-estimators of that cell.  One runner serves both metrics; only the truth and
+estimators of that cell.  Each quantized real plane, keyed by (part, level,
+bit depth), is formed once per (trial, ruler) and shared by every spec that
+needs it, then dropped after its last use: the 8 x 8 level grid of exp1 forms
+16 planes per trial, not 128, and holds at most one real and eight imaginary
+planes at a time.  One runner serves both metrics; only the truth and
 the scoring function (relative spectral error, or MUSIC frequency MSE) differ.
 Each grid cell is one `_Cell` record, which gathers its trial values, its
 degraded-trial counts and its first error, and writes its own rows.  A cell
@@ -25,6 +29,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -389,6 +394,9 @@ class _Cell:
     degraded: Counter = field(default_factory=Counter)  # "nonconverged"/"unresolved" -> trials
     error: Optional[str] = None
 
+    def fail(self, err):
+        self.error = f"{type(err).__name__}: {err}"
+
     @np.errstate(over="ignore")  # values near the float limit get an inf stderr
     def rows(self, emit_trials):
         """Its mean and stderr rows, then one row per trial if asked; a cell
@@ -404,6 +412,67 @@ class _Cell:
         if emit_trials:
             stats += [(f"trial:{t}", float(v)) for t, v in enumerate(vals)]
         return [replace(proto, stat=stat, value=value) for stat, value in stats]
+
+
+_CELL_ERRORS = (QtcovError, np.linalg.LinAlgError, FloatingPointError)
+
+
+def _run_ruler(cfg, ruler, block, ts, group, gamma0, score):
+    """One trial of the live cells `group` of one ruler, drawn from the
+    full-dimension block of trial seed ts.
+
+    The raw batch and unit dither pair are built once.  Cells with equal
+    specs are adjacent (they differ only in n or the estimator), and each run
+    of them shares one quantized batch and Gram matrix.  A quantized real
+    plane that several runs need is formed once and kept until its last run.
+    """
+    try:
+        raw = SampleBatch(ruler, ruler.columns(block), ts)
+        unit = unit_dither(raw.data.shape, ts)
+    except _CELL_ERRORS as err:
+        for cell in group:
+            cell.fail(err)
+        return
+    runs = []  # [spec, its cells], in cell order
+    for cell in group:
+        row = cell.row
+        try:
+            # only the datadriven level depends on the trial's data
+            spec = (cell.spec if cell.spec is not None and cfg.level_rule != "datadriven"
+                    else _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0))
+        except _CELL_ERRORS as err:
+            cell.fail(err)
+            continue
+        if cell.spec is None:
+            cell.spec = spec
+        if runs and runs[-1][0] == spec:
+            runs[-1][1].append(cell)
+        else:
+            runs.append([spec, [cell]])
+    uses = Counter(key for spec, _ in runs for key in spec.plane_keys)
+    planes = {key: None for key, count in uses.items() if count > 1}
+    for spec, run in runs:
+        batch = gram = None  # the last run's, released before this one's is built
+        try:
+            batch = quantize_batch(raw, spec, unit=unit, planes=planes)
+            gram = quantized_sample_covariance(batch)
+        except _CELL_ERRORS as err:
+            for cell in run:
+                cell.fail(err)
+            continue
+        finally:
+            for key in spec.plane_keys:
+                uses[key] -= 1
+                if not uses[key]:
+                    planes.pop(key, None)
+        for cell in run:
+            try:
+                est, converged = ESTIMATORS[cell.row.estimator](batch, gram, cfg.qspa)
+                value, resolved = score(est)
+                cell.values.append(value)
+                cell.degraded.update(nonconverged=not converged, unresolved=not resolved)
+            except _CELL_ERRORS as err:
+                cell.fail(err)
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -431,43 +500,17 @@ def run_experiment(config):
         for n in cfg.n_values:
             cells_of_n = [cell for cell in cells if cell.row.n == n]
             for t in range(cfg.trials):
-                # One-entry caches, dropped with the trial: the raw batch and
-                # unit dither of a ruler, and the quantized batch of a (ruler,
-                # spec) with its Gram matrix.  Cells of one ruler, and cells
-                # differing only in the estimator, are adjacent in `cells`.  An
-                # entry is released before its successor is built, and keyed
-                # only once built.
-                drawn_key = quantized_key = raw = unit = batch = gram = None
                 ts = rng.trial_seed(cfg.seed, t)
                 live = [cell for cell in cells_of_n if cell.error is None]
                 try:
                     block = sample_complex_gaussian(truth, full, n, ts).data
-                except (QtcovError, np.linalg.LinAlgError, FloatingPointError) as err:
+                except _CELL_ERRORS as err:
                     for cell in live:
-                        cell.error = f"{type(err).__name__}: {err}"
+                        cell.fail(err)
                     continue
-                for cell in live:
-                    row, ruler = cell.row, rulers[cell.row.ruler]
-                    try:
-                        if drawn_key != row.ruler:
-                            drawn_key = raw = unit = None
-                            raw = SampleBatch(ruler, ruler.columns(block), ts)
-                            unit = unit_dither(raw.data.shape, ts)
-                            drawn_key = row.ruler
-                        spec = _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0)
-                        if cell.spec is None:
-                            cell.spec = spec
-                        if quantized_key != (row.ruler, spec):
-                            quantized_key = batch = gram = None
-                            batch = quantize_batch(raw, spec, unit=unit)
-                            gram = quantized_sample_covariance(batch)
-                            quantized_key = (row.ruler, spec)
-                        est, converged = ESTIMATORS[row.estimator](batch, gram, cfg.qspa)
-                        value, resolved = score(est)
-                        cell.values.append(value)
-                        cell.degraded.update(nonconverged=not converged, unresolved=not resolved)
-                    except (QtcovError, np.linalg.LinAlgError, FloatingPointError) as err:
-                        cell.error = f"{type(err).__name__}: {err}"
+                # cells of one ruler are adjacent in `cells`
+                for rspec, group in groupby(live, key=lambda cell: cell.row.ruler):
+                    _run_ruler(cfg, rulers[rspec], block, ts, list(group), gamma0, score)
         rows += (row for cell in cells for row in cell.rows(cfg.emit_trials))
     return ResultTable(rows)
 

@@ -78,6 +78,8 @@ class QspaSolution:
                                   # each centering's final system and predictors
     newton_systems: int           # Newton systems (Hessians) built
     evaluations: int              # points factored, feasible or not
+    predictor_steps: int          # predictor steps taken (a feasible try accepted)
+    epsilon: float                # diagonal regularization added to Rhat (0.0 if none)
     T_breve: HermitianToeplitz    # bias-removed covariance estimate
     converged: bool
     trace: list = field(default_factory=list)  # (outer, mu, objective, kkt)
@@ -307,14 +309,14 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
                 and float(np.linalg.eigvalsh(Rhat)[0]) >= -1e-12 * scale):
             p = prob.evaluate(_params_from_generators(gens))
             obj = 2.0 * ruler.size if p is None else p.objective
-            return QspaSolution(gens, obj, 0.0, 0, 0, prob.evaluations,
+            return QspaSolution(gens, obj, 0.0, 0, 0, prob.evaluations, 0, eps,
                                 HermitianToeplitz(gens), True, trace=[(0, 0.0, obj, 0.0)])
 
     gens[0] = gens[0].real - c
     lmin = float(np.linalg.eigvalsh(HermitianToeplitz(gens).dense - c * np.eye(ruler.dim))[0])
     if lmin < 1e-6:
         gens[0] += 1e-6 - lmin
-    return _barrier_iterations(prob, _params_from_generators(gens), opts)
+    return _barrier_iterations(prob, _params_from_generators(gens), opts, eps)
 
 
 _MU_SHRINK = 0.05   # mu factor per centering
@@ -333,7 +335,7 @@ def _backtrack(prob, v, dv, min_step, accept=None):
     return None
 
 
-def _barrier_iterations(prob, v, opts):
+def _barrier_iterations(prob, v, opts, eps):
     p = prob.evaluate(v)
     if p is None:
         raise InfeasibleU("barrier evaluated at an infeasible point")
@@ -341,7 +343,7 @@ def _barrier_iterations(prob, v, opts):
     # f(v) - 2|Omega| bounds the start's (tr X + tr X^-1 >= 2m)
     m = prob.ruler.size
     mu = max((p.objective - 2.0 * m) / (prob.ruler.dim + m), _MU_FLOOR)
-    total_newton = 0
+    total_newton = predictor_steps = 0
     trace = []
     converged = False
     best = None  # (point, kkt) of least objective among the start and the centers
@@ -385,7 +387,10 @@ def _barrier_iterations(prob, v, opts):
             # (`tangent` is -H^-1 grad logdet), so step from the center at mu
             # towards the one at mu_next with the Newton system already at
             # hand, taking the first feasible of a full, half or quarter step.
-            p = _backtrack(prob, p.v, (mu - mu_next) * tangent, 0.2) or p
+            predicted = _backtrack(prob, p.v, (mu - mu_next) * tangent, 0.2)
+            if predicted is not None:
+                p = predicted
+                predictor_steps += 1
         mu = mu_next
 
     # a converged solve returns its last center; an unconverged one, the
@@ -395,7 +400,8 @@ def _barrier_iterations(prob, v, opts):
     breve_gens = u.copy()
     breve_gens[0] = breve_gens[0].real - prob.c
     return QspaSolution(u, p.objective, kkt, total_newton, prob.newton_systems,
-                        prob.evaluations, HermitianToeplitz(breve_gens), converged, trace)
+                        prob.evaluations, predictor_steps, eps,
+                        HermitianToeplitz(breve_gens), converged, trace)
 
 
 def _solve_newton(H, rhs):

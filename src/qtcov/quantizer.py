@@ -11,7 +11,8 @@ E[zq_j zq_k^*] = E[z_j z_k^*] plus (Delta_r^2 + Delta_i^2)/4 on the diagonal.
 `quantize_batch` is the one quantizer: it scales a level-free dither pair
 from `unit_dither` by the spec's levels and runs each real plane through one
 in-place kernel, so a pair drawn once replays or shares the dither across
-levels.
+levels.  A real plane depends only on its part, level and bit depth, so specs
+of one batch and pair can also share the quantized planes themselves.
 """
 
 import math
@@ -22,6 +23,8 @@ from . import rng
 from .errors import NonPositiveGamma0, QtcovError
 from .sampling import SampleBatch
 
+_TINY = np.finfo(float).tiny  # the smallest normal positive float
+
 
 def _check_level(level):
     """Raise QtcovError unless `level` is zero or a normal positive float."""
@@ -29,7 +32,7 @@ def _check_level(level):
         raise QtcovError(f"quantization level {float(level)!r} is not finite")
     if level < 0:
         raise QtcovError("quantization levels must be nonnegative")
-    if 0 < level < np.finfo(float).tiny:  # x / level would overflow
+    if 0 < level < _TINY:  # x / level would overflow
         raise QtcovError(f"quantization level {float(level)!r} is subnormal")
 
 
@@ -45,9 +48,15 @@ class QuantizationSpec:
 
     bits_k = None means the infinite-level quantizer; a finite bit depth
     requires equal positive levels on both parts.
+
+    `plane_keys` holds the keys of the real and the imaginary plane that
+    `quantize_batch` forms: (part, level, sign of the level, bit depth), part
+    0 real and 1 imaginary.  Specs with equal keys give that plane the same
+    bytes.  The sign is kept because -0.0 == 0.0, yet the two scale the
+    dither to zeros of opposite sign, which a -0.0 sample keeps.
     """
 
-    __slots__ = ("delta_r", "delta_i", "bits_k")
+    __slots__ = ("delta_r", "delta_i", "bits_k", "plane_keys")
 
     def __init__(self, delta_r, delta_i, bits_k=None):
         _check_level(delta_r)
@@ -59,6 +68,8 @@ class QuantizationSpec:
         self.delta_r = float(delta_r)
         self.delta_i = float(delta_i)
         self.bits_k = None if bits_k is None else int(bits_k)
+        self.plane_keys = tuple((part, delta, math.copysign(1.0, delta), self.bits_k)
+                                for part, delta in enumerate((self.delta_r, self.delta_i)))
 
     @property
     def norm_sq(self):
@@ -124,7 +135,7 @@ def unit_dither(shape, seed):
     return sums[0], sums[1]
 
 
-def quantize_batch(batch, spec, unit=None):
+def quantize_batch(batch, spec, unit=None, planes=None):
     """The quantized batch of a raw one (a batch without a spec): the same
     ruler and seed, new data, and `spec`.  The dither is applied and discarded.
 
@@ -133,12 +144,19 @@ def quantize_batch(batch, spec, unit=None):
     the batch seed.  It is scaled by the levels of `spec`, so a pair drawn
     once serves every level and replays the same dither.  Each real plane,
     delta_r * sr + Re z and then delta_i * si + Im z, is formed in one
-    contiguous float64 scratch plane, quantized there in place with its level
-    and the spec's bit depth, and copied into the .real or .imag view of one
-    new complex128 array; no complex temporary is made, and contiguous planes
+    contiguous float64 plane, quantized there in place with its level and
+    the spec's bit depth, and copied into the .real or .imag view of one new
+    complex128 array; no complex temporary is made, and contiguous planes
     keep the ufuncs on their vector loops, which the stride-16 views would
     not.  Neither the batch nor the pair is written.  Estimators only ever
     see the returned quantized values.
+
+    `planes` shares quantized planes between the specs of one batch and pair.
+    It is a dict owned by the caller and holds the keys of `spec.plane_keys`
+    that the caller wants kept: a key mapped to None is quantized and stored
+    there read-only, and a stored plane is copied as it is, without
+    quantizing again.  A plane whose key is absent is formed in a scratch
+    plane and dropped.  The caller drops a key after its last use.
     """
     if batch.spec is not None:
         raise QtcovError("quantize_batch expects a raw batch")
@@ -150,12 +168,21 @@ def quantize_batch(batch, spec, unit=None):
         raise QtcovError(f"dither shape {sr.shape} does not match the batch "
                          f"shape {z.shape}")
     data = np.empty(z.shape, np.complex128)
-    x = np.empty(z.shape)
-    for plane, part, s, delta in zip((data.real, data.imag), (z.real, z.imag),
-                                     (sr, si), (spec.delta_r, spec.delta_i)):
-        np.multiply(s, delta, out=x)
-        x += part
-        _quantize_plane(x, delta, spec.bits_k)
+    scratch = None
+    for plane, part, s, delta, key in zip((data.real, data.imag), (z.real, z.imag), (sr, si),
+                                          (spec.delta_r, spec.delta_i), spec.plane_keys):
+        x = planes.get(key) if planes else None
+        if x is None:
+            keep = planes is not None and key in planes
+            x = np.empty(z.shape) if keep or scratch is None else scratch
+            np.multiply(s, delta, out=x)
+            x += part
+            _quantize_plane(x, delta, spec.bits_k)
+            if keep:
+                x.flags.writeable = False
+                planes[key] = x
+            else:
+                scratch = x
         plane[...] = x
     return SampleBatch(batch.ruler, data, batch.seed, spec)
 

@@ -42,6 +42,15 @@ GOLDEN_CONFIGS = {
     "exp2": replace(default_config("exp2"), trials=2),
     "exp5": replace(default_config("exp5"), estimators=("qtscm", "qscm"),
                     n_values=(1000,), trials=2),
+    # three delta_i levels (one of them zero), each beside three delta_r
+    # levels that repeat the other part's levels: at k = None cells share
+    # imaginary planes, while equal levels of another part, bit depth or
+    # ruler must not share.  A finite k takes delta_r on both parts, so the
+    # delta_r levels are all distinct.
+    "shared_planes": _cov(bits=(2, None), n_values=(40, 90), emit_trials=True,
+                          deltas=((1.0, 0.0), (1.5, 0.0), (2.0, 0.0),
+                                  (0.5, 1.0), (2.5, 1.0), (3.0, 1.0),
+                                  (0.75, 1.5), (1.25, 1.5), (1.75, 1.5))),
 }
 
 DIGESTS = {
@@ -56,6 +65,7 @@ DIGESTS = {
     "exp5": "9a8bb7799a3c1d600a18ed0c9633fe487456e65c64c074eb2437f59434c0c73a",
     "fixed_bits": "0eeeae63b3c885fda9a6a5dbf08ea68deb18549221c01bcb00df6a93e6b27695",
     "negative_level": "87e5d7271aa91b6716b4fc6c274c2f4cbdf0669bc174f7df96403191dcbd11b2",
+    "shared_planes": "3962cf23c884cb5d370d7c64a77b9297ab56bd669ffef2ac4e3fd59b6a861d29",
     "tail_bound": "763b6c3e380f63b9403ef6d402e520d4207c200f2f043d73e737e2e8336c2152",
 }
 

@@ -308,6 +308,50 @@ class TestRunnerSemantics:
         assert len(mean_rows(table)) == 8  # 2 rulers x 2 levels x 2 estimators
         assert calls == {"unit_dither": 3 * 2, "quantize_batch": 3 * 2 * 2}
 
+    def test_level_grid_quantizes_each_plane_once_per_trial_and_ruler(self, monkeypatch):
+        levels = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+        cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), trials=2, n_values=(30,),
+                          deltas=tuple((a, b) for a in levels for b in levels))
+        plain = run_experiment(cfg).to_csv()
+        calls, specs = [], []
+        kernel, cell_spec = qtcov.quantizer._quantize_plane, harness._cell_spec
+
+        def counted(x, delta, k):
+            calls.append((delta, k))
+            return kernel(x, delta, k)
+
+        def built(*args):
+            specs.append(args)
+            return cell_spec(*args)
+        monkeypatch.setattr(qtcov.quantizer, "_quantize_plane", counted)
+        monkeypatch.setattr(harness, "_cell_spec", built)
+        assert run_experiment(cfg).to_csv() == plain
+        assert len(calls) == 2 * 2 * 16  # trials x rulers x (8 real + 8 imaginary levels)
+        assert len(specs) == 2 * 64  # once per cell: a fixed level does not read the data
+
+    @pytest.mark.parametrize("deltas, most", [
+        # Delta_r-major 8 x 8 grid: one real plane and the eight imaginary ones
+        (tuple((a, b) for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+               for b in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)), (1, 8)),
+        # no level shared: nothing outlives its cell
+        (((0.5, 1.0), (1.5, 2.0), (2.5, 0.0)), (0, 0)),
+    ])
+    def test_planes_are_dropped_after_their_last_use(self, monkeypatch, deltas, most):
+        cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), trials=2, n_values=(30, 40),
+                          deltas=deltas, estimators=("qtscm", "qscm"))
+        held = []
+        quantize = harness.quantize_batch
+
+        def watched(raw, spec, unit=None, planes=None):
+            out = quantize(raw, spec, unit=unit, planes=planes)
+            kept = [key for key, plane in planes.items() if plane is not None]
+            held.append(tuple(sum(key[0] == part for key in kept) for part in (0, 1)))
+            return out
+        monkeypatch.setattr(harness, "quantize_batch", watched)
+        run_experiment(cfg)
+        assert len(held) == 2 * 2 * 2 * len(deltas)  # n values x trials x rulers x pairs
+        assert tuple(map(max, zip(*held))) == most
+
     def test_one_gram_matrix_per_quantized_batch(self, monkeypatch):
         cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
                           estimators=("qtscm", "qscm", "qspa"), trials=3)

@@ -213,6 +213,25 @@ class TestSolve:
         shortcut = qspa_solve(random_toeplitz_covariance(4, 77).dense, full_ruler(4), DELTA0)
         assert (shortcut.iterations, shortcut.newton_systems, shortcut.evaluations) == (0, 0, 1)
 
+    @pytest.mark.parametrize("d, n, epsilon_reg, added", [
+        (4, 40, None, False), (4, 2, None, True), (4, 40, 0.3, True), (3, 2, 0.0, False)])
+    def test_reports_predictor_steps_and_epsilon(self, rng, d, n, epsilon_reg, added):
+        # n = 2 < |ruler| leaves Rhat singular, so auto_epsilon fires; the
+        # added identity keeps it definite where epsilon_reg = 0 adds nothing
+        Rhat = wishart_rhat(rng, d, n) + (np.eye(d) if epsilon_reg == 0.0 else 0.0)
+        sol = qspa_solve(Rhat, full_ruler(d), DELTA11, QspaOptions(epsilon_reg=epsilon_reg), n=n)
+        want = auto_epsilon(Rhat, n) if epsilon_reg is None else epsilon_reg
+        assert sol.epsilon == want and isinstance(sol.epsilon, float)
+        assert (sol.epsilon > 0) == added
+        assert sol.converged and 0 < sol.predictor_steps <= len(sol.trace)
+
+    def test_shortcut_reports_no_predictor_and_its_epsilon(self):
+        Rhat = random_toeplitz_covariance(4, 77).dense
+        auto = qspa_solve(Rhat, full_ruler(4), DELTA0)
+        fixed = qspa_solve(Rhat, full_ruler(4), DELTA0, QspaOptions(epsilon_reg=0.25))
+        assert (auto.newton_systems, auto.predictor_steps, auto.epsilon) == (0, 0, 0.0)
+        assert (fixed.newton_systems, fixed.predictor_steps, fixed.epsilon) == (0, 0, 0.25)
+
     def test_trace_csv(self, rng):
         Rhat = wishart_rhat(rng, 2, 20)
         sol = qspa_solve(Rhat, full_ruler(2), DELTA11, n=20)

@@ -263,6 +263,54 @@ class TestPreDrawnDither:
             quantize_batch(raw, QuantizationSpec(1.0, 1.0), unit=unit_dither((10, 3), 1))
 
 
+class TestSharedPlanes:
+    """Specs that share a plane key give the bytes of their own fresh call
+    when quantize_batch shares the quantized planes through a mapping."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rspec=st.sampled_from(("full", "alpha:0.5")),
+           reals=st.lists(LEVELS, min_size=1, max_size=4, unique=True),
+           imags=st.lists(LEVELS, min_size=1, max_size=4, unique=True),
+           depths=st.lists(st.sampled_from((None, 1, 2, 3, 4)), min_size=1, max_size=3,
+                           unique=True))
+    @example(seed=7, rspec="full", reals=[0.5, 1.5], imags=[1.5, 0.5, 0.0],
+             depths=[None, 2])
+    @example(seed=8, rspec="alpha:0.5", reals=[0.0, 1.0], imags=[0.0], depths=[None])
+    def test_shared_planes_are_byte_identical(self, seed, rspec, reals, imags, depths):
+        T = random_toeplitz_covariance(8, 21)
+        raw = sample_complex_gaussian(T, resolve_ruler(rspec, 8), 40, seed)
+        unit = unit_dither(raw.data.shape, seed)
+        specs = [QuantizationSpec(a, b) if k is None else QuantizationSpec(a, a, k)
+                 for k in depths for a in reals for b in (imags if k is None else imags[:1])
+                 if k is None or a > 0]
+        planes = dict.fromkeys(key for spec in specs for key in spec.plane_keys)
+        for spec in specs:
+            shared = quantize_batch(raw, spec, unit=unit, planes=planes).data
+            assert bits_of(shared) == bits_of(quantize_batch(raw, spec, unit=unit).data)
+        assert all(not plane.flags.writeable for plane in planes.values())
+
+    def test_a_negative_zero_level_keeps_its_own_plane(self):
+        # -0.0 == 0.0, but they scale the dither to zeros of opposite sign,
+        # which a -0.0 sample keeps; each level gets the bytes of its own call
+        raw = SampleBatch(full_ruler(1), np.full((6, 1), complex(-0.0, 1.0)), 3)
+        unit = unit_dither(raw.data.shape, 3)
+        specs = [QuantizationSpec(-0.0, 1.0), QuantizationSpec(0.0, 1.0)]
+        planes = dict.fromkeys(key for spec in specs for key in spec.plane_keys)
+        assert len(planes) == 3
+        fresh = [bits_of(quantize_batch(raw, spec, unit=unit).data) for spec in specs]
+        assert fresh[0] != fresh[1]
+        assert [bits_of(quantize_batch(raw, spec, unit=unit, planes=planes).data)
+                for spec in specs] == fresh
+
+    def test_only_reserved_keys_are_kept(self):
+        raw = sample_complex_gaussian(random_toeplitz_covariance(4, 2), full_ruler(4), 30, 5)
+        spec = QuantizationSpec(1.5, 0.5)
+        _, imag_key = spec.plane_keys
+        planes = {imag_key: None}
+        quantize_batch(raw, spec, planes=planes)
+        assert list(planes) == [imag_key] and planes[imag_key].shape == raw.data.shape
+
+
 class TestPlaneKernel:
     """quantize_batch's in-place plane kernel gives the bits of the
     whole-array quantizers kept in tests/oracles.py, without and with a bit
