@@ -42,7 +42,7 @@ def _traced_qspa(path):
         sol = qspa_solve(gram, batch.ruler, batch.spec, opts, n=batch.count)
         with open(path, "w") as fh:
             fh.write(sol.trace_csv())
-        return sol.T_breve, sol.converged
+        return sol.T_breve, sol
     return solve
 
 
@@ -83,8 +83,8 @@ def cmd_estimate(args):
     gram = quantized_sample_covariance(batch)
     for name in args.estimator:
         # the estimator runs first: it rejects a raw batch, which has no spec
-        est, converged = estimators[name](batch, gram, None)
-        if not converged:
+        est, record = estimators[name](batch, gram, None)
+        if record is not None and not record.converged:
             print(f"warning: {name} did not converge", file=sys.stderr)
         err = "" if truth is None else repr(relative_spectral_error(est, truth))
         spec = batch.spec
@@ -128,8 +128,8 @@ def cmd_doa(args):
     else:
         scene = FIVE_SOURCE_SCENE
     batch = _simulate(scene.covariance(), args)
-    est, converged = ESTIMATORS[args.estimator](batch, quantized_sample_covariance(batch), None)
-    if not converged:
+    est, record = ESTIMATORS[args.estimator](batch, quantized_sample_covariance(batch), None)
+    if record is not None and not record.converged:
         print(f"warning: {args.estimator} did not converge", file=sys.stderr)
     resolved, freqs = estimate_frequencies(est, scene.k_sources, args.grid)
     print("estimated frequencies:", " ".join(f"{f:.6f}" for f in freqs))

@@ -52,9 +52,11 @@ def qscm(batch, gram=None):
 
 
 def spectral_norm(M):
-    """Largest singular value of a dense matrix: the one LAPACK call that
-    np.linalg.norm(M, 2) makes, without that function's dispatch."""
-    return np.linalg.svd(M, compute_uv=False).max()
+    """Largest singular value of a dense matrix, or of each matrix of a
+    (..., d, d) stack: the LAPACK call that np.linalg.norm(M, 2) makes per
+    matrix, without that function's dispatch.  numpy runs one call per
+    matrix of a stack, so each norm keeps the bits of its single call."""
+    return np.linalg.svd(M, compute_uv=False).max(axis=-1)
 
 
 def relative_spectral_error(estimate, truth):

@@ -15,6 +15,12 @@ needs it, then dropped after its last use: the 8 x 8 level grid of exp1 forms
 16 planes per trial, not 128, and holds at most one real and eight imaginary
 planes at a time.  One runner serves both metrics; only the truth and
 the scoring function (relative spectral error, or MUSIC frequency MSE) differ.
+The estimates of one (d, n, trial), from all its rulers and cells, are scored
+together once the trial's estimators have run: one stacked SVD call gives
+their spectral errors, while MUSIC runs on each estimate alone.  Only the
+estimates wait for scoring, never their batches or Gram matrices.  Where the
+stacked call raises, each estimate is scored alone, so an error still fails
+only the cell whose estimate caused it.
 Each grid cell is one `_Cell` record, which gathers its trial values, its
 degraded-trial counts and its first error, and writes its own rows.  A cell
 whose qspa solves stop unconverged or whose MUSIC spectra are unresolved
@@ -44,7 +50,7 @@ from .qspa import QspaOptions, qspa_solve
 from .rulers import full_ruler, resolve_ruler
 from .sampling import SampleBatch, random_toeplitz_covariance, sample_complex_gaussian
 from .svgplot import emit_plot
-from .toeplitz import as_dense
+from .toeplitz import as_dense_stack
 
 CONFIG_FORMAT = "qtcov-config 1"
 
@@ -53,15 +59,16 @@ FIVE_SOURCE_SCENE = DoaScene(16, (0.08, 0.21, 0.37, 0.68, 0.81), (1.0,) * 5, 0.1
 
 def _qspa(batch, gram, opts):
     sol = qspa_solve(gram, batch.ruler, batch.spec, opts, n=batch.count)
-    return sol.T_breve, sol.converged
+    return sol.T_breve, sol
 
 
 # name -> fn(quantized batch, its quantized_sample_covariance, QspaOptions or
-# None) -> (covariance estimate, converged); the Gram matrix is computed once
-# per batch and shared by its estimators
+# None) -> (covariance estimate, solver record): the QspaSolution for qspa,
+# None for the closed forms.  The Gram matrix is computed once per batch and
+# shared by its estimators
 ESTIMATORS = {
-    "qtscm": lambda batch, gram, opts: (qtscm(batch, gram=gram), True),
-    "qscm": lambda batch, gram, opts: (qscm(batch, gram=gram), True),
+    "qtscm": lambda batch, gram, opts: (qtscm(batch, gram=gram), None),
+    "qscm": lambda batch, gram, opts: (qscm(batch, gram=gram), None),
     "qspa": _qspa,
 }
 
@@ -363,13 +370,19 @@ def _cell_spec(cfg, raw, k, delta_pair, gamma0):
 def _problems(cfg):
     """(d, truth, metric, score) per dimension: the DOA scene scored by MUSIC
     frequency MSE, or one random Toeplitz truth per d scored by relative
-    spectral error.  score(estimate) returns (value, resolved)."""
+    spectral error.  score(estimates) returns one (value, resolved) per
+    estimate: MUSIC runs on each estimate alone, while the spectral errors of
+    all the estimates come from one SVD call on their stacked dense
+    differences from the truth, whose norm is computed once."""
     if cfg.scene is not None:
         scene = cfg.scene
 
-        def freq_mse(est):
-            resolved, freqs = estimate_frequencies(est, scene.k_sources, cfg.music_grid)
-            return frequency_mse(freqs, scene.freqs), resolved
+        def freq_mse(ests):
+            scored = []
+            for est in ests:
+                resolved, freqs = estimate_frequencies(est, scene.k_sources, cfg.music_grid)
+                scored.append((frequency_mse(freqs, scene.freqs), resolved))
+            return scored
         yield scene.d, scene.covariance(), "freq_mse", freq_mse
         return
     for d in cfg.dims():
@@ -377,21 +390,23 @@ def _problems(cfg):
         truth = T.dense
         norm = spectral_norm(truth)
 
-        def rel_error(est, truth=truth, norm=norm):
-            return float(spectral_norm(as_dense(est) - truth) / norm), True
-        yield d, T, "rel_error_spectral", rel_error
+        def rel_errors(ests, truth=truth, norm=norm):
+            errors = spectral_norm(as_dense_stack(ests) - truth) / norm
+            return [(float(e), True) for e in errors]
+        yield d, T, "rel_error_spectral", rel_errors
 
 
 @dataclass
 class _Cell:
     """One grid cell of a run: its prototype row, its first trial's spec, one
-    value per trial, the trials whose qspa solve stopped unconverged or whose
-    MUSIC spectrum was unresolved, and its first error's note, after which
-    it runs no more trials."""
+    value per trial, the counts of trials whose qspa solve stopped unconverged
+    or whose MUSIC spectrum was unresolved, and its first error's note, after
+    which it runs no more trials."""
     row: Row
     spec: Optional[QuantizationSpec] = None
     values: list = field(default_factory=list)
-    degraded: Counter = field(default_factory=Counter)  # "nonconverged"/"unresolved" -> trials
+    nonconverged: int = 0
+    unresolved: int = 0
     error: Optional[str] = None
 
     def fail(self, err):
@@ -404,8 +419,9 @@ class _Cell:
         if self.error is not None:
             return [replace(self.row, value=math.nan, note=self.error)]
         vals = np.asarray(self.values, dtype=float)
-        note = "; ".join(f"{kind} {count}/{len(vals)}"
-                         for kind, count in self.degraded.items() if count)
+        note = "; ".join(f"{kind} {count}/{len(vals)}" for kind, count in
+                         (("nonconverged", self.nonconverged), ("unresolved", self.unresolved))
+                         if count)
         proto = replace(self.row, delta_r=self.spec.delta_r, delta_i=self.spec.delta_i, note=note)
         stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
         stats = [("mean", float(np.mean(vals))), ("stderr", stderr)]
@@ -417,9 +433,10 @@ class _Cell:
 _CELL_ERRORS = (QtcovError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _run_ruler(cfg, ruler, block, ts, group, gamma0, score):
+def _run_ruler(cfg, ruler, block, ts, group, gamma0, pending):
     """One trial of the live cells `group` of one ruler, drawn from the
-    full-dimension block of trial seed ts.
+    full-dimension block of trial seed ts; appends (cell, estimate,
+    converged) to `pending` for each estimate made.
 
     The raw batch and unit dither pair are built once.  Cells with equal
     specs are adjacent (they differ only in n or the estimator), and each run
@@ -467,12 +484,33 @@ def _run_ruler(cfg, ruler, block, ts, group, gamma0, score):
                     planes.pop(key, None)
         for cell in run:
             try:
-                est, converged = ESTIMATORS[cell.row.estimator](batch, gram, cfg.qspa)
-                value, resolved = score(est)
-                cell.values.append(value)
-                cell.degraded.update(nonconverged=not converged, unresolved=not resolved)
+                est, record = ESTIMATORS[cell.row.estimator](batch, gram, cfg.qspa)
             except _CELL_ERRORS as err:
                 cell.fail(err)
+                continue
+            pending.append((cell, est, record is None or record.converged))
+
+
+def _score(pending, score):
+    """Score the (cell, estimate, converged) triples of one (d, n, trial) in
+    one call.  Where that call raises, each estimate is scored alone, so an
+    error fails only the cell whose estimate caused it (MUSIC then runs again
+    on the estimates before that one)."""
+    try:
+        scored = score([est for _, est, _ in pending])
+    except _CELL_ERRORS:
+        scored = None
+    for i, (cell, est, converged) in enumerate(pending):
+        try:
+            value, resolved = scored[i] if scored is not None else score([est])[0]
+        except _CELL_ERRORS as err:
+            cell.fail(err)
+            continue
+        cell.values.append(value)
+        if not converged:
+            cell.nonconverged += 1
+        if not resolved:
+            cell.unresolved += 1
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -508,9 +546,13 @@ def run_experiment(config):
                     for cell in live:
                         cell.fail(err)
                     continue
+                pending = []
                 # cells of one ruler are adjacent in `cells`
                 for rspec, group in groupby(live, key=lambda cell: cell.row.ruler):
-                    _run_ruler(cfg, rulers[rspec], block, ts, list(group), gamma0, score)
+                    _run_ruler(cfg, rulers[rspec], block, ts, list(group), gamma0, pending)
+                del block  # the draw is done with; only its estimates wait for scoring
+                if pending:
+                    _score(pending, score)
         rows += (row for cell in cells for row in cell.rows(cfg.emit_trials))
     return ResultTable(rows)
 

@@ -5,8 +5,11 @@ every lag 0..d-1, so each Toeplitz generator can be estimated from at least
 one index pair.  Indices are 1-based throughout to match the usual array
 listings; 0-based matrix positions are kept internally.  `resolve_ruler`
 is the one parser of ruler specs: 'full', 'alpha:X', the study rulers 'A'
-and 'B', or an index list.
+and 'B', or an index list.  A Ruler is immutable, so `full_ruler` and
+`resolve_ruler` build each distinct ruler once and return it again after.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,6 +137,7 @@ def make_ruler_alpha(d, alpha):
             f"misses lag {err.lag}") from err
 
 
+@lru_cache(maxsize=128)
 def full_ruler(d):
     """The complete index set {1, ..., d}."""
     return Ruler(np.arange(1, d + 1), d)
@@ -146,6 +150,7 @@ _NAMED_RULERS = {
 }
 
 
+@lru_cache(maxsize=128)
 def resolve_ruler(spec, d):
     """Ruler from a spec: 'full', 'alpha:X', a study ruler name 'A' or 'B', or
     a comma list of indices like '1,2,5'."""

@@ -10,6 +10,8 @@ makes gamma_s = sum_k p_k exp(-i 2 pi s f_k) for sources with steering vector
 a(f) = (1, exp(i 2 pi f), ..., exp(i 2 pi (d-1) f)).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
@@ -38,19 +40,48 @@ class HermitianToeplitz:
     @property
     def dense(self):
         """The full d x d complex matrix (a fresh array on every access)."""
-        d = self.dim
-        # table[s + d - 1] = gamma_s for s >= 0, conj(gamma_{-s}) for s < 0
-        table = np.concatenate([np.conj(self.generators[:0:-1]), self.generators])
-        lag = np.arange(d)[None, :] - np.arange(d)[:, None]
-        return table[lag + d - 1]
+        return toeplitz_dense(self.generators)
 
     def __repr__(self):
         return f"HermitianToeplitz(d={self.dim}, gamma0={self.generators[0].real:g})"
 
 
+@lru_cache(maxsize=64)
+def _lag_index(d):
+    """Read-only d x d index of entry [j, k] into the generator table of
+    toeplitz_dense: (k - j) + d - 1."""
+    index = np.arange(d)[None, :] - np.arange(d)[:, None] + (d - 1)
+    index.flags.writeable = False
+    return index
+
+
+def toeplitz_dense(generators):
+    """Dense Hermitian Toeplitz matrices from generators of shape (..., d):
+    a fresh complex array of shape (..., d, d), one matrix per generator row."""
+    gens = np.asarray(generators, dtype=np.complex128)
+    # table[..., s + d - 1] = gamma_s for s >= 0, conj(gamma_{-s}) for s < 0
+    table = np.concatenate([np.conj(gens[..., :0:-1]), gens], axis=-1)
+    return table[..., _lag_index(gens.shape[-1])]
+
+
 def as_dense(M):
     """Dense array of a HermitianToeplitz or of an array-like matrix."""
     return M.dense if isinstance(M, HermitianToeplitz) else np.asarray(M)
+
+
+def as_dense_stack(mats):
+    """(m, d, d) complex stack of m HermitianToeplitz or dense d x d matrices,
+    in order; the Toeplitz ones are built together by one toeplitz_dense call."""
+    toep = [i for i, M in enumerate(mats) if isinstance(M, HermitianToeplitz)]
+    built = toeplitz_dense(np.stack([mats[i].generators for i in toep])) if toep else None
+    if len(toep) == len(mats):
+        return built
+    other = [i for i, M in enumerate(mats) if not isinstance(M, HermitianToeplitz)]
+    out = np.empty((len(mats),) + np.shape(mats[other[0]]), dtype=np.complex128)
+    out[other] = [mats[i] for i in other]
+    if toep:
+        out[toep] = built
+    return out
 
 
 def vandermonde_synthesize(freqs, powers, d):

@@ -163,6 +163,14 @@ class TestSpectralNorm:
                   rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
             assert spectral_norm(M).tobytes() == np.linalg.norm(M, 2).tobytes()
 
+    @pytest.mark.parametrize("shape", [(4, 5, 5), (2, 3, 16, 16), (3, 7, 3)])
+    def test_a_stack_keeps_the_bits_of_each_single_call(self, rng, shape):
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        norms = spectral_norm(M)
+        assert norms.shape == shape[:-2]
+        for idx in np.ndindex(shape[:-2]):
+            assert norms[idx].tobytes() == spectral_norm(M[idx]).tobytes()
+
     def test_relative_spectral_error_bits(self, rng):
         T = random_toeplitz_covariance(8, 3)
         est = T.dense + 0.1 * rng.standard_normal((8, 8))

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from qtcov.errors import ConfigError, EmptyTable, MixedMetrics, QtcovError
 from qtcov.harness import (PRESETS, ExperimentConfig, ResultTable, Row, config_to_text,
                            default_config, parse_config, resolve_ruler,
                            run_experiment, write_outputs)
-from qtcov.qspa import QspaOptions
+from qtcov.estimators import spectral_norm
+from qtcov.qspa import QspaOptions, QspaSolution
 from qtcov.svgplot import emit_plot
+from qtcov.toeplitz import as_dense
 
 
 # sha256 of `qtcov experiment --preset P --profile Q --show-config`
@@ -377,7 +380,7 @@ class TestRunnerSemantics:
     def test_unresolved_spectrum_noted_and_kept(self, monkeypatch):
         # a scaled identity has a flat MUSIC spectrum with no peaks to resolve
         monkeypatch.setitem(harness.ESTIMATORS, "qtscm",
-                            lambda batch, gram, opts: (2.0 * np.eye(batch.dim), True))
+                            lambda batch, gram, opts: (2.0 * np.eye(batch.dim), None))
         scene = DoaScene(8, (0.1, 0.3, 0.6), (1.0, 1.0, 1.0), 0.1)
         table = run_experiment(tiny_config(scene=scene, music_grid=512, emit_trials=True))
         assert [r.note for r in table.rows] == ["unresolved 3/3"] * 5
@@ -389,6 +392,124 @@ class TestRunnerSemantics:
         table = run_experiment(cfg)
         assert all(r.metric == "freq_mse" for r in table.rows)
         assert len(mean_rows(table)) == 1
+
+
+class TestStackedScoring:
+    """The estimates of one (d, n, trial) are scored together."""
+
+    LEVELS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+
+    @pytest.mark.parametrize("d", [4, 8, 16, 32])
+    def test_stacked_errors_are_bit_equal_to_single_ones(self, rng, d):
+        from conftest import random_hermitian
+        [(_, T, _, score)] = harness._problems(tiny_config(d=d))
+        truth = T.dense
+        norm = spectral_norm(truth)
+        ests = []
+        for i in range(7):
+            noise = 0.1 * random_hermitian(rng, d)
+            # Toeplitz and dense estimates, mixed in no fixed pattern
+            ests.append(qtcov.HermitianToeplitz(noise[0] + T.generators) if i % 3 != 1
+                        else truth + noise)
+        toeplitz_only = [e for e in ests if not isinstance(e, np.ndarray)]
+        for batch in (ests, ests[:1], ests[1:2], toeplitz_only):
+            scored = score(batch)
+            expect = [float(spectral_norm(as_dense(e) - truth) / norm) for e in batch]
+            assert np.array([v for v, _ in scored]).tobytes() == np.array(expect).tobytes()
+            assert all(resolved for _, resolved in scored)
+
+    def test_one_stacked_call_per_d_n_and_trial(self, monkeypatch):
+        cfg = tiny_config(d_values=(4, 6), rulers=("full", "alpha:0.5"), trials=2,
+                          n_values=(30, 40), estimators=("qtscm", "qscm"),
+                          deltas=tuple((a, b) for a in self.LEVELS for b in self.LEVELS))
+        plain = run_experiment(cfg).to_csv()
+        shapes = []
+        norm = harness.spectral_norm
+
+        def counted(M):
+            shapes.append(np.shape(M))
+            return norm(M)
+        monkeypatch.setattr(harness, "spectral_norm", counted)
+        assert run_experiment(cfg).to_csv() == plain
+        stacks = [shape for shape in shapes if len(shape) == 3]
+        assert len(shapes) - len(stacks) == 2  # the truth's norm, once per d
+        # d x n x trials calls, each over 64 levels x (qtscm and qscm on full, qtscm on alpha)
+        assert stacks == [(64 * 3, d, d) for d in (4, 6) for _ in range(2 * 2)]
+
+    def test_a_non_finite_estimate_fails_its_cell_only(self, monkeypatch):
+        cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
+                          estimators=("qtscm", "qscm"), emit_trials=True)
+        plain = run_experiment(cfg).rows
+        qscm = harness.ESTIMATORS["qscm"]
+
+        def broken(batch, gram, opts):
+            est, record = qscm(batch, gram, opts)
+            return (est * np.nan if batch.spec.delta_r == 1.5 else est), record
+        monkeypatch.setitem(harness.ESTIMATORS, "qscm", broken)
+        rows = run_experiment(cfg).rows
+        failed = [r for r in rows if r.estimator == "qscm" and r.delta_r == 1.5]
+        assert len(failed) == 1 and math.isnan(failed[0].value)
+        assert failed[0].note == "LinAlgError: SVD did not converge"
+        assert [r for r in rows if r not in failed] == [r for r in plain if not (
+            r.estimator == "qscm" and r.delta_r == 1.5)]
+
+    def test_degraded_counts_are_noted_in_a_fixed_order(self, monkeypatch):
+        # the first degraded trial is unresolved, the later ones nonconverged
+        trial = iter(range(3))
+        qtscm = harness.ESTIMATORS["qtscm"]
+
+        def solver(batch, gram, opts):
+            est, _ = qtscm(batch, gram, opts)
+            return est, SimpleNamespace(converged=next(trial) == 0)
+        estimate = harness.estimate_frequencies
+        resolved = iter([False, True, True])
+
+        def music(est, k, grid):
+            return next(resolved), estimate(est, k, grid)[1]
+        monkeypatch.setitem(harness.ESTIMATORS, "qtscm", solver)
+        monkeypatch.setattr(harness, "estimate_frequencies", music)
+        scene = DoaScene(8, (0.1, 0.3, 0.6), (1.0, 1.0, 1.0), 0.1)
+        table = run_experiment(tiny_config(scene=scene, music_grid=512))
+        assert [r.note for r in table.rows] == ["nonconverged 2/3; unresolved 1/3"] * 2
+
+    def test_music_runs_once_per_estimate(self, monkeypatch):
+        calls = {"estimate_frequencies": 0, "frequency_mse": 0}
+        for name in calls:
+            fn = getattr(harness, name)
+
+            def counted(*args, fn=fn, name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(harness, name, counted)
+        scene = DoaScene(8, (0.1, 0.3, 0.6), (1.0, 1.0, 1.0), 0.1)
+        cfg = tiny_config(scene=scene, music_grid=512, rulers=("full", "alpha:0.5"),
+                          estimators=("qtscm", "qscm"), n_values=(30, 40))
+        run_experiment(cfg)
+        # (2 estimators on full + 1 on alpha) x 2 n values x 3 trials
+        assert calls == {"estimate_frequencies": 18, "frequency_mse": 18}
+
+    def test_estimators_pass_their_solver_record(self):
+        T = qtcov.random_toeplitz_covariance(4, 3)
+        raw = qtcov.sample_complex_gaussian(T, qtcov.full_ruler(4), 200, 5)
+        batch = qtcov.quantize_batch(raw, qtcov.QuantizationSpec(0.5, 0.5))
+        gram = qtcov.quantized_sample_covariance(batch)
+        for name in ("qtscm", "qscm"):
+            assert harness.ESTIMATORS[name](batch, gram, None)[1] is None
+        est, record = harness.ESTIMATORS["qspa"](batch, gram, QspaOptions())
+        assert isinstance(record, QspaSolution) and est is record.T_breve
+
+    def test_rulers_are_built_once_per_process(self, monkeypatch):
+        cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), estimators=("qtscm", "qspa"))
+        plain = run_experiment(cfg).to_csv()
+        builds = []
+        init = qtcov.rulers.Ruler.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            init(self, *args)
+        monkeypatch.setattr(qtcov.rulers.Ruler, "__init__", counted)
+        assert run_experiment(cfg).to_csv() == plain
+        assert builds == []
 
 
 class TestPlots:
@@ -533,8 +654,9 @@ class TestCli:
         assert "frequency mse:" in r.stdout
 
     def test_doa_warnings_go_to_stderr(self, monkeypatch, capsys):
+        unconverged = SimpleNamespace(converged=False)  # a solver record that did not converge
         monkeypatch.setitem(cli.ESTIMATORS, "qtscm",
-                            lambda batch, gram, opts: (qtcov.qtscm(batch, gram), False))
+                            lambda batch, gram, opts: (qtcov.qtscm(batch, gram), unconverged))
         monkeypatch.setattr(cli, "estimate_frequencies",
                             lambda est, k, grid: (False, np.linspace(0.1, 0.9, k)))
         assert main(["doa", "--n", "200", "--estimator", "qtscm", "--grid", "256"]) == 0

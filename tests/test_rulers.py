@@ -167,6 +167,14 @@ class TestSerialization:
         r = Ruler(OMEGA_B, 16)
         assert resolve_ruler(r.to_string(), 16) == r
 
+    def test_each_ruler_is_built_once(self):
+        # a Ruler is immutable, so a repeated request returns the same object
+        assert full_ruler(7) is full_ruler(7)
+        assert resolve_ruler("alpha:0.5", 16) is resolve_ruler("alpha:0.5", 16)
+        assert resolve_ruler("full", 7) is full_ruler(7)
+        with pytest.raises(ValueError):
+            full_ruler(7).indices[0] = 2
+
     def test_parse_named_specs(self):
         assert resolve_ruler("full", 5) == full_ruler(5)
         assert resolve_ruler("alpha:0.5", 16) == make_ruler_alpha(16, 0.5)

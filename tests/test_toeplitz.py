@@ -7,6 +7,7 @@ from qtcov.errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
 from qtcov.estimators import spectral_norm
 from qtcov.rulers import Ruler, full_ruler
 from qtcov.sampling import random_toeplitz_covariance
+from qtcov.toeplitz import as_dense_stack, toeplitz_dense
 
 
 def steering(f, d):
@@ -49,6 +50,27 @@ class TestConstruction:
         T = HermitianToeplitz([1.0, 1j])
         with pytest.raises(ValueError):
             T.generators[0] = 5.0
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
+    def test_stacked_build_is_byte_equal_to_single_builds(self, rng, d):
+        gens = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        gens[:, 0] = gens[:, 0].real
+        singles = [HermitianToeplitz(g) for g in gens]
+        stack = toeplitz_dense(gens)
+        assert stack.shape == (3, d, d)
+        for M, T in zip(stack, singles):
+            assert M.tobytes() == T.dense.tobytes()
+        # mixed with dense matrices, in order
+        mats = [singles[0], singles[1].dense, singles[2]]
+        assert as_dense_stack(mats).tobytes() == stack.tobytes()
+        assert as_dense_stack([singles[1].dense]).tobytes() == stack[1:2].tobytes()
+
+    def test_dense_is_a_fresh_array_on_every_access(self):
+        T = HermitianToeplitz([2.0, 1j, 0.5])
+        M = T.dense
+        M[0, 0] = 99.0
+        assert T.dense[0, 0] == 2.0
+        assert not np.shares_memory(T.dense, T.dense)
 
 
 class TestVandermonde:
