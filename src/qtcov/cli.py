@@ -13,7 +13,6 @@ from .estimators import quantized_sample_covariance, relative_spectral_error
 from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, PRESETS, PROFILE_CAPS, config_to_text,
                       default_config, parse_config, parse_level_pair, run_experiment,
                       write_outputs)
-from .qspa import qspa_solve
 from .quantizer import QuantizationSpec, quantize_batch
 from .rulers import coverage_coefficient, resolve_ruler
 from .sampling import (load_batch, random_toeplitz_covariance,
@@ -36,14 +35,12 @@ def _load_truth(path):
     return HermitianToeplitz(gens)
 
 
-def _traced_qspa(path):
-    """The qspa table entry, also writing the solver's per-iteration trace to `path`."""
-    def solve(batch, gram, opts):
-        sol = qspa_solve(gram, batch.ruler, batch.spec, opts, n=batch.count)
-        with open(path, "w") as fh:
-            fh.write(sol.trace_csv())
-        return sol.T_breve, sol
-    return solve
+def _estimate(name, batch, gram):
+    """ESTIMATORS[name]'s (estimate, record), warning on stderr if it did not converge."""
+    est, record = ESTIMATORS[name](batch, gram, None)
+    if record is not None and not record.converged:
+        print(f"warning: {name} did not converge", file=sys.stderr)
+    return est, record
 
 
 def cmd_ruler(args):
@@ -74,18 +71,18 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
+    if args.qspa_trace and "qspa" not in args.estimator:
+        raise QtcovError("--qspa-trace writes the qspa solver's trace; add qspa to --estimator")
     batch = load_batch(args.batch)
     truth = _load_truth(args.truth) if args.truth else None
-    estimators = ESTIMATORS
-    if args.qspa_trace:
-        estimators = {**ESTIMATORS, "qspa": _traced_qspa(args.qspa_trace)}
     rows = ["estimator,d,n,ruler,delta_r,delta_i,k,seed,rel_error_spectral"]
     gram = quantized_sample_covariance(batch)
     for name in args.estimator:
         # the estimator runs first: it rejects a raw batch, which has no spec
-        est, record = estimators[name](batch, gram, None)
-        if record is not None and not record.converged:
-            print(f"warning: {name} did not converge", file=sys.stderr)
+        est, record = _estimate(name, batch, gram)
+        if name == "qspa" and args.qspa_trace:
+            with open(args.qspa_trace, "w") as fh:
+                fh.write(record.trace_csv())
         err = "" if truth is None else repr(relative_spectral_error(est, truth))
         spec = batch.spec
         k = "" if spec.bits_k is None else spec.bits_k
@@ -128,9 +125,7 @@ def cmd_doa(args):
     else:
         scene = FIVE_SOURCE_SCENE
     batch = _simulate(scene.covariance(), args)
-    est, record = ESTIMATORS[args.estimator](batch, quantized_sample_covariance(batch), None)
-    if record is not None and not record.converged:
-        print(f"warning: {args.estimator} did not converge", file=sys.stderr)
+    est, _ = _estimate(args.estimator, batch, quantized_sample_covariance(batch))
     resolved, freqs = estimate_frequencies(est, scene.k_sources, args.grid)
     print("estimated frequencies:", " ".join(f"{f:.6f}" for f in freqs))
     if not resolved:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KOutOfRange, LengthMismatch, QtcovError
+from .errors import QtcovError
 from .toeplitz import HermitianToeplitz, as_dense, vandermonde_synthesize
 
 
@@ -29,9 +29,9 @@ class DoaScene:
 
     def __post_init__(self):
         if len(self.freqs) != len(self.powers):
-            raise LengthMismatch("freqs and powers must have equal length")
+            raise QtcovError("freqs and powers must have equal length")
         if not 1 <= len(self.freqs) < self.d:
-            raise KOutOfRange("need 1 <= K < d sources")
+            raise QtcovError("need 1 <= K < d sources")
         if not all(0 <= f < 1 for f in self.freqs):
             raise QtcovError(f"source frequencies must lie in [0, 1), got {self.freqs}")
         if not all(0 < p < np.inf for p in self.powers):
@@ -63,7 +63,7 @@ def _lag_coefficients(T_est, K, grid_size):
     if grid_size < 8 * d:
         raise QtcovError(f"grid_size {grid_size} < 8d = {8 * d}")
     if not 1 <= K < d:
-        raise KOutOfRange(f"need 1 <= K < d = {d}, got K = {K}")
+        raise QtcovError(f"need 1 <= K < d = {d}, got K = {K}")
     En = np.linalg.eigh(M)[1][:, :d - K]  # eigenvectors of the d-K smallest eigenvalues
     P = En @ En.conj().T
     return np.array([P.trace(lag) for lag in range(d)])
@@ -135,10 +135,27 @@ def estimate_frequencies(T_est, K, grid_size=4096):
     return resolved, np.sort(freqs)
 
 
+def _two_diff(a, b):
+    """(s, e) with s = a - b rounded and e its error, so s + e = a - b exactly."""
+    s = a - b
+    v = s - a
+    return s, (a - (s - v)) - (b + v)
+
+
+def _circle_order(x):
+    """Stable argsort of x by exact position mod 1: x - floor(x) rounds to 1.0
+    for a tiny negative x, and its error orders such ties."""
+    return np.lexsort(_two_diff(x, np.floor(x))[::-1])
+
+
 def circular_distance(a, b):
-    """min(r, 1 - r) on the unit circle of frequencies, r = |a - b| mod 1."""
-    diff = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
-    return np.minimum(diff, 1.0 - diff)
+    """min(r, 1 - r), r = |a - b| mod 1, correctly rounded: with a - b = s + e
+    exactly and t = s - rint(s) (exact), |t + e| <= 1/2 - |e| unless t = +-1/2,
+    where the distance is 1/2 - |e|; so each is rounded once and the lesser kept."""
+    s, e = _two_diff(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    t = s - np.rint(s)
+    t += e
+    return np.minimum(np.abs(t), 0.5 - np.abs(e))
 
 
 def frequency_mse(estimates, truth):
@@ -154,13 +171,13 @@ def frequency_mse(estimates, truth):
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape or est.ndim != 1 or not est.size:
-        raise LengthMismatch(f"need two nonempty 1-D sets of one length, "
-                             f"got {est.shape} vs {tru.shape}")
+        raise QtcovError(f"need two nonempty 1-D sets of one length, "
+                         f"got {est.shape} vs {tru.shape}")
     cost = circular_distance(est[:, None], tru[None, :]) ** 2
     idx = np.arange(est.size)
-    order = np.argsort(est % 1.0, kind="stable")
+    order = _circle_order(est)
     # shifts[s, i]: the truth that shift s matches to the i-th estimate in circle order
-    shifts = np.argsort(tru % 1.0, kind="stable")[np.add.outer(idx, idx) % est.size]
+    shifts = _circle_order(tru)[np.add.outer(idx, idx) % est.size]
     cols = np.empty_like(idx)
     cols[order] = shifts[cost[order, shifts].sum(axis=1).argmin()]
     return float(cost[idx, cols].mean())

@@ -1,44 +1,15 @@
 """Exception types raised by qtcov.
 
-All domain errors derive from QtcovError, which is a ValueError, so callers
-that do not care about the precise failure mode can catch ValueError.
+Every domain error is a QtcovError, which is a ValueError, and its message
+says what went wrong.  A subclass exists only where something tells errors
+apart: code that catches it (MissingLag, EmptyTable), or a grid cell's CSV
+note, which names the class of the error that failed the cell (EmptyBatch,
+SingularRhat, InfeasibleU).  Every other failure raises QtcovError itself.
 """
 
 
 class QtcovError(ValueError):
     """Base class for all qtcov domain errors."""
-
-
-# --- toeplitz ---------------------------------------------------------------
-
-class EmptyGenerators(QtcovError):
-    pass
-
-
-class NonRealDiagonal(QtcovError):
-    pass
-
-
-class DuplicateFrequency(QtcovError):
-    pass
-
-
-class LengthMismatch(QtcovError):
-    pass
-
-
-class SizeMismatch(QtcovError):
-    pass
-
-
-# --- rulers -----------------------------------------------------------------
-
-class OutOfRange(QtcovError):
-    pass
-
-
-class Duplicate(QtcovError):
-    pass
 
 
 class MissingLag(QtcovError):
@@ -50,13 +21,7 @@ class MissingLag(QtcovError):
         super().__init__(f"lag {self.lag} is not covered by the index set (d={self.dim})")
 
 
-class NotARuler(QtcovError):
-    pass
-
-
-# --- sampling / quantizer ---------------------------------------------------
-
-class NotPSD(QtcovError):
+class EmptyTable(QtcovError):
     pass
 
 
@@ -64,45 +29,9 @@ class EmptyBatch(QtcovError):
     pass
 
 
-class NonPositiveGamma0(QtcovError):
-    pass
-
-
-class BatchFormatError(QtcovError):
-    """A batch file that save_batch could not have written."""
-
-
-# --- estimators -------------------------------------------------------------
-
-class NotFullRuler(QtcovError):
-    pass
-
-
-# --- qspa -------------------------------------------------------------------
-
 class SingularRhat(QtcovError):
     pass
 
 
 class InfeasibleU(QtcovError):
-    pass
-
-
-# --- doa --------------------------------------------------------------------
-
-class KOutOfRange(QtcovError):
-    pass
-
-
-# --- harness ----------------------------------------------------------------
-
-class EmptyTable(QtcovError):
-    pass
-
-
-class MixedMetrics(QtcovError):
-    pass
-
-
-class ConfigError(QtcovError):
     pass

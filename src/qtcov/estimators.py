@@ -10,7 +10,7 @@ batch, one that carries the QuantizationSpec whose bias it removes.
 
 import numpy as np
 
-from .errors import NotFullRuler, QtcovError
+from .errors import QtcovError
 from .toeplitz import HermitianToeplitz, as_dense, toeplitz_adjoint_project
 
 
@@ -46,7 +46,7 @@ def qscm(batch, gram=None):
     (`gram` as in qtscm)."""
     _check_quantized(batch)
     if not batch.ruler.is_full():
-        raise NotFullRuler("qscm is defined on the full ruler only")
+        raise QtcovError("qscm is defined on the full ruler only")
     gram = quantized_sample_covariance(batch) if gram is None else gram
     return gram - batch.spec.lag0_bias * np.eye(batch.dim)
 

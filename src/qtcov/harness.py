@@ -42,7 +42,7 @@ import numpy as np
 
 from . import rng
 from .doa import DoaScene, estimate_frequencies, frequency_mse
-from .errors import ConfigError, EmptyTable, QtcovError
+from .errors import EmptyTable, QtcovError
 from .estimators import qscm, qtscm, quantized_sample_covariance, spectral_norm
 from .quantizer import (QuantizationSpec, _check_depth, quantize_batch,
                         select_level_datadriven, select_level_tail_bound, unit_dither)
@@ -124,54 +124,54 @@ class ExperimentConfig:
 
     def validate(self):
         if self.experiment not in PRESETS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
+            raise QtcovError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise QtcovError("trials must be >= 1")
         for name in ("rulers", "deltas", "n_values", "estimators"):
             if not getattr(self, name):
-                raise ConfigError(f"{name} must list at least one entry")
+                raise QtcovError(f"{name} must list at least one entry")
         for name in ("d_values", "rulers", "deltas", "bits", "n_values", "estimators"):
             values = list(getattr(self, name))
             for i, value in enumerate(values):
                 if value in values[:i]:  # a repeated entry would run its cells twice
-                    raise ConfigError(f"{name} lists {_entry(name, value)} twice")
+                    raise QtcovError(f"{name} lists {_entry(name, value)} twice")
         for est in self.estimators:
             if est not in ESTIMATORS:
-                raise ConfigError(f"unknown estimator {est!r}")
+                raise QtcovError(f"unknown estimator {est!r}")
         if self.level_rule not in ("fixed", "tail_bound", "datadriven"):
-            raise ConfigError(f"unknown level rule {self.level_rule!r}")
+            raise QtcovError(f"unknown level rule {self.level_rule!r}")
         for k in self.bits:
             if k is not None:
-                _check_depth(k, ConfigError)
+                _check_depth(k)
         for k in self.bits or (None,):
             # deltas that give a cell the same levels would run its cells twice
             read = {}
             for pair in self.deltas:
                 levels = _configured_levels(self, k, pair)
                 if levels in read:
-                    raise ConfigError(f"deltas {_entry('deltas', read[levels])} and "
-                                      f"{_entry('deltas', pair)} give the same cells under "
-                                      f"level_rule = {self.level_rule} at bits = "
-                                      f"{_entry('bits', k)}")
+                    raise QtcovError(f"deltas {_entry('deltas', read[levels])} and "
+                                     f"{_entry('deltas', pair)} give the same cells under "
+                                     f"level_rule = {self.level_rule} at bits = "
+                                     f"{_entry('bits', k)}")
                 read[levels] = pair
         if self.scene is not None and self.d_values:
-            raise ConfigError(f"d_values cannot sweep a scene config; "
-                              f"the scene fixes d = {self.scene.d}")
+            raise QtcovError(f"d_values cannot sweep a scene config; "
+                             f"the scene fixes d = {self.scene.d}")
         for d in self.dims():
             spelled = {}
             for rspec in self.rulers:
                 ruler = resolve_ruler(rspec, d)
                 if ruler in spelled:
-                    raise ConfigError(f"rulers {_entry('rulers', spelled[ruler])} and "
-                                      f"{_entry('rulers', rspec)} are the same ruler at d = {d}")
+                    raise QtcovError(f"rulers {_entry('rulers', spelled[ruler])} and "
+                                     f"{_entry('rulers', rspec)} are the same ruler at d = {d}")
                 spelled[ruler] = rspec
         if self.scene is not None and self.music_grid < 8 * self.scene.d:
-            raise ConfigError(f"music_grid {self.music_grid} < 8d = {8 * self.scene.d}")
+            raise QtcovError(f"music_grid {self.music_grid} < 8d = {8 * self.scene.d}")
         if self.profile not in PROFILE_CAPS:
-            raise ConfigError(f"unknown profile {self.profile!r}")
+            raise QtcovError(f"unknown profile {self.profile!r}")
         if max(self.n_values) > PROFILE_CAPS[self.profile]:
-            raise ConfigError(f"n up to {max(self.n_values)} exceeds the {self.profile} "
-                              f"profile cap of {PROFILE_CAPS[self.profile]}")
+            raise QtcovError(f"n up to {max(self.n_values)} exceeds the {self.profile} "
+                             f"profile cap of {PROFILE_CAPS[self.profile]}")
         return self
 
     def dims(self):
@@ -284,32 +284,32 @@ def parse_config(text):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != CONFIG_FORMAT:
-        raise ConfigError(f"config must start with the schema line {CONFIG_FORMAT!r}")
+        raise QtcovError(f"config must start with the schema line {CONFIG_FORMAT!r}")
     kv = {}
     for ln in lines[1:]:
         if "=" not in ln:
-            raise ConfigError(f"expected key = value, got {ln!r}")
+            raise QtcovError(f"expected key = value, got {ln!r}")
         key, val = (s.strip() for s in ln.split("=", 1))
         kv[key] = val
 
     if "experiment" not in kv:
-        raise ConfigError("config needs an experiment id")
+        raise QtcovError("config needs an experiment id")
     cfg = default_config(kv.pop("experiment"))
     values = {"": {}, "qspa": {}, "scene": {}}
     for key, val in kv.items():
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise QtcovError(f"unknown config key {key!r}")
         try:
             value = CONFIG_KEYS[key][0](val)
         except ValueError as err:
-            raise ConfigError(f"config key {key!r}: cannot parse {val!r} ({err})") from None
+            raise QtcovError(f"config key {key!r}: cannot parse {val!r} ({err})") from None
         owner, name = _target(key)
         values[owner][name] = value
     cfg = replace(cfg, **values[""], qspa=replace(cfg.qspa, **values["qspa"]))
     if values["scene"]:
         for name in ("freqs", "powers"):
             if name not in values["scene"]:
-                raise ConfigError(f"scene config needs scene_{name}")
+                raise QtcovError(f"scene config needs scene_{name}")
         cfg = replace(cfg, scene=DoaScene(cfg.d, **{"noise_var": 0.1, **values["scene"]}))
     return cfg.validate()
 
@@ -329,7 +329,7 @@ def default_config(experiment, profile="ci"):
     """Preset config of a built-in experiment (desk scale), its n_values cut at
     the profile's cap."""
     if experiment not in PRESETS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
+        raise QtcovError(f"unknown experiment {experiment!r}")
     cfg = ExperimentConfig(experiment, profile=profile, **PRESETS[experiment][1])
     cap = PROFILE_CAPS.get(profile, math.inf)  # validate names an unknown profile
     return replace(cfg, n_values=tuple(n for n in cfg.n_values if n <= cap)).validate()
@@ -439,7 +439,7 @@ def _run_ruler(cfg, ruler, block, ts, group, gamma0, pending):
     converged) to `pending` for each estimate made.
 
     The raw batch and unit dither pair are built once.  Cells with equal
-    specs are adjacent (they differ only in n or the estimator), and each run
+    specs are adjacent (they differ only in the estimator), and each run
     of them shares one quantized batch and Gram matrix.  A quantized real
     plane that several runs need is formed once and kept until its last run.
     """

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import rng
-from .errors import NonPositiveGamma0, QtcovError
+from .errors import QtcovError
 from .sampling import SampleBatch
 
 _TINY = np.finfo(float).tiny  # the smallest normal positive float
@@ -36,11 +36,11 @@ def _check_level(level):
         raise QtcovError(f"quantization level {float(level)!r} is subnormal")
 
 
-def _check_depth(k, error=QtcovError):
-    """Raise `error` unless 1 <= k <= 63: a batch file stores the clip
+def _check_depth(k):
+    """Raise QtcovError unless 1 <= k <= 63: a batch file stores the clip
     codes -2^(k-1) - 1 and 2^(k-1) as int64."""
     if not 1 <= k <= 63:
-        raise error(f"bit depth {k} is outside 1..63")
+        raise QtcovError(f"bit depth {k} is outside 1..63")
 
 
 class QuantizationSpec:
@@ -197,7 +197,7 @@ def select_level_tail_bound(gamma0, n, ruler_size, k, delta_prime=math.log(10.0)
     delta_prime = log(10); both constants are free and can be overridden.
     """
     if gamma0 <= 0:
-        raise NonPositiveGamma0(f"gamma0 must be positive, got {gamma0}")
+        raise QtcovError(f"gamma0 must be positive, got {gamma0}")
     if n * ruler_size < 1:
         raise QtcovError("need n * |ruler| >= 1")
     if delta_prime < 0:

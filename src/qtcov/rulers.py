@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Duplicate, MissingLag, NotARuler, OutOfRange, QtcovError
+from .errors import MissingLag, QtcovError
 
 
 class Ruler:
@@ -33,12 +33,12 @@ class Ruler:
         dim = int(dim)
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if dim < 1 or idx.size == 0:
-            raise OutOfRange("ruler needs d >= 1 and at least one index")
+            raise QtcovError("ruler needs d >= 1 and at least one index")
         if np.unique(idx).size != idx.size:
-            raise Duplicate(f"duplicate indices in {sorted(idx.tolist())}")
+            raise QtcovError(f"duplicate indices in {sorted(idx.tolist())}")
         idx = np.sort(idx)
         if idx[0] < 1 or idx[-1] > dim:
-            raise OutOfRange(f"indices must lie in [1, {dim}], got {idx.tolist()}")
+            raise QtcovError(f"indices must lie in [1, {dim}], got {idx.tolist()}")
 
         jj, kk = np.meshgrid(idx, idx, indexing="ij")
         keep = kk >= jj
@@ -116,14 +116,14 @@ def make_ruler_alpha(d, alpha):
     Branch one is {1, ..., round(d^alpha)}; branch two steps down from d in
     strides of round(d^(1-alpha)).  Both exponents are rounded half-up
     independently; elements falling below 1 are dropped, and the union is
-    validated (a rounding combination that breaks coverage raises NotARuler
+    validated (a rounding combination that breaks coverage raises QtcovError
     rather than being silently patched).  alpha = 1 yields the full ruler.
     """
     d = int(d)
     if d < 2:
-        raise OutOfRange("need d >= 2")
+        raise QtcovError("need d >= 2")
     if not 0.5 <= alpha <= 1.0:
-        raise OutOfRange(f"alpha must lie in [1/2, 1], got {alpha}")
+        raise QtcovError(f"alpha must lie in [1/2, 1], got {alpha}")
     size1 = _round_half_up(d ** alpha)
     stride = _round_half_up(d ** (1.0 - alpha))
     part1 = set(range(1, size1 + 1))
@@ -132,9 +132,8 @@ def make_ruler_alpha(d, alpha):
     try:
         return Ruler(union, d)
     except MissingLag as err:
-        raise NotARuler(
-            f"rounded construction {union} for d={d}, alpha={alpha} "
-            f"misses lag {err.lag}") from err
+        raise QtcovError(f"rounded construction {union} for d={d}, alpha={alpha} "
+                         f"misses lag {err.lag}") from err
 
 
 @lru_cache(maxsize=128)
@@ -166,4 +165,4 @@ def resolve_ruler(spec, d):
     except QtcovError:
         raise
     except ValueError:
-        raise NotARuler(f"cannot parse ruler spec {spec!r}") from None
+        raise QtcovError(f"cannot parse ruler spec {spec!r}") from None

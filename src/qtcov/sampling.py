@@ -11,7 +11,7 @@ draws are reproducible through the stream derivation in `qtcov.rng`.
 import numpy as np
 
 from . import rng
-from .errors import BatchFormatError, EmptyBatch, NotPSD, OutOfRange, QtcovError
+from .errors import EmptyBatch, QtcovError
 from .rulers import Ruler
 from .toeplitz import vandermonde_synthesize
 
@@ -67,7 +67,7 @@ def random_toeplitz_covariance(d, seed):
     `seed`.
     """
     if d < 1:
-        raise OutOfRange("need d >= 1")
+        raise QtcovError("need d >= 1")
     gen = rng.stream(seed, rng.COVARIANCE)
     while True:
         freqs = gen.uniform(0.0, 1.0, size=d)
@@ -82,7 +82,7 @@ def _psd_factor(T):
     lam, vec = np.linalg.eigh(T.dense)
     gamma0 = T.generators[0].real
     if lam[0] < -1e-6 * max(gamma0, 1e-300):
-        raise NotPSD(f"covariance has eigenvalue {lam[0]:g} < -1e-6 * gamma_0")
+        raise QtcovError(f"covariance has eigenvalue {lam[0]:g} < -1e-6 * gamma_0")
     return vec * np.sqrt(np.clip(lam, 0.0, None))
 
 
@@ -146,7 +146,7 @@ def save_batch(batch, path):
 
 
 def load_batch(path):
-    """Read a batch written by save_batch; a malformed file raises BatchFormatError."""
+    """Read a batch written by save_batch; a malformed file raises QtcovError."""
     from .quantizer import QuantizationSpec, codes_to_values
 
     with open(path, "rb") as fh:
@@ -154,12 +154,12 @@ def load_batch(path):
     head, _, payload = blob.partition(b"\n\n")
     lines = head.decode("latin-1").splitlines()
     if not lines or lines[0] != BATCH_FORMAT:
-        raise BatchFormatError(f"unrecognized batch format in {path}")
+        raise QtcovError(f"unrecognized batch format in {path}")
     try:
         fields = dict(line.split("=", 1) for line in lines[1:])
         missing = [key for key in _REQUIRED_FIELDS if key not in fields]
         if missing:
-            raise BatchFormatError(f"batch header in {path} lacks {', '.join(missing)}")
+            raise QtcovError(f"batch header in {path} lacks {', '.join(missing)}")
         d, n, seed = int(fields["d"]), int(fields["n"]), int(fields["seed"])
         ruler = Ruler.from_string(fields["ruler"], d)
         spec = None
@@ -169,18 +169,18 @@ def load_batch(path):
     except QtcovError:
         raise
     except (ValueError, KeyError) as err:
-        raise BatchFormatError(f"bad batch header in {path}: {err!r}") from None
+        raise QtcovError(f"bad batch header in {path}: {err!r}") from None
     if fields["stage"] != ("raw" if spec is None else "quantized"):
-        raise BatchFormatError(f"stage {fields['stage']!r} in {path} does not fit its levels")
+        raise QtcovError(f"stage {fields['stage']!r} in {path} does not fit its levels")
     if n < 1:
-        raise BatchFormatError(f"n={n} in {path}: a batch holds at least one sample")
+        raise QtcovError(f"n={n} in {path}: a batch holds at least one sample")
     kind = fields["payload"]
     if kind not in ("codes", "complex128") or (kind == "codes" and spec is None):
-        raise BatchFormatError(f"payload kind {kind!r} in {path} does not fit its header")
+        raise QtcovError(f"payload kind {kind!r} in {path} does not fit its header")
     # 16 bytes per entry either way: one complex128, or two int64 codes
     if len(payload) != 16 * n * ruler.size:
-        raise BatchFormatError(f"payload of {len(payload)} bytes in {path} does not hold "
-                               f"n={n} x |ruler|={ruler.size} entries")
+        raise QtcovError(f"payload of {len(payload)} bytes in {path} does not hold "
+                         f"n={n} x |ruler|={ruler.size} entries")
     shape = (n, ruler.size)
     if kind == "codes":
         flat = np.frombuffer(payload, dtype="<i8")

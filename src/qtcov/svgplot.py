@@ -7,7 +7,7 @@ is involved, so output files are small, diffable, and deterministic.
 
 import math
 
-from .errors import EmptyTable, MixedMetrics
+from .errors import EmptyTable, QtcovError
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2"]
@@ -22,7 +22,7 @@ def _check(table):
         raise EmptyTable("no mean rows to plot")
     metrics = {r.metric for r in rows}
     if len(metrics) != 1:
-        raise MixedMetrics(f"cannot plot mixed metrics {sorted(metrics)}")
+        raise QtcovError(f"cannot plot mixed metrics {sorted(metrics)}")
     return rows, metrics.pop()
 
 

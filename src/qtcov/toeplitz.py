@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DuplicateFrequency, EmptyGenerators, LengthMismatch,
-                     NonRealDiagonal, QtcovError, SizeMismatch)
+from .errors import QtcovError
 
 
 class HermitianToeplitz:
@@ -26,10 +25,9 @@ class HermitianToeplitz:
     def __init__(self, generators):
         gens = np.asarray(generators, dtype=np.complex128)
         if gens.ndim != 1 or gens.size == 0:
-            raise EmptyGenerators("need at least one generator")
+            raise QtcovError("need at least one generator")
         if gens[0].imag != 0.0:
-            raise NonRealDiagonal(
-                f"gamma_0 must be real, got imaginary part {gens[0].imag!r}")
+            raise QtcovError(f"gamma_0 must be real, got imaginary part {gens[0].imag!r}")
         self.generators = gens.copy()
         self.generators.flags.writeable = False
 
@@ -97,12 +95,11 @@ def vandermonde_synthesize(freqs, powers, d):
     freqs = np.asarray(freqs, dtype=float)
     powers = np.asarray(powers, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
-        raise LengthMismatch("need at least one frequency")
+        raise QtcovError("need at least one frequency")
     if freqs.shape != powers.shape:
-        raise LengthMismatch(
-            f"{freqs.size} frequencies vs {powers.size} powers")
+        raise QtcovError(f"{freqs.size} frequencies vs {powers.size} powers")
     if np.unique(freqs).size != freqs.size:
-        raise DuplicateFrequency("frequencies must be distinct")
+        raise QtcovError("frequencies must be distinct")
     if not np.all((powers > 0) & (powers < np.inf)):
         raise QtcovError(f"powers must be finite and positive, got {powers}")
     gens = np.exp(-2j * np.pi * np.outer(np.arange(d), freqs)) @ powers
@@ -122,7 +119,7 @@ def toeplitz_adjoint_project(M, ruler):
     M = np.asarray(M)
     m = ruler.size
     if M.shape != (m, m):
-        raise SizeMismatch(f"matrix shape {M.shape} does not match |ruler| = {m}")
+        raise QtcovError(f"matrix shape {M.shape} does not match |ruler| = {m}")
     vals = M[ruler.pair_rows, ruler.pair_cols].astype(np.complex128)
     # Anchor each lag at its first pair and average the deviations; this keeps
     # the mean exact when a diagonal is constant.

@@ -11,6 +11,7 @@ formulations, kept to hold its in-place kernels to the same bits.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -248,9 +249,17 @@ def music_direct_estimate(T_est, K, grid_size):
     return resolved, np.array(chosen), np.sort(freqs)
 
 
+def exact_circular_distance(a, b):
+    """The circular distance min(r, 1 - r), r = (a - b) mod 1, of two floats
+    in exact rational arithmetic."""
+    r = (Fraction(a) - Fraction(b)) % 1
+    return min(r, 1 - r)
+
+
 def brute_force_frequency_mse(estimates, truth):
-    """Least mean squared circular distance over all K! matchings."""
-    diff = np.abs(estimates[:, None] - truth[None, :]) % 1.0
-    cost = np.minimum(diff, 1.0 - diff) ** 2
+    """Least mean squared circular distance over all K! matchings; each cost
+    is exact until it is rounded once to a float."""
+    cost = np.array([[float(exact_circular_distance(a, b) ** 2) for b in truth]
+                     for a in estimates])
     perms = np.array(list(itertools.permutations(range(len(estimates)))))
     return cost[np.arange(len(estimates)), perms].mean(axis=1).min()

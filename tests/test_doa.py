@@ -1,17 +1,20 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtcov
-from oracles import (brute_force_frequency_mse, music_direct_derivatives,
-                     music_direct_estimate, music_direct_grid, music_noise_subspace,
-                     wishart_rhat)
+from oracles import (brute_force_frequency_mse, exact_circular_distance,
+                     music_direct_derivatives, music_direct_estimate, music_direct_grid,
+                     music_noise_subspace, wishart_rhat)
 from qtcov import (DoaScene, HermitianToeplitz, circular_distance, estimate_frequencies,
                    frequency_mse, vandermonde_synthesize)
 from qtcov import rng as qrng
 from qtcov.doa import _grid_spectrum, _lag_coefficients, _pick_peaks
-from qtcov.errors import KOutOfRange, LengthMismatch, QtcovError
+from qtcov.errors import QtcovError
 from qtcov.harness import FIVE_SOURCE_SCENE
 
 FIVE_SOURCE_FREQS = (0.08, 0.21, 0.37, 0.68, 0.81)
@@ -45,9 +48,9 @@ class TestScene:
         assert scene.snr_db == pytest.approx(10.0)
 
     def test_validation(self):
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(QtcovError, match=re.escape("need 1 <= K < d sources")):
             DoaScene(4, (0.1, 0.2, 0.3, 0.4), (1, 1, 1, 1), 0.0)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(QtcovError, match="freqs and powers must have equal length"):
             DoaScene(8, (0.1, 0.2), (1.0,), 0.0)
 
     @pytest.mark.parametrize("freqs, powers, noise_var, message", [
@@ -93,9 +96,9 @@ class TestSpectrum:
 
     def test_k_out_of_range(self):
         T = exact_scene_cov([0.3], 8)
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(QtcovError, match=re.escape("need 1 <= K < d = 8, got K = 8")):
             pseudo_spectrum(T, 8, 512)
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(QtcovError, match=re.escape("need 1 <= K < d = 8, got K = 0")):
             pseudo_spectrum(T, 0, 512)
 
     def test_grid_too_small(self):
@@ -282,7 +285,8 @@ class TestFrequencyMse:
         assert frequency_mse([0.1, 0.2], [0.2, 0.1]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(QtcovError, match=re.escape(
+                "need two nonempty 1-D sets of one length, got (1,) vs (2,)")):
             frequency_mse([0.1], [0.1, 0.2])
 
     def test_symmetric_and_bounded(self, rng):
@@ -297,13 +301,19 @@ class TestFrequencyMse:
         st.tuples(CIRCLE_POINTS, CIRCLE_POINTS), min_size=k, max_size=k)))
     @example([(0.0, 0.125), (0.25, 0.375), (0.5, 0.625), (0.75, 0.875)])  # shifts tie
     @example([(0.1, 0.6), (0.1, 0.1), (0.6, 0.6)])  # duplicates and antipodes
+    # two matchings tie exactly; a distance rounded after the wrap made one look cheaper
+    @example([(0.0, 2.2250738585072014e-308), (0.125, 1.0), (1.5618742855042711e-15, 0.125)])
+    # both tiny negative truths reduce to 1.0 mod 1; their circle order is the exact one
+    @example([(-1.0, -3.649711180057782e-169), (-0.875, -0.875),
+              (3.2815529240786152e-65, -3.2815529240786152e-65)])
     def test_matches_brute_force_matching(self, pairs):
         est, truth = (np.array(v) for v in zip(*pairs))
         best = brute_force_frequency_mse(est, truth)
         assert abs(frequency_mse(est, truth) - best) <= 1e-12 * best
 
     def test_rejects_empty_sets(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(QtcovError, match=re.escape(
+                "need two nonempty 1-D sets of one length, got (0,) vs (0,)")):
             frequency_mse([], [])
 
     def test_circular_distance(self):
@@ -316,6 +326,10 @@ class TestFrequencyMse:
         assert circular_distance(-0.9, 0.0) == pytest.approx(0.1)
 
     @given(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True))
+    @example(0.5000000000000001, 6e-17)  # a - b rounds to 1/2, yet lies past it
     def test_circular_distance_unchanged_on_the_unit_interval(self, a, b):
-        diff = abs(a - b)
-        assert circular_distance(a, b) == min(diff, 1.0 - diff)
+        # correctly rounded everywhere; within half a turn these are the bits
+        # of the plain difference
+        assert circular_distance(a, b) == float(exact_circular_distance(a, b))
+        if abs(Fraction(a) - Fraction(b)) <= Fraction(1, 2):
+            assert circular_distance(a, b) == abs(a - b)

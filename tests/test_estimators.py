@@ -6,7 +6,7 @@ from qtcov import (HermitianToeplitz, QuantizationSpec, Ruler, cli, full_ruler, 
                    random_toeplitz_covariance, relative_spectral_error,
                    sample_complex_gaussian, save_batch, toeplitz_adjoint_project)
 from qtcov import rng as qrng
-from qtcov.errors import EmptyBatch, NotFullRuler
+from qtcov.errors import EmptyBatch, QtcovError
 from qtcov.estimators import spectral_norm
 from qtcov.sampling import SampleBatch
 
@@ -112,7 +112,7 @@ class TestQscm:
     def test_requires_full_ruler(self):
         ruler = Ruler([1, 2, 4], 4)
         b = quantized(np.zeros((2, 3), complex), ruler, QuantizationSpec(0, 0))
-        with pytest.raises(NotFullRuler):
+        with pytest.raises(QtcovError, match="qscm is defined on the full ruler only"):
             qscm(b)
 
     def test_projection_reduces_error_mc(self):

@@ -15,7 +15,7 @@ from qtcov import cli, harness
 from qtcov import rng as qrng
 from qtcov.cli import build_parser, main
 from qtcov.doa import DoaScene
-from qtcov.errors import ConfigError, EmptyTable, MixedMetrics, QtcovError
+from qtcov.errors import EmptyTable, QtcovError
 from qtcov.harness import (PRESETS, ExperimentConfig, ResultTable, Row, config_to_text,
                            default_config, parse_config, resolve_ruler,
                            run_experiment, write_outputs)
@@ -70,34 +70,35 @@ class TestConfig:
 
     def test_rejects_out_of_range_bit_depth_before_running(self):
         # under tail_bound the inf row would take the 2000 row's level, which underflows
-        with pytest.raises(ConfigError, match="bit depth 2000 is outside 1..63"):
+        with pytest.raises(QtcovError, match="bit depth 2000 is outside 1..63"):
             parse_config("qtcov-config 1\nexperiment = custom\nd = 4\nbits = 2000, inf\n"
                          "level_rule = tail_bound\n")
 
     def test_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(QtcovError, match="unknown config key 'bogus'"):
             parse_config("qtcov-config 1\nexperiment = exp2\nbogus = 3\n")
 
     def test_requires_schema_line(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(QtcovError,
+                           match="config must start with the schema line 'qtcov-config 1'"):
             parse_config("experiment = exp2\n")
 
     def test_profile_caps_n(self):
         cfg = tiny_config(n_values=(100_000,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(QtcovError, match="n up to 100000 exceeds the ci profile cap of "):
             cfg.validate()
         replace(cfg, profile="full").validate()
 
     def test_rejects_unknown_scene_key(self):
-        with pytest.raises(ConfigError, match="scene_freq"):
+        with pytest.raises(QtcovError, match="unknown config key 'scene_freq'"):
             parse_config("qtcov-config 1\nexperiment = custom\nscene_freq = 0.1\n")
 
     def test_rejects_empty_n_values(self):
-        with pytest.raises(ConfigError, match="n_values"):
+        with pytest.raises(QtcovError, match="n_values must list at least one entry"):
             parse_config("qtcov-config 1\nexperiment = custom\nn_values =\n")
 
     def test_rejects_unknown_estimator(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(QtcovError, match="unknown estimator 'magic'"):
             tiny_config(estimators=("magic",)).validate()
 
     def test_named_rulers_resolve(self):
@@ -107,7 +108,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["qspa_barrier_mu0", "qspa_barrier_shrink"])
     def test_rejects_removed_barrier_schedule_keys(self, key):
         # the barrier schedule is fixed by the solver (see qtcov.qspa)
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(QtcovError, match=f"unknown config key '{key}'"):
             parse_config(f"qtcov-config 1\nexperiment = custom\n{key} = 0.5\n")
 
     def test_qspa_options_from_config(self):
@@ -133,7 +134,7 @@ class TestConfig:
         ("d = 4\nscene_freqs = 0.1\nscene_powers = 1\nmusic_grid = 31", "music_grid 31 < 8d = 32"),
     ])
     def test_rejects_bad_value(self, lines, message):
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(QtcovError, match=re.escape(message)):
             parse_config(f"qtcov-config 1\nexperiment = custom\n{lines}\n")
 
     @pytest.mark.parametrize("lines, message", [
@@ -147,9 +148,9 @@ class TestConfig:
     ])
     def test_rejects_repeated_entries(self, lines, message):
         # a repeated entry would run and write its cells twice
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(QtcovError, match=re.escape(message)):
             parse_config(f"qtcov-config 1\nexperiment = custom\n{lines}\n")
-        with pytest.raises(ConfigError, match="rulers lists full twice"):
+        with pytest.raises(QtcovError, match="rulers lists full twice"):
             ExperimentConfig("custom", d=4, rulers=("full", "full"), deltas=((1, 1), (1, 1)),
                              n_values=(20, 20), estimators=("qtscm", "qtscm"),
                              trials=2).validate()
@@ -172,7 +173,7 @@ class TestConfig:
     ])
     def test_rejects_entries_that_run_the_same_cells(self, lines, message):
         # distinct entries that resolve to the same cells would write identical rows
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(QtcovError, match=re.escape(message)):
             parse_config(f"qtcov-config 1\nexperiment = custom\nn_values = 50\n{lines}\n")
 
     @pytest.mark.parametrize("lines", [
@@ -290,6 +291,18 @@ class TestRunnerSemantics:
         assert math.isnan(means[0].value)
         assert means[0].note.startswith("FloatingPointError: overflow")
         assert np.isfinite(means[1].value) and means[1].note == ""
+
+    def test_singular_sample_covariance_is_named_in_its_row_note(self):
+        # n = 3 < d = 4 samples give a singular Rhat, which qspa cannot fit unregularized
+        table = run_experiment(parse_config("qtcov-config 1\nexperiment = custom\nd = 4\n"
+                                            "n_values = 3\ntrials = 2\n"
+                                            "estimators = qtscm, qspa\nqspa_epsilon_reg = 0\n"))
+        means = {r.estimator: r for r in mean_rows(table)}
+        assert math.isnan(means["qspa"].value)
+        assert means["qspa"].note == ("SingularRhat: sample covariance is not positive "
+                                      "definite; set a positive qspa epsilon_reg, or leave "
+                                      "it automatic")
+        assert np.isfinite(means["qtscm"].value) and means["qtscm"].note == ""
 
     def test_dither_drawn_per_ruler_and_each_spec_quantized_once(self, monkeypatch):
         cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
@@ -559,7 +572,8 @@ class TestPlots:
     def test_mixed_metrics(self):
         rows = [Row("x", "qtscm", 4, 10, 1, 1, None, "full", "mean", "rel_error_spectral", 0.5),
                 Row("x", "qtscm", 4, 10, 1, 1, None, "full", "mean", "freq_mse", 0.1)]
-        with pytest.raises(MixedMetrics):
+        with pytest.raises(QtcovError, match=re.escape(
+                "cannot plot mixed metrics ['freq_mse', 'rel_error_spectral']")):
             emit_plot(ResultTable(rows), "line-linear")
 
 
@@ -782,6 +796,16 @@ class TestInputErrors:
         capsys.readouterr()
         assert main(["estimate", "--batch", str(batch)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_qspa_trace_without_qspa(self, tmp_path, capsys):
+        batch, trace = tmp_path / "b.qtb", tmp_path / "trace.csv"
+        assert main(["simulate", "--d", "4", "--n", "20", "-o", str(batch)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--batch", str(batch), "--estimator", "qtscm",
+                     "--qspa-trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--qspa-trace" in err and "add qspa to --estimator" in err
+        assert not trace.exists()
 
     def test_truncated_batch_file(self, tmp_path):
         batch = tmp_path / "b.qtb"

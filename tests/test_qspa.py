@@ -10,8 +10,9 @@ from qtcov import (HermitianToeplitz, QuantizationSpec, auto_epsilon, full_ruler
                    quantized_sample_covariance, random_toeplitz_covariance,
                    relative_spectral_error, resolve_ruler,
                    sample_complex_gaussian, toeplitz_adjoint_project)
-from qtcov.errors import QtcovError, SingularRhat
-from qtcov.qspa import QspaOptions, _BarrierProblem, _params_from_generators
+from qtcov.errors import InfeasibleU, QtcovError, SingularRhat
+from qtcov.qspa import (QspaOptions, _barrier_iterations, _BarrierProblem,
+                        _params_from_generators)
 
 from oracles import (fitting_objective_d2, grid_oracle_d2, reference_qspa_solve,
                      stacked_lag_hessian, wishart_rhat)
@@ -95,6 +96,12 @@ class TestObjective:
     def test_infeasible_u(self, rng):
         Rhat = wishart_rhat(rng, 2, 20)
         assert two_trace_objective([1.0, 2.0], Rhat, full_ruler(2), DELTA0) is None
+
+    def test_barrier_rejects_an_infeasible_start(self, rng):
+        # T(u) = [[1, 2], [2, 1]] is indefinite: the barrier has no value there
+        prob = _BarrierProblem(wishart_rhat(rng, 2, 20), full_ruler(2), DELTA0.lag0_bias)
+        with pytest.raises(InfeasibleU, match="barrier evaluated at an infeasible point"):
+            _barrier_iterations(prob, _params_from_generators([1.0, 2.0]), QspaOptions(), 0.0)
 
 
 class TestOptions:

@@ -11,7 +11,7 @@ from oracles import redrawn_quantize
 from qtcov import (HermitianToeplitz, QuantizationSpec, full_ruler, quantize_batch,
                    random_toeplitz_covariance, resolve_ruler, sample_complex_gaussian,
                    select_level_datadriven, select_level_tail_bound)
-from qtcov.errors import EmptyBatch, NonPositiveGamma0, QtcovError
+from qtcov.errors import EmptyBatch, QtcovError
 from qtcov.quantizer import codes_to_values, unit_dither, values_to_codes
 from qtcov.sampling import SampleBatch, load_batch, save_batch
 
@@ -398,7 +398,7 @@ class TestLevelSelection:
         assert b == pytest.approx(np.sqrt(2) * a)
 
     def test_rejects_nonpositive_gamma0(self):
-        with pytest.raises(NonPositiveGamma0):
+        with pytest.raises(QtcovError, match="gamma0 must be positive, got 0.0"):
             select_level_tail_bound(0.0, 100, 7, 2)
 
     def test_datadriven_examples(self):
