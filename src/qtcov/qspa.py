@@ -22,9 +22,15 @@ coordinates with a path-following log barrier
 using damped Newton steps.  The schedule has no knobs: since f >= 2|Omega|
 and a centered point at mu is within theta * mu of the optimum (theta = d +
 |Omega|, the barrier parameter), mu starts at (f(u0) - 2|Omega|) / theta at
-the feasibility-lifted projection start u0, and shrinks by a factor 20 per
-centering.  After each centering a predictor step follows the central path's
-tangent to the next mu, reusing the Newton system solved at the center (Boyd &
+the start u0, and shrinks by a factor 20 per centering.  u0 is the
+bias-removed projection of Rhat, lifted so that lambda_min(T(u0) - cI) is at
+least 1e-2 tr(Rhat) / |Omega|, a margin in the data's own units: a Newton
+step on a log barrier can only about double its distance to the boundary, so
+a start an absolute 1e-6 from it spends most of the first centering getting
+away from the edge.  The projection lifted only 1e-6 inside (the tight lift)
+is one more candidate for the best point of an unconverged solve.  After
+each centering a predictor step follows the central path's tangent to the
+next mu, reusing the Newton system solved at the center (Boyd &
 Vandenberghe, Convex Optimization, 11.5).  Each point is factored
 once: the line search's Cholesky factors of A(u) and of the shifted T(u)
 give the barrier value there, and those of the accepted point also give the
@@ -290,7 +296,13 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
     One Toeplitz projection of Rhat starts the solve.  On the full ruler at
     c = 0 it is the exact optimum when it reproduces Rhat and is PSD (the
     barrier stalls on such inputs); otherwise its bias-removed form (the
-    qtscm estimate), lifted to feasibility, starts the barrier.
+    qtscm estimate) starts the barrier, lifted so that the smallest
+    eigenvalue of T(u) - cI is at least 1e-2 tr(Rhat) / |ruler| (Rhat
+    regularized).  The same projection lifted only to 1e-6 is the tight
+    lift: an unconverged solve returns the feasible point of least
+    objective among it, the start and the centers.  The tight lift's
+    kkt_residual is its Newton decrement at the mu a solve started there
+    would take, (f - 2|ruler|) / (d + |ruler|).
     """
     if spec is None:  # a raw batch has no spec
         raise QtcovError("estimators expect a quantized batch")
@@ -314,13 +326,18 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
 
     gens[0] = gens[0].real - c
     lmin = float(np.linalg.eigvalsh(HermitianToeplitz(gens).dense - c * np.eye(ruler.dim))[0])
-    if lmin < 1e-6:
-        gens[0] += 1e-6 - lmin
-    return _barrier_iterations(prob, _params_from_generators(gens), opts, eps)
+    tight = gens.copy()
+    tight[0] += max(_TIGHT_LIFT - lmin, 0.0)
+    margin = _START_MARGIN * float(np.trace(Rhat).real) / ruler.size
+    gens[0] += max(margin - lmin, 0.0)
+    return _barrier_iterations(prob, _params_from_generators(gens), opts, eps,
+                               tight_lift=_params_from_generators(tight))
 
 
-_MU_SHRINK = 0.05   # mu factor per centering
-_MU_FLOOR = 1e-12   # first mu when the start is (nearly) optimal
+_MU_SHRINK = 0.05     # mu factor per centering
+_MU_FLOOR = 1e-12     # first mu when the start is (nearly) optimal
+_START_MARGIN = 1e-2  # start's lambda_min(T(u0) - cI), relative to tr(Rhat) / |Omega|
+_TIGHT_LIFT = 1e-6    # the tight lift's lambda_min(T(u) - cI)
 
 
 def _backtrack(prob, v, dv, min_step, accept=None):
@@ -335,14 +352,26 @@ def _backtrack(prob, v, dv, min_step, accept=None):
     return None
 
 
-def _barrier_iterations(prob, v, opts, eps):
+def _first_mu(prob, p):
+    """The barrier parameter that starts a solve at the _Point p.
+
+    theta * mu, theta = d + |Omega|, bounds a center's gap to the optimum;
+    f(p) - 2|Omega| bounds the start's (tr X + tr X^-1 >= 2m)."""
+    m = prob.ruler.size
+    return max((p.objective - 2.0 * m) / (prob.ruler.dim + m), _MU_FLOOR)
+
+
+def _newton_decrement(prob, p, mu):
+    """sqrt(g^T H^-1 g) of the barrier at the _Point p, one Newton system."""
+    grad, H, _ = prob.newton_system(p, mu)
+    return math.sqrt(max(-float(grad @ _solve_newton(H, grad)), 0.0))
+
+
+def _barrier_iterations(prob, v, opts, eps, tight_lift=None):
     p = prob.evaluate(v)
     if p is None:
         raise InfeasibleU("barrier evaluated at an infeasible point")
-    # theta * mu, theta = d + |Omega|, bounds a center's gap to the optimum;
-    # f(v) - 2|Omega| bounds the start's (tr X + tr X^-1 >= 2m)
-    m = prob.ruler.size
-    mu = max((p.objective - 2.0 * m) / (prob.ruler.dim + m), _MU_FLOOR)
+    mu = _first_mu(prob, p)
     total_newton = predictor_steps = 0
     trace = []
     converged = False
@@ -394,7 +423,13 @@ def _barrier_iterations(prob, v, opts, eps):
         mu = mu_next
 
     # a converged solve returns its last center; an unconverged one, the
-    # point of least objective among the start and the centers
+    # point of least objective among the start, the centers and the tight
+    # lift, which is factored only here.  The tight lift's kkt_residual is
+    # its Newton decrement at the mu a solve started there would take.
+    if not converged and tight_lift is not None:
+        q = prob.evaluate(tight_lift)
+        if q is not None and q.objective < best[0].objective:
+            best = (q, _newton_decrement(prob, q, _first_mu(prob, q)))
     p, kkt = best
     u = _generators_from_params(p.v)
     breve_gens = u.copy()

@@ -27,7 +27,7 @@ class HermitianToeplitz:
         if gens.ndim != 1 or gens.size == 0:
             raise QtcovError("need at least one generator")
         if gens[0].imag != 0.0:
-            raise QtcovError(f"gamma_0 must be real, got imaginary part {gens[0].imag!r}")
+            raise QtcovError(f"gamma_0 must be real, got imaginary part {gens[0].imag.item()}")
         self.generators = gens.copy()
         self.generators.flags.writeable = False
 

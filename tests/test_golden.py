@@ -54,10 +54,10 @@ GOLDEN_CONFIGS = {
 }
 
 DIGESTS = {
-    "all_estimators": "dbe9b61c95a833bbaa5390b28a6caf3d3aa5bad417a97f3fdc4142563124e439",
+    "all_estimators": "5b5eae713b78c36009842f11e01d66e7ed080060888f889e177b15b0134d1117",
     "d_sweep": "9e70fa559f66e2d43d8ec459b67cb65b9fd358b8ec6b040d3418f628a114fb32",
     "datadriven": "34a52993c8710b2dd2fa1bfa8a027d765429b7d1a97dbe411e9077188d155106",
-    "doa_d8": "a86d65d7ce9dc62991f799cf18bacd40c8d6944d041e85ac86dcabad5a33924d",
+    "doa_d8": "e4718f623da67b1d0739a31620ea8b76a20f7d75c0a06f8cc2c11954cbf8ad88",
     "emit_trials": "55c4e0262ab94bd8b633a90587d1678408c650d978596d91b00072f62d6106bd",
     "empty_n": "eba87a7afb3c86b0acf8e748bc785700b88954b33e3407a419a2c2d6c1c0839b",
     "exp1": "6bb8296d2be5f7a42a73d933a58c0599757a6916370669722e8c4fc05cd46e23",
@@ -66,7 +66,7 @@ DIGESTS = {
     "fixed_bits": "0eeeae63b3c885fda9a6a5dbf08ea68deb18549221c01bcb00df6a93e6b27695",
     "negative_level": "87e5d7271aa91b6716b4fc6c274c2f4cbdf0669bc174f7df96403191dcbd11b2",
     "shared_planes": "3962cf23c884cb5d370d7c64a77b9297ab56bd669ffef2ac4e3fd59b6a861d29",
-    "tail_bound": "763b6c3e380f63b9403ef6d402e520d4207c200f2f043d73e737e2e8336c2152",
+    "tail_bound": "720928786047c206a34ac6736ffed35ca14474cb34a91bd4b73a0a2fa083567a",
 }
 
 

@@ -31,7 +31,7 @@ class TestConstruction:
         assert T.dense[2, 0] == 0.2
 
     def test_rejects_complex_diagonal(self):
-        with pytest.raises(QtcovError, match=r"gamma_0 must be real, got imaginary part \S*1e-14"):
+        with pytest.raises(QtcovError, match=r"got imaginary part 1e-14$"):
             HermitianToeplitz([1.0 + 1e-14j, 0.5])
 
     def test_rejects_empty(self):
