@@ -186,7 +186,8 @@ def build_parser():
     px.set_defaults(func=cmd_experiment)
 
     pd = sub.add_parser("doa", help="estimate source frequencies from one batch")
-    pd.add_argument("--scene", default=None, help="scene config file (scene_* keys)")
+    pd.add_argument("--scene", default=None,
+                    help="experiment config file whose scene_* keys set the scene")
     pd.add_argument("--ruler", default="alpha:0.5")
     pd.add_argument("--n", type=int, default=1000)
     pd.add_argument("--delta", default="2,2")

@@ -60,6 +60,10 @@ def spectral_norm(M):
 
 
 def relative_spectral_error(estimate, truth):
-    """||estimate - truth||_2 / ||truth||_2 with dense spectral norms."""
-    tru = as_dense(truth)
-    return float(spectral_norm(as_dense(estimate) - tru) / spectral_norm(tru))
+    """||estimate - truth||_2 / ||truth||_2 with dense spectral norms; the
+    two must have one dimension."""
+    est, tru = as_dense(estimate), as_dense(truth)
+    if est.shape != tru.shape:
+        raise QtcovError(f"estimate dimension {est.shape[0]} does not match "
+                         f"truth dimension {tru.shape[0]}")
+    return float(spectral_norm(est - tru) / spectral_norm(tru))

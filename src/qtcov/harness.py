@@ -290,6 +290,8 @@ def parse_config(text):
         if "=" not in ln:
             raise QtcovError(f"expected key = value, got {ln!r}")
         key, val = (s.strip() for s in ln.split("=", 1))
+        if key in kv:
+            raise QtcovError(f"config key {key!r} is set twice")
         kv[key] = val
 
     if "experiment" not in kv:

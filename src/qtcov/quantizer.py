@@ -37,8 +37,8 @@ def _check_level(level):
 
 
 def _check_depth(k):
-    """Raise QtcovError unless 1 <= k <= 63: a batch file stores the clip
-    codes -2^(k-1) - 1 and 2^(k-1) as int64."""
+    """Raise QtcovError unless 1 <= k <= 63, the bit depths that a spec, a
+    config and the command line accept; the float64 kernel takes any k."""
     if not 1 <= k <= 63:
         raise QtcovError(f"bit depth {k} is outside 1..63")
 
@@ -209,23 +209,3 @@ def select_level_datadriven(batch):
     """Max modulus over all entries of a raw batch (parameter-free level rule)."""
     return float(np.max(np.abs(batch.data)))
 
-
-# --- integer code representation for finite-bit batches ----------------------
-
-def values_to_codes(values, spec):
-    """Integer codes (re, im) of finite-bit quantized values: v = Delta*(code + 1/2)."""
-    if spec.bits_k is None:
-        raise QtcovError("codes exist only for finite-bit quantization")
-    delta = spec.delta_r
-    re = np.rint(np.real(values) / delta - 0.5).astype(np.int64)
-    im = np.rint(np.imag(values) / delta - 0.5).astype(np.int64)
-    return re, im
-
-
-def codes_to_values(codes, spec):
-    """Inverse of values_to_codes (bit-exact for the quantizer's output set)."""
-    if spec.bits_k is None:
-        raise QtcovError("codes exist only for finite-bit quantization")
-    delta = spec.delta_r
-    re, im = codes
-    return delta * (re + 0.5) + 1j * (delta * (im + 0.5))

@@ -113,41 +113,32 @@ def sample_complex_gaussian(T, ruler, n, seed):
 # --- batch file format -------------------------------------------------------
 #
 # Text header (latin-1, key=value lines) terminated by a blank line, followed
-# by a raw little-endian payload: float64 re/im pairs, or int64 quantizer
-# codes (re plane then im plane) when the batch was produced by a finite-bit
-# quantizer.
+# by the batch's values as raw little-endian complex128, whatever the stage:
+# the quantizer's own output, so a batch comes back bit for bit.
 
 def save_batch(batch, path):
-    """Write a batch to `path`; quantized finite-bit batches store integer codes."""
-    from .quantizer import values_to_codes  # local import to avoid a cycle
-
+    """Write a batch to `path`: its header, then its values as complex128."""
     lines = [BATCH_FORMAT,
              f"d={batch.dim}",
              f"n={batch.count}",
              f"ruler={batch.ruler.to_string()}",
              f"stage={batch.stage}",
              f"seed={batch.seed}"]
-    codes = None
     if batch.spec is not None:
         lines.append(f"delta_r={batch.spec.delta_r!r}")
         lines.append(f"delta_i={batch.spec.delta_i!r}")
         if batch.spec.bits_k is not None:
             lines.append(f"bits_k={batch.spec.bits_k}")
-            codes = values_to_codes(batch.data, batch.spec)
-    lines.append("payload=" + ("codes" if codes is not None else "complex128"))
+    lines.append("payload=complex128")
     header = "\n".join(lines) + "\n\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("latin-1"))
-        if codes is not None:
-            fh.write(codes[0].astype("<i8").tobytes())
-            fh.write(codes[1].astype("<i8").tobytes())
-        else:
-            fh.write(batch.data.astype("<c16").tobytes())
+        fh.write(batch.data.astype("<c16").tobytes())
 
 
 def load_batch(path):
     """Read a batch written by save_batch; a malformed file raises QtcovError."""
-    from .quantizer import QuantizationSpec, codes_to_values
+    from .quantizer import QuantizationSpec  # local import to avoid a cycle
 
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -174,18 +165,12 @@ def load_batch(path):
         raise QtcovError(f"stage {fields['stage']!r} in {path} does not fit its levels")
     if n < 1:
         raise QtcovError(f"n={n} in {path}: a batch holds at least one sample")
-    kind = fields["payload"]
-    if kind not in ("codes", "complex128") or (kind == "codes" and spec is None):
-        raise QtcovError(f"payload kind {kind!r} in {path} does not fit its header")
-    # 16 bytes per entry either way: one complex128, or two int64 codes
+    if fields["payload"] != "complex128":
+        raise QtcovError(f"payload={fields['payload']} in {path} is not read: batch files "
+                         "hold complex128 values (payload=codes files, from an older "
+                         "qtcov, must be simulated again)")
     if len(payload) != 16 * n * ruler.size:
         raise QtcovError(f"payload of {len(payload)} bytes in {path} does not hold "
                          f"n={n} x |ruler|={ruler.size} entries")
-    shape = (n, ruler.size)
-    if kind == "codes":
-        flat = np.frombuffer(payload, dtype="<i8")
-        half = flat.size // 2
-        data = codes_to_values((flat[:half].reshape(shape), flat[half:].reshape(shape)), spec)
-    else:
-        data = np.frombuffer(payload, dtype="<c16").reshape(shape).copy()
+    data = np.frombuffer(payload, dtype="<c16").reshape(n, ruler.size).copy()
     return SampleBatch(ruler, data, seed, spec)

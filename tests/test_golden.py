@@ -1,9 +1,11 @@
-"""Golden CSV digests: every pinned config must reproduce its CSV byte for byte.
+"""Golden CSV and SVG digests: every pinned config must reproduce its CSV,
+and every pinned plot its SVG, byte for byte.
 
-The digests are SHA-256 hashes of `run_experiment(cfg).to_csv()`.  They pin
-results, not code structure, so a refactor of the runner that changes any
-value, row, order or note fails here.  qspa cells stay at d <= 8 to keep the
-suite fast.
+The digests are SHA-256 hashes of `run_experiment(cfg).to_csv()` and of
+`emit_plot` on that table.  They pin results, not code structure, so a
+refactor of the runner that changes any value, row, order or note, or of the
+plotter that changes any byte of a plot, fails here.  qspa cells stay at
+d <= 8 to keep the suite fast.
 """
 
 import hashlib
@@ -12,7 +14,8 @@ from dataclasses import replace
 import pytest
 
 from qtcov.doa import DoaScene
-from qtcov.harness import ExperimentConfig, default_config, run_experiment
+from qtcov.harness import PRESETS, ExperimentConfig, default_config, run_experiment
+from qtcov.svgplot import emit_plot
 
 SCENE8 = DoaScene(8, (0.12, 0.47, 0.73), (1.0, 0.8, 1.2), 0.2)
 
@@ -74,3 +77,23 @@ DIGESTS = {
 def test_golden_csv_digest(name):
     csv_text = run_experiment(GOLDEN_CONFIGS[name]).to_csv()
     assert hashlib.sha256(csv_text.encode()).hexdigest() == DIGESTS[name]
+
+
+# a heatmap, and a line plot whose unclipped series are dashed lines across
+# the bit depth axis
+PLOT_CONFIGS = {
+    "exp1": GOLDEN_CONFIGS["exp1"],
+    "exp4": replace(default_config("exp4"), estimators=("qtscm",), trials=2),
+}
+
+PLOT_DIGESTS = {
+    "exp1": "47c066cb5b97f39bfaeb9f765809afab84a2783e1a115eb028c4271b98960c11",
+    "exp4": "1899740a348eb62e39cc7b345dda52f513b3dcd265d9f50bcb47f50ac18e8b9e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_CONFIGS))
+def test_golden_svg_digest(name):
+    cfg = PLOT_CONFIGS[name]
+    svg = emit_plot(run_experiment(cfg), PRESETS[cfg.experiment][0])
+    assert hashlib.sha256(svg.encode()).hexdigest() == PLOT_DIGESTS[name]

@@ -78,6 +78,15 @@ class TestConfig:
         with pytest.raises(QtcovError, match="unknown config key 'bogus'"):
             parse_config("qtcov-config 1\nexperiment = exp2\nbogus = 3\n")
 
+    @pytest.mark.parametrize("key, lines", [
+        ("trials", "trials = 5\nd = 4\ntrials = 10"),
+        ("experiment", "experiment = exp2"),
+    ])
+    def test_rejects_a_key_set_twice(self, key, lines):
+        # a later line would otherwise override an earlier one without a word
+        with pytest.raises(QtcovError, match=f"config key '{key}' is set twice"):
+            parse_config(f"qtcov-config 1\nexperiment = custom\n{lines}\n")
+
     def test_requires_schema_line(self):
         with pytest.raises(QtcovError,
                            match="config must start with the schema line 'qtcov-config 1'"):
@@ -667,6 +676,18 @@ class TestCli:
         assert "estimated frequencies:" in r.stdout
         assert "frequency mse:" in r.stdout
 
+    def test_doa_scene_from_an_experiment_config(self, tmp_path, capsys):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text("qtcov-config 1\nscene_freqs = 0.1, 0.4\nscene_powers = 1, 1\n")
+        argv = ["doa", "--scene", str(scene), "--n", "200", "--estimator", "qtscm",
+                "--grid", "256"]
+        assert main(argv) == 1
+        assert "config needs an experiment id" in capsys.readouterr().err
+        scene.write_text("qtcov-config 1\nexperiment = custom\nd = 8\n"
+                         "scene_freqs = 0.1, 0.4\nscene_powers = 1, 1\n")
+        assert main(argv) == 0
+        assert "true frequencies:      0.100000 0.400000\n" in capsys.readouterr().out
+
     def test_doa_warnings_go_to_stderr(self, monkeypatch, capsys):
         unconverged = SimpleNamespace(converged=False)  # a solver record that did not converge
         monkeypatch.setitem(cli.ESTIMATORS, "qtscm",
@@ -814,6 +835,25 @@ class TestInputErrors:
         batch.write_bytes(batch.read_bytes()[:700])
         self.assert_clean_failure(self.run_cli("estimate", "--batch", str(batch)),
                                   "payload")
+
+    def test_codes_payload_batch_file(self, tmp_path):
+        # older qtcov versions wrote k-bit batches as two int64 code planes
+        batch = tmp_path / "b.qtb"
+        assert main(["simulate", "--d", "4", "--n", "20", "--bits", "2", "-o", str(batch)]) == 0
+        blob = batch.read_bytes()
+        assert b"\npayload=complex128\n" in blob
+        batch.write_bytes(blob.replace(b"\npayload=complex128\n", b"\npayload=codes\n", 1))
+        self.assert_clean_failure(self.run_cli("estimate", "--batch", str(batch)),
+                                  "payload=codes", str(batch))
+
+    @pytest.mark.parametrize("truth_d", [8, 1])
+    def test_truth_of_another_dimension(self, tmp_path, truth_d):
+        batch, truth = tmp_path / "b.qtb", tmp_path / "truth.csv"
+        assert main(["simulate", "--d", "4", "--n", "20", "--bits", "2", "-o", str(batch)]) == 0
+        np.savetxt(truth, qtcov.random_toeplitz_covariance(truth_d, 1).generators)
+        self.assert_clean_failure(
+            self.run_cli("estimate", "--batch", str(batch), "--truth", str(truth)),
+            "estimate dimension 4 does not match truth dimension " + str(truth_d))
 
 
 class TestOutputs:

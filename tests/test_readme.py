@@ -4,7 +4,7 @@ import pathlib
 import re
 import shlex
 
-from qtcov import cli
+from qtcov import cli, harness
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,6 +13,12 @@ def test_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_config_key_table_lists_every_key_in_order():
+    section = README.read_text().split("### Config files", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert keys == list(harness.CONFIG_KEYS)
 
 
 def _command_lines():

@@ -164,6 +164,18 @@ class TestBatchSerialization:
         np.testing.assert_array_equal(back.data, raw.data)
         assert back.stage == "raw" and back.spec is None
 
+    def test_kbit_values_past_2_53_levels_roundtrip_bit_exact(self, tmp_path):
+        # at k = 60 and Delta = 1e-17 the level indices reach 2^59, where
+        # float64 no longer holds every integer: the file keeps the values
+        T = random_toeplitz_covariance(8, 4)
+        raw = sample_complex_gaussian(T, full_ruler(8), 100, 4)
+        batch = quantize_batch(raw, QuantizationSpec(1e-17, 1e-17, 60))
+        assert np.max(np.abs(batch.data.real)) / 1e-17 > 2.0 ** 53
+        save_batch(batch, tmp_path / "b.qtb")
+        back = load_batch(tmp_path / "b.qtb")
+        assert back.data.tobytes() == batch.data.tobytes()
+        assert back.spec == batch.spec
+
 
 def _simulated_batch(d, n, bits, delta, seed, quantized=True):
     T = random_toeplitz_covariance(d, seed)
@@ -255,6 +267,13 @@ class TestBatchFileProperties:
         head = blob.split(b"\n\n", 1)[0].replace(b"\nn=1\n", b"\nn=0\n", 1)
         with pytest.raises(QtcovError, match=r"n=0 in .*: a batch holds at least one sample"):
             _load_blob(head + b"\n\n")
+
+    def test_codes_payload_is_batch_format_error(self):
+        # older qtcov versions wrote k-bit batches as two int64 code planes
+        blob = _saved_blob(_simulated_batch(4, 10, 2, 1.0, 3))
+        blob = blob.replace(b"\npayload=complex128\n", b"\npayload=codes\n", 1)
+        with pytest.raises(QtcovError, match=r"payload=codes in .*b\.qtb is not read"):
+            _load_blob(blob)
 
     def test_missing_field_is_batch_format_error(self):
         blob = _saved_blob(_simulated_batch(4, 10, 2, 1.0, 3))
