@@ -10,7 +10,7 @@ from .quantizer import (QuantizationSpec, quantize_batch,
                         select_level_tail_bound, select_level_datadriven)
 from .estimators import (qtscm, qscm, quantized_sample_covariance,
                          relative_spectral_error)
-from .qspa import QspaOptions, QspaSolution, qspa_solve, auto_epsilon
+from .qspa import QspaSolution, qspa_solve, auto_epsilon
 from .doa import DoaScene, estimate_frequencies, frequency_mse, circular_distance
 
 __version__ = "0.1.0"

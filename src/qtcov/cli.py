@@ -37,7 +37,7 @@ def _load_truth(path):
 
 def _estimate(name, batch, gram):
     """ESTIMATORS[name]'s (estimate, record), warning on stderr if it did not converge."""
-    est, record = ESTIMATORS[name](batch, gram, None)
+    est, record = ESTIMATORS[name](batch, gram)
     if record is not None and not record.converged:
         print(f"warning: {name} did not converge", file=sys.stderr)
     return est, record

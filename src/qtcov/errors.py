@@ -3,8 +3,8 @@
 Every domain error is a QtcovError, which is a ValueError, and its message
 says what went wrong.  A subclass exists only where something tells errors
 apart: code that catches it (MissingLag, EmptyTable), or a grid cell's CSV
-note, which names the class of the error that failed the cell (EmptyBatch,
-SingularRhat, InfeasibleU).  Every other failure raises QtcovError itself.
+note, which names the class of the error that failed the cell (EmptyBatch).
+Every other failure raises QtcovError itself.
 """
 
 
@@ -26,12 +26,4 @@ class EmptyTable(QtcovError):
 
 
 class EmptyBatch(QtcovError):
-    pass
-
-
-class SingularRhat(QtcovError):
-    pass
-
-
-class InfeasibleU(QtcovError):
     pass

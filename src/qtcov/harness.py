@@ -46,7 +46,7 @@ from .errors import EmptyTable, QtcovError
 from .estimators import qscm, qtscm, quantized_sample_covariance, spectral_norm
 from .quantizer import (QuantizationSpec, _check_depth, quantize_batch,
                         select_level_datadriven, select_level_tail_bound, unit_dither)
-from .qspa import QspaOptions, qspa_solve
+from .qspa import qspa_solve
 from .rulers import full_ruler, resolve_ruler
 from .sampling import SampleBatch, random_toeplitz_covariance, sample_complex_gaussian
 from .svgplot import emit_plot
@@ -57,18 +57,18 @@ CONFIG_FORMAT = "qtcov-config 1"
 FIVE_SOURCE_SCENE = DoaScene(16, (0.08, 0.21, 0.37, 0.68, 0.81), (1.0,) * 5, 0.1)
 
 
-def _qspa(batch, gram, opts):
-    sol = qspa_solve(gram, batch.ruler, batch.spec, opts, n=batch.count)
+def _qspa(batch, gram):
+    sol = qspa_solve(gram, batch.ruler, batch.spec, n=batch.count)
     return sol.T_breve, sol
 
 
-# name -> fn(quantized batch, its quantized_sample_covariance, QspaOptions or
-# None) -> (covariance estimate, solver record): the QspaSolution for qspa,
-# None for the closed forms.  The Gram matrix is computed once per batch and
-# shared by its estimators
+# name -> fn(quantized batch, its quantized_sample_covariance) -> (covariance
+# estimate, solver record): the QspaSolution for qspa, None for the closed
+# forms.  The Gram matrix is computed once per batch and shared by its
+# estimators
 ESTIMATORS = {
-    "qtscm": lambda batch, gram, opts: (qtscm(batch, gram=gram), None),
-    "qscm": lambda batch, gram, opts: (qscm(batch, gram=gram), None),
+    "qtscm": lambda batch, gram: (qtscm(batch, gram=gram), None),
+    "qscm": lambda batch, gram: (qscm(batch, gram=gram), None),
     "qspa": _qspa,
 }
 
@@ -109,8 +109,6 @@ class ExperimentConfig:
     deltas: tuple = ((1.0, 1.0),)     # (delta_r, delta_i) pairs
     bits: tuple = ()                  # finite bit depths; None entry = unclipped reference
     level_rule: str = "fixed"         # fixed | tail_bound | datadriven
-    c_bit: float = 1.0
-    delta_prime: float = math.log(10.0)
     n_values: tuple = (500,)
     trials: int = 100
     seed: int = 1234
@@ -120,7 +118,6 @@ class ExperimentConfig:
     emit_trials: bool = False
     outdir: str = "results"
     profile: str = "ci"
-    qspa: QspaOptions = field(default_factory=QspaOptions)
 
     def validate(self):
         if self.experiment not in PRESETS:
@@ -217,10 +214,9 @@ class ResultTable:
 
 # --- config file format -------------------------------------------------------
 #
-# Each key maps to (parse text, format value), in print order.  A qspa_<opt>
-# key sets that QspaOptions field, a scene_<field> key that DoaScene field
-# (printed only for a config with a scene), any other key the ExperimentConfig
-# field of its name.
+# Each key maps to (parse text, format value), in print order.  A scene_<field>
+# key sets that DoaScene field (printed only for a config with a scene), any
+# other key the ExperimentConfig field of its name.
 
 def _list_of(codec):
     parse, fmt = codec
@@ -257,12 +253,9 @@ _RULER = (lambda text: ",".join(text.split()), lambda spec: " ".join(spec.split(
 CONFIG_KEYS = {
     "d": _INT, "d_values": _list_of(_INT), "rulers": _list_of(_RULER),
     "deltas": _list_of((parse_level_pair, "{0[0]}:{0[1]}".format)),
-    "bits": _list_of(_or_none(_INT, "inf")), "level_rule": _TEXT, "c_bit": _FLOAT,
-    "delta_prime": _FLOAT, "n_values": _list_of(_INT), "trials": _INT, "seed": _INT,
-    "estimators": _list_of(_TEXT), "music_grid": _INT, "emit_trials": (_parse_bool, str),
-    "outdir": _TEXT, "profile": _TEXT,
-    "qspa_epsilon_reg": _or_none(_FLOAT, "auto"), "qspa_newton_tol": _FLOAT,
-    "qspa_max_outer": _INT, "qspa_max_inner": _INT,
+    "bits": _list_of(_or_none(_INT, "inf")), "level_rule": _TEXT, "n_values": _list_of(_INT),
+    "trials": _INT, "seed": _INT, "estimators": _list_of(_TEXT), "music_grid": _INT,
+    "emit_trials": (_parse_bool, str), "outdir": _TEXT, "profile": _TEXT,
     "scene_freqs": _list_of(_FLOAT), "scene_powers": _list_of(_FLOAT),
     "scene_noise_var": _FLOAT,
 }
@@ -274,9 +267,9 @@ def _entry(key, value):
 
 
 def _target(key):
-    """(owner, field) a config key sets; owner "qspa", "scene" or "" for the config."""
+    """(owner, field) a config key sets; owner "scene" or "" for the config."""
     owner, _, name = key.partition("_")
-    return (owner, name) if owner in ("qspa", "scene") else ("", key)
+    return (owner, name) if owner == "scene" else ("", key)
 
 
 def parse_config(text):
@@ -297,7 +290,7 @@ def parse_config(text):
     if "experiment" not in kv:
         raise QtcovError("config needs an experiment id")
     cfg = default_config(kv.pop("experiment"))
-    values = {"": {}, "qspa": {}, "scene": {}}
+    values = {"": {}, "scene": {}}
     for key, val in kv.items():
         if key not in CONFIG_KEYS:
             raise QtcovError(f"unknown config key {key!r}")
@@ -307,7 +300,7 @@ def parse_config(text):
             raise QtcovError(f"config key {key!r}: cannot parse {val!r} ({err})") from None
         owner, name = _target(key)
         values[owner][name] = value
-    cfg = replace(cfg, **values[""], qspa=replace(cfg.qspa, **values["qspa"]))
+    cfg = replace(cfg, **values[""])
     if values["scene"]:
         for name in ("freqs", "powers"):
             if name not in values["scene"]:
@@ -364,8 +357,7 @@ def _cell_spec(cfg, raw, k, delta_pair, gamma0):
         delta = select_level_datadriven(raw)
     else:
         ref_k = k if k is not None else max(b for b in cfg.bits if b is not None)
-        delta = select_level_tail_bound(gamma0, raw.count, raw.ruler.size, ref_k,
-                                        cfg.delta_prime, cfg.c_bit)
+        delta = select_level_tail_bound(gamma0, raw.count, raw.ruler.size, ref_k)
     return QuantizationSpec(delta, delta, k)
 
 
@@ -486,7 +478,7 @@ def _run_ruler(cfg, ruler, block, ts, group, gamma0, pending):
                     planes.pop(key, None)
         for cell in run:
             try:
-                est, record = ESTIMATORS[cell.row.estimator](batch, gram, cfg.qspa)
+                est, record = ESTIMATORS[cell.row.estimator](batch, gram)
             except _CELL_ERRORS as err:
                 cell.fail(err)
                 continue

@@ -45,34 +45,12 @@ and one real product back to generator coordinates, O(d^3) for any ruler.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleU, QtcovError, SingularRhat
+from .errors import QtcovError
 from .rulers import full_ruler
 from .toeplitz import HermitianToeplitz, toeplitz_adjoint_project
-
-
-@dataclass
-class QspaOptions:
-    """Solver knobs; the defaults converge on all desk-scale problems."""
-    epsilon_reg: Optional[float] = None  # None = automatic diagonal perturbation
-    newton_tol: float = 1e-8
-    max_outer: int = 40
-    max_inner: int = 50
-
-    def __post_init__(self):
-        if self.epsilon_reg is not None and not 0 <= self.epsilon_reg < np.inf:
-            raise QtcovError(f"qspa epsilon_reg must be auto or a finite number >= 0, "
-                             f"got {self.epsilon_reg!r}")
-        if not 0 < self.newton_tol < np.inf:
-            raise QtcovError(f"qspa newton_tol must be a finite number > 0, "
-                             f"got {self.newton_tol!r}")
-        for name in ("max_outer", "max_inner"):
-            budget = getattr(self, name)
-            if not isinstance(budget, (int, np.integer)) or budget < 1:
-                raise QtcovError(f"qspa {name} must be an integer >= 1, got {budget!r}")
 
 
 @dataclass
@@ -211,8 +189,7 @@ class _BarrierProblem:
             raise QtcovError(f"Rhat shape {Rhat.shape} does not match |ruler| = {m}")
         cholR = _try_chol(Rhat)
         if cholR is None:
-            raise SingularRhat("sample covariance is not positive definite; "
-                               "set a positive qspa epsilon_reg, or leave it automatic")
+            raise QtcovError("sample covariance is not positive definite")
         self.Rhat = Rhat
         self.Rinv = _chol_inverse(cholR)
         self.ruler = ruler
@@ -280,14 +257,13 @@ class _BarrierProblem:
         return self.G1 @ spectrum @ self.G2
 
 
-def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
+def qspa_solve(Rhat, ruler, spec, n=None):
     """Fit a Toeplitz covariance to the quantized sample covariance Rhat.
 
     Args:
         Rhat: Hermitian |ruler| x |ruler| sample covariance of quantized data.
         ruler: the observation ruler.
         spec: QuantizationSpec; its ||Delta||^2/4 sets the PSD shift.
-        opts: QspaOptions.
         n: sample count behind Rhat, used only by the automatic regularization.
 
     Returns a QspaSolution; `converged` is False if the iteration budget ran
@@ -306,9 +282,8 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
     """
     if spec is None:  # a raw batch has no spec
         raise QtcovError("estimators expect a quantized batch")
-    opts = opts or QspaOptions()
     Rhat = np.asarray(Rhat, dtype=np.complex128)
-    eps = auto_epsilon(Rhat, n) if opts.epsilon_reg is None else float(opts.epsilon_reg)
+    eps = auto_epsilon(Rhat, n)
     if eps > 0:
         Rhat = Rhat + eps * np.eye(Rhat.shape[0])
 
@@ -330,11 +305,14 @@ def qspa_solve(Rhat, ruler, spec, opts=None, n=None):
     tight[0] += max(_TIGHT_LIFT - lmin, 0.0)
     margin = _START_MARGIN * float(np.trace(Rhat).real) / ruler.size
     gens[0] += max(margin - lmin, 0.0)
-    return _barrier_iterations(prob, _params_from_generators(gens), opts, eps,
+    return _barrier_iterations(prob, _params_from_generators(gens), eps,
                                tight_lift=_params_from_generators(tight))
 
 
 _MU_SHRINK = 0.05     # mu factor per centering
+_NEWTON_TOL = 1e-8    # converged once (2d - 1) mu is below it at a tight center
+_MAX_OUTER = 40       # centerings per solve
+_MAX_INNER = 50       # damped Newton steps per centering
 _MU_FLOOR = 1e-12     # first mu when the start is (nearly) optimal
 _START_MARGIN = 1e-2  # start's lambda_min(T(u0) - cI), relative to tr(Rhat) / |Omega|
 _TIGHT_LIFT = 1e-6    # the tight lift's lambda_min(T(u) - cI)
@@ -367,23 +345,23 @@ def _newton_decrement(prob, p, mu):
     return math.sqrt(max(-float(grad @ _solve_newton(H, grad)), 0.0))
 
 
-def _barrier_iterations(prob, v, opts, eps, tight_lift=None):
+def _barrier_iterations(prob, v, eps, tight_lift=None):
     p = prob.evaluate(v)
     if p is None:
-        raise InfeasibleU("barrier evaluated at an infeasible point")
+        raise QtcovError("barrier evaluated at an infeasible point")
     mu = _first_mu(prob, p)
     total_newton = predictor_steps = 0
     trace = []
     converged = False
     best = None  # (point, kkt) of least objective among the start and the centers
-    for outer in range(opts.max_outer):
+    for outer in range(_MAX_OUTER):
         # Center at the current mu with damped Newton steps.  The stationarity
         # residual is the Newton decrement sqrt(g^T H^-1 g): lambda^2 / 2
         # bounds the gap to the centered value and, unlike the raw gradient
         # norm, stays meaningful when an active constraint makes the barrier
         # Hessian stiff.
         centered = False
-        for _ in range(opts.max_inner):
+        for _ in range(_MAX_INNER):
             val = p.barrier(mu)
             grad, H, grad_logdet = prob.newton_system(p, mu)
             dv, tangent = _solve_newton(H, np.column_stack([grad, grad_logdet])).T
@@ -406,7 +384,7 @@ def _barrier_iterations(prob, v, opts, eps, tight_lift=None):
         trace.append((outer, mu, p.objective, kkt))
         if p.objective < best[0].objective:
             best = (p, kkt)
-        if v.size * mu < opts.newton_tol and kkt < 1e-6 * (1.0 + abs(p.objective)):
+        if v.size * mu < _NEWTON_TOL and kkt < 1e-6 * (1.0 + abs(p.objective)):
             converged = True
             best = (p, kkt)
             break

@@ -24,6 +24,7 @@ from .errors import QtcovError
 from .sampling import SampleBatch
 
 _TINY = np.finfo(float).tiny  # the smallest normal positive float
+_DELTA_PRIME = math.log(10.0)  # tail_bound clips a batch with probability about e^-this
 
 
 def _check_level(level):
@@ -187,22 +188,18 @@ def quantize_batch(batch, spec, unit=None, planes=None):
     return SampleBatch(batch.ruler, data, batch.seed, spec)
 
 
-def select_level_tail_bound(gamma0, n, ruler_size, k, delta_prime=math.log(10.0),
-                            c_bit=1.0):
-    """Delta = c_bit * 2^(2-k) * sqrt(gamma0 * (log(n |Omega|) + delta_prime)).
+def select_level_tail_bound(gamma0, n, ruler_size, k):
+    """Delta = 2^(2-k) * sqrt(gamma0 * (log(n |Omega|) + delta')), delta' = log(10).
 
     Sizes the k-bit clip range against the Rayleigh tail of the largest of
     n |Omega| sample moduli, so clipping happens with probability at most about
-    e^-delta_prime over the whole batch.  Defaults c_bit = 1 and
-    delta_prime = log(10); both constants are free and can be overridden.
+    e^-delta' = 1/10 over the whole batch.
     """
     if gamma0 <= 0:
         raise QtcovError(f"gamma0 must be positive, got {gamma0}")
     if n * ruler_size < 1:
         raise QtcovError("need n * |ruler| >= 1")
-    if delta_prime < 0:
-        raise QtcovError("delta_prime must be nonnegative")
-    return c_bit * 2.0 ** (2 - k) * math.sqrt(gamma0 * (math.log(n * ruler_size) + delta_prime))
+    return 2.0 ** (2 - k) * math.sqrt(gamma0 * (math.log(n * ruler_size) + _DELTA_PRIME))
 
 
 def select_level_datadriven(batch):

@@ -17,6 +17,7 @@ from .toeplitz import vandermonde_synthesize
 
 BATCH_FORMAT = "qtcov-batch 1"
 _REQUIRED_FIELDS = ("d", "n", "ruler", "stage", "seed", "payload")
+_SPEC_FIELDS = ("delta_r", "delta_i", "bits_k")  # written for a quantized batch only
 
 
 class SampleBatch:
@@ -147,7 +148,15 @@ def load_batch(path):
     if not lines or lines[0] != BATCH_FORMAT:
         raise QtcovError(f"unrecognized batch format in {path}")
     try:
-        fields = dict(line.split("=", 1) for line in lines[1:])
+        fields = {}
+        for line in lines[1:]:
+            key, value = line.split("=", 1)
+            if key in fields:
+                raise QtcovError(f"batch header in {path} sets {key} twice")
+            if key not in _REQUIRED_FIELDS + _SPEC_FIELDS:
+                raise QtcovError(f"batch header in {path} has field {key!r}, "
+                                 "which qtcov does not write")
+            fields[key] = value
         missing = [key for key in _REQUIRED_FIELDS if key not in fields]
         if missing:
             raise QtcovError(f"batch header in {path} lacks {', '.join(missing)}")
@@ -157,6 +166,11 @@ def load_batch(path):
         if "delta_r" in fields:
             bits = int(fields["bits_k"]) if "bits_k" in fields else None
             spec = QuantizationSpec(float(fields["delta_r"]), float(fields["delta_i"]), bits)
+        else:
+            for key in _SPEC_FIELDS:
+                if key in fields:
+                    raise QtcovError(f"batch header in {path} sets {key} without delta_r: "
+                                     "a raw batch has no quantizer fields")
     except QtcovError:
         raise
     except (ValueError, KeyError) as err:

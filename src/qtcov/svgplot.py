@@ -84,6 +84,13 @@ class _Canvas:
         return "\n".join(self.parts)
 
 
+def _fraction(v, lo, hi, log):
+    """Where v sits from lo (0) to hi (1) on a log or a linear axis."""
+    if log:
+        return (math.log10(v) - math.log10(lo)) / max(math.log10(hi) - math.log10(lo), 1e-12)
+    return (v - lo) / max(hi - lo, 1e-12)
+
+
 def _line_plot(rows, metric, x_field, log_x, log_y):
     xs = sorted({getattr(r, x_field) for r in rows} - {None})
     ys = [r.value for r in rows if math.isfinite(r.value)]
@@ -97,18 +104,10 @@ def _line_plot(rows, metric, x_field, log_x, log_y):
         log_x = False
 
     def sx(x):
-        if log_x:
-            f = (math.log10(x) - math.log10(x_lo)) / max(math.log10(x_hi) - math.log10(x_lo), 1e-12)
-        else:
-            f = (x - x_lo) / max(x_hi - x_lo, 1e-12)
-        return _ML + f * (_W - _ML - _MR)
+        return _ML + _fraction(x, x_lo, x_hi, log_x) * (_W - _ML - _MR)
 
     def sy(y):
-        if log_y:
-            f = (math.log10(y) - math.log10(y_lo)) / max(math.log10(y_hi) - math.log10(y_lo), 1e-12)
-        else:
-            f = (y - y_lo) / max(y_hi - y_lo, 1e-12)
-        return _H - _MB - f * (_H - _MT - _MB)
+        return _H - _MB - _fraction(y, y_lo, y_hi, log_y) * (_H - _MT - _MB)
 
     cv = _Canvas()
     cv.add(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '

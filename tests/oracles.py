@@ -12,11 +12,11 @@ formulations, kept to hold its in-place kernels to the same bits.
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
-from qtcov import rng
-from qtcov.qspa import QspaOptions, qspa_solve
+from qtcov import qspa, rng
 from qtcov.sampling import _psd_factor
 
 
@@ -74,7 +74,8 @@ def reference_qspa_solve(Rhat, ruler, spec, n=None):
     """qspa_solve run until its barrier parameter is below 1e-14 / (2d - 1),
     so the centered end point is within about 1e-14 (d + |ruler|) / (2d - 1)
     of the optimal objective, whatever the mu schedule."""
-    return qspa_solve(Rhat, ruler, spec, QspaOptions(newton_tol=1e-14), n=n)
+    with mock.patch.object(qspa, "_NEWTON_TOL", 1e-14):
+        return qspa.qspa_solve(Rhat, ruler, spec, n=n)
 
 
 def wishart_rhat(rng, m, n):

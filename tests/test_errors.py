@@ -3,8 +3,7 @@ import inspect
 from qtcov import errors
 
 # the classes something tells apart: code that catches them, or a cell's CSV note
-TOLD_APART = {"QtcovError", "MissingLag", "EmptyTable", "EmptyBatch", "SingularRhat",
-              "InfeasibleU"}
+TOLD_APART = {"QtcovError", "MissingLag", "EmptyTable", "EmptyBatch"}
 
 
 def test_errors_defines_only_the_classes_told_apart():

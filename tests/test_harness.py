@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import importlib.util
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import qtcov
-from qtcov import cli, harness
+from qtcov import cli, harness, qspa
 from qtcov import rng as qrng
 from qtcov.cli import build_parser, main
 from qtcov.doa import DoaScene
@@ -20,27 +22,27 @@ from qtcov.harness import (PRESETS, ExperimentConfig, ResultTable, Row, config_t
                            default_config, parse_config, resolve_ruler,
                            run_experiment, write_outputs)
 from qtcov.estimators import spectral_norm
-from qtcov.qspa import QspaOptions, QspaSolution
+from qtcov.qspa import QspaSolution
 from qtcov.svgplot import emit_plot
 from qtcov.toeplitz import as_dense
 
 
 # sha256 of `qtcov experiment --preset P --profile Q --show-config`
 SHOW_CONFIG_DIGESTS = {
-    ("exp1", "ci"): "69f967b2a9b7a154d499056b5c1be94af759362adb578abfdda92b7a53824fe8",
-    ("exp1", "full"): "b3bc31a6b2ede3e5daf3a2409eb387524be28d9354ebfd2522bd4802629211bd",
-    ("exp2", "ci"): "2d11470fa827914518c539e95b3ba93cb03c12bf05782a7967ae2b744333ea53",
-    ("exp2", "full"): "b7b8c8c3147c7d1ffb5adb8873881f9a9081115ff7915ede79e6bd1361ff0321",
-    ("exp3a", "ci"): "dca506e8a829345e093e4826da7bdd5bf113250b40621a144689a702dc22441d",
-    ("exp3a", "full"): "c1a1772de43f147204598385612b0be30f61685e133a1ff23fb716a1b9aa51ce",
-    ("exp3b", "ci"): "b117b69d13f931c0e3a647e1dd18870bca4067c17eec5622fe139effea8f2273",
-    ("exp3b", "full"): "56542bd43934bc0423fc3dc2606e599d33f9525a02a316c8354047c975d8f597",
-    ("exp4", "ci"): "5adceba1d8c079a874c70b6e6c98cf17aec3fc3b966ffa7a1177dafdfb7b2b1b",
-    ("exp4", "full"): "12f53f88696bba1d640ec5c4bf29df3f26b548b3b5bdfda5be80e4c8c604116b",
-    ("exp4b", "ci"): "3a6cbb8682f512d6ae89d55ca95dc39bcbd523d0e5b366f9be419ba8df15dcad",
-    ("exp4b", "full"): "4883da51038e780730bd0ae7458cf471c89b65a983c8796064b46821be089de9",
-    ("exp5", "ci"): "50590f923140f1792fc0fc75ec80dae92a73a462835337e78953aa951fbce5e0",
-    ("exp5", "full"): "6f9e5e30b393005f05009ad117f562845d1e2f20754c36011cd0a36cb6929271",
+    ("exp1", "ci"): "f84e457f5fd3930272b38ea7be18e2ea2a24ee43c9fcff8ef90e4e0b2301604e",
+    ("exp1", "full"): "5af745c6659d1376c9c899286139c71261541605cc894d6550aadb656eaf2e94",
+    ("exp2", "ci"): "0ad9f56bc99ea9795122aa310a7de9b3933d75337d9ef1927fbb1628cf3a2d16",
+    ("exp2", "full"): "956d08a8fc43b14559ae9487bfe905c530f89faec4f4e0d5d3ec157cc4b1969b",
+    ("exp3a", "ci"): "c42013921d4677cc59b33685bae4080c3dcc74378fb692c63137de92ec5f14c0",
+    ("exp3a", "full"): "c02dc6426a837531bc18efa22ec2a2181175dfb64c50e2f7c2f4911f93dd3fe2",
+    ("exp3b", "ci"): "350235af6f2f900f418a1318441f8fb1ebb1f72f42e19947533f1e4821143acc",
+    ("exp3b", "full"): "539d3bba177ce1ccf03b736eeb86a63bc77ccfe71452f1973b0447cafcfe5dc1",
+    ("exp4", "ci"): "01ba9a224eaed7611330709907fb2d131ff39e8352d403a1d72e24efec54414d",
+    ("exp4", "full"): "78d7bea30176c038152c1ee9e1765cc5489d7b96f7ec4bcff415001b5713fd06",
+    ("exp4b", "ci"): "0b5da29fdd4326cc7eb9933d69132cb28af0fbb6ca3cc976d7be108e14a3208e",
+    ("exp4b", "full"): "31af6ead88baf93a0408299e707e0282932bdb842f7aff79ecbca0002621eb92",
+    ("exp5", "ci"): "0049539262a5883c1662866e85495847d967e6aa1507b7d8c470c1ef238075ab",
+    ("exp5", "full"): "a6d5457824987229b5cceaf30a38e16786da6f9515a033eac48c5bea09b46aa4",
 }
 
 
@@ -114,23 +116,27 @@ class TestConfig:
         assert resolve_ruler("A", 16).size == 9
         assert resolve_ruler("B", 16).size == 9
 
-    @pytest.mark.parametrize("key", ["qspa_barrier_mu0", "qspa_barrier_shrink"])
+    @pytest.mark.parametrize("key", ["qspa_barrier_mu0", "qspa_barrier_shrink",
+                                     "qspa_epsilon_reg", "qspa_newton_tol", "qspa_max_outer",
+                                     "qspa_max_inner", "c_bit", "delta_prime"])
     def test_rejects_removed_barrier_schedule_keys(self, key):
-        # the barrier schedule is fixed by the solver (see qtcov.qspa)
+        # the solver's schedule, budgets and regularization and the tail
+        # bound's constants are fixed (see qtcov.qspa and qtcov.quantizer)
         with pytest.raises(QtcovError, match=f"unknown config key '{key}'"):
             parse_config(f"qtcov-config 1\nexperiment = custom\n{key} = 0.5\n")
 
-    def test_qspa_options_from_config(self):
-        text = ("qtcov-config 1\nexperiment = custom\nqspa_newton_tol = 1e-6\n"
-                "qspa_max_outer = 12\nqspa_epsilon_reg = 0.5\n")
-        cfg = parse_config(text)
-        assert cfg.qspa.newton_tol == 1e-6
-        assert cfg.qspa.max_outer == 12
-        assert cfg.qspa.epsilon_reg == 0.5
-        again = parse_config(config_to_text(cfg))
-        assert again.qspa == cfg.qspa
-        auto = parse_config("qtcov-config 1\nexperiment = custom\nqspa_epsilon_reg = auto\n")
-        assert auto.qspa.epsilon_reg is None
+    def test_benchmark_workload_configs_parse(self):
+        # bench/run.py hands each workload's config and its warm-up variant to
+        # `qtcov experiment`, so a key the harness drops would fail its runs
+        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert set(workloads.WORKLOADS) == {"level_grid", "qspa_fit", "doa_scene"}
+        for workload in workloads.WORKLOADS.values():
+            for warmup in (False, True):
+                cfg = parse_config(workload.config_text(seed=7, warmup=warmup))
+                assert (cfg.experiment, cfg.seed) == (workload.key("experiment"), 7)
 
     @pytest.mark.parametrize("lines, message", [
         ("profile = bogus", "unknown profile 'bogus'"),
@@ -139,7 +145,7 @@ class TestConfig:
         ("rulers =", "rulers must list at least one entry"),
         ("estimators =", "estimators must list at least one entry"),
         ("deltas =", "deltas must list at least one entry"),
-        ("qspa_newton_tol = auto", "'qspa_newton_tol': cannot parse 'auto'"),
+        ("scene_noise_var = auto", "'scene_noise_var': cannot parse 'auto'"),
         ("d = 4\nscene_freqs = 0.1\nscene_powers = 1\nmusic_grid = 31", "music_grid 31 < 8d = 32"),
     ])
     def test_rejects_bad_value(self, lines, message):
@@ -267,7 +273,7 @@ class TestRunnerSemantics:
         assert table.rows[0].note != ""
 
     def test_linalg_error_recorded_for_its_cell_only(self, monkeypatch):
-        def broken(batch, gram, opts):
+        def broken(batch, gram):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         monkeypatch.setitem(harness.ESTIMATORS, "qscm", broken)
         table = run_experiment(tiny_config(estimators=("qtscm", "qscm")))
@@ -300,18 +306,6 @@ class TestRunnerSemantics:
         assert math.isnan(means[0].value)
         assert means[0].note.startswith("FloatingPointError: overflow")
         assert np.isfinite(means[1].value) and means[1].note == ""
-
-    def test_singular_sample_covariance_is_named_in_its_row_note(self):
-        # n = 3 < d = 4 samples give a singular Rhat, which qspa cannot fit unregularized
-        table = run_experiment(parse_config("qtcov-config 1\nexperiment = custom\nd = 4\n"
-                                            "n_values = 3\ntrials = 2\n"
-                                            "estimators = qtscm, qspa\nqspa_epsilon_reg = 0\n"))
-        means = {r.estimator: r for r in mean_rows(table)}
-        assert math.isnan(means["qspa"].value)
-        assert means["qspa"].note == ("SingularRhat: sample covariance is not positive "
-                                      "definite; set a positive qspa epsilon_reg, or leave "
-                                      "it automatic")
-        assert np.isfinite(means["qtscm"].value) and means["qtscm"].note == ""
 
     def test_dither_drawn_per_ruler_and_each_spec_quantized_once(self, monkeypatch):
         cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
@@ -392,8 +386,9 @@ class TestRunnerSemantics:
         assert run_experiment(cfg).to_csv() == plain
         assert len(grams) == 3 * 2 * 2  # trials x rulers x levels, whatever the estimators
 
-    def test_nonconverged_qspa_noted_and_kept(self):
-        cfg = tiny_config(d=6, estimators=("qspa",), qspa=replace(QspaOptions(), max_outer=1))
+    def test_nonconverged_qspa_noted_and_kept(self, monkeypatch):
+        monkeypatch.setattr(qspa, "_MAX_OUTER", 1)
+        cfg = tiny_config(d=6, estimators=("qspa",))
         table = run_experiment(cfg)
         assert [r.note for r in table.rows] == ["nonconverged 3/3"] * 2
         assert np.isfinite(mean_rows(table)[0].value)
@@ -402,7 +397,7 @@ class TestRunnerSemantics:
     def test_unresolved_spectrum_noted_and_kept(self, monkeypatch):
         # a scaled identity has a flat MUSIC spectrum with no peaks to resolve
         monkeypatch.setitem(harness.ESTIMATORS, "qtscm",
-                            lambda batch, gram, opts: (2.0 * np.eye(batch.dim), None))
+                            lambda batch, gram: (2.0 * np.eye(batch.dim), None))
         scene = DoaScene(8, (0.1, 0.3, 0.6), (1.0, 1.0, 1.0), 0.1)
         table = run_experiment(tiny_config(scene=scene, music_grid=512, emit_trials=True))
         assert [r.note for r in table.rows] == ["unresolved 3/3"] * 5
@@ -464,8 +459,8 @@ class TestStackedScoring:
         plain = run_experiment(cfg).rows
         qscm = harness.ESTIMATORS["qscm"]
 
-        def broken(batch, gram, opts):
-            est, record = qscm(batch, gram, opts)
+        def broken(batch, gram):
+            est, record = qscm(batch, gram)
             return (est * np.nan if batch.spec.delta_r == 1.5 else est), record
         monkeypatch.setitem(harness.ESTIMATORS, "qscm", broken)
         rows = run_experiment(cfg).rows
@@ -480,8 +475,8 @@ class TestStackedScoring:
         trial = iter(range(3))
         qtscm = harness.ESTIMATORS["qtscm"]
 
-        def solver(batch, gram, opts):
-            est, _ = qtscm(batch, gram, opts)
+        def solver(batch, gram):
+            est, _ = qtscm(batch, gram)
             return est, SimpleNamespace(converged=next(trial) == 0)
         estimate = harness.estimate_frequencies
         resolved = iter([False, True, True])
@@ -516,8 +511,8 @@ class TestStackedScoring:
         batch = qtcov.quantize_batch(raw, qtcov.QuantizationSpec(0.5, 0.5))
         gram = qtcov.quantized_sample_covariance(batch)
         for name in ("qtscm", "qscm"):
-            assert harness.ESTIMATORS[name](batch, gram, None)[1] is None
-        est, record = harness.ESTIMATORS["qspa"](batch, gram, QspaOptions())
+            assert harness.ESTIMATORS[name](batch, gram)[1] is None
+        est, record = harness.ESTIMATORS["qspa"](batch, gram)
         assert isinstance(record, QspaSolution) and est is record.T_breve
 
     def test_rulers_are_built_once_per_process(self, monkeypatch):
@@ -691,7 +686,7 @@ class TestCli:
     def test_doa_warnings_go_to_stderr(self, monkeypatch, capsys):
         unconverged = SimpleNamespace(converged=False)  # a solver record that did not converge
         monkeypatch.setitem(cli.ESTIMATORS, "qtscm",
-                            lambda batch, gram, opts: (qtcov.qtscm(batch, gram), unconverged))
+                            lambda batch, gram: (qtcov.qtscm(batch, gram), unconverged))
         monkeypatch.setattr(cli, "estimate_frequencies",
                             lambda est, k, grid: (False, np.linspace(0.1, 0.9, k)))
         assert main(["doa", "--n", "200", "--estimator", "qtscm", "--grid", "256"]) == 0

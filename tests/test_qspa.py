@@ -6,13 +6,12 @@ import pytest
 
 from qtcov import rng as qrng
 from qtcov import (HermitianToeplitz, QuantizationSpec, auto_epsilon, full_ruler, harness,
-                   make_ruler_alpha, qspa_solve, quantize_batch,
+                   make_ruler_alpha, qspa, qspa_solve, quantize_batch,
                    quantized_sample_covariance, random_toeplitz_covariance,
                    relative_spectral_error, resolve_ruler,
                    sample_complex_gaussian, toeplitz_adjoint_project)
-from qtcov.errors import InfeasibleU, QtcovError, SingularRhat
-from qtcov.qspa import (QspaOptions, _barrier_iterations, _BarrierProblem,
-                        _params_from_generators)
+from qtcov.errors import QtcovError
+from qtcov.qspa import _barrier_iterations, _BarrierProblem, _params_from_generators
 
 from oracles import (fitting_objective_d2, grid_oracle_d2, reference_qspa_solve,
                      stacked_lag_hessian, wishart_rhat)
@@ -24,12 +23,12 @@ DELTA0 = QuantizationSpec(0.0, 0.0)
 
 @functools.lru_cache(maxsize=None)
 def golden_problems():
-    """The 24 qspa problems (Rhat, ruler, spec, opts, n) of the golden configs."""
+    """The 24 qspa problems (Rhat, ruler, spec, n) of the golden configs."""
     problems = []
 
-    def recording(Rhat, ruler, spec, opts=None, n=None):
-        problems.append((Rhat, ruler, spec, opts, n))
-        return qspa_solve(Rhat, ruler, spec, opts, n=n)
+    def recording(Rhat, ruler, spec, n=None):
+        problems.append((Rhat, ruler, spec, n))
+        return qspa_solve(Rhat, ruler, spec, n=n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "qspa_solve", recording)
         for name in ("all_estimators", "tail_bound", "doa_d8"):
@@ -45,7 +44,7 @@ def criterion8_problems(trials):
     T = random_toeplitz_covariance(d, seed)
     return [(quantized_sample_covariance(quantize_batch(
                 sample_complex_gaussian(T, ruler, n, qrng.trial_seed(seed, t)), spec)),
-             ruler, spec, None, n) for t in range(trials)]
+             ruler, spec, n) for t in range(trials)]
 
 
 def two_trace_objective(u, Rhat, ruler, spec):
@@ -90,7 +89,7 @@ class TestObjective:
         assert val == pytest.approx(ref.real, rel=1e-10)
 
     def test_singular_rhat(self):
-        with pytest.raises(SingularRhat):
+        with pytest.raises(QtcovError, match="sample covariance is not positive definite"):
             two_trace_objective([1.0, 0.0], np.zeros((2, 2)), full_ruler(2), DELTA0)
 
     def test_infeasible_u(self, rng):
@@ -100,23 +99,8 @@ class TestObjective:
     def test_barrier_rejects_an_infeasible_start(self, rng):
         # T(u) = [[1, 2], [2, 1]] is indefinite: the barrier has no value there
         prob = _BarrierProblem(wishart_rhat(rng, 2, 20), full_ruler(2), DELTA0.lag0_bias)
-        with pytest.raises(InfeasibleU, match="barrier evaluated at an infeasible point"):
-            _barrier_iterations(prob, _params_from_generators([1.0, 2.0]), QspaOptions(), 0.0)
-
-
-class TestOptions:
-    @pytest.mark.parametrize("name, value", [
-        ("epsilon_reg", -1.0), ("epsilon_reg", np.nan), ("epsilon_reg", np.inf),
-        ("newton_tol", np.nan), ("newton_tol", 0.0), ("newton_tol", -1e-8), ("newton_tol", np.inf),
-        ("max_outer", 0), ("max_outer", -3), ("max_outer", 2.5), ("max_inner", 0),
-    ])
-    def test_rejects_bad_field(self, name, value):
-        with pytest.raises(QtcovError, match=f"qspa {name} must be"):
-            QspaOptions(**{name: value})
-
-    def test_accepts_the_values_in_use(self):
-        assert QspaOptions(epsilon_reg=0.0, newton_tol=1e-14, max_outer=1, max_inner=1)
-        assert QspaOptions(epsilon_reg=None, max_outer=2).epsilon_reg is None
+        with pytest.raises(QtcovError, match="barrier evaluated at an infeasible point"):
+            _barrier_iterations(prob, _params_from_generators([1.0, 2.0]), 0.0)
 
 
 class TestRegularization:
@@ -189,10 +173,10 @@ class TestSolve:
         for a, b in zip(objs, objs[1:]):
             assert b <= a + 1e-7 * (1 + abs(a))
 
-    def test_iteration_budget_flag(self, rng):
+    def test_iteration_budget_flag(self, rng, monkeypatch):
         Rhat = wishart_rhat(rng, 3, 30)
-        sol = qspa_solve(Rhat, full_ruler(3), DELTA11,
-                         QspaOptions(max_outer=2), n=30)
+        monkeypatch.setattr(qspa, "_MAX_OUTER", 2)
+        sol = qspa_solve(Rhat, full_ruler(3), DELTA11, n=30)
         assert not sol.converged  # best iterate still returned
         assert np.isfinite(sol.objective)
 
@@ -222,24 +206,19 @@ class TestSolve:
         shortcut = qspa_solve(random_toeplitz_covariance(4, 77).dense, full_ruler(4), DELTA0)
         assert (shortcut.iterations, shortcut.newton_systems, shortcut.evaluations) == (0, 0, 1)
 
-    @pytest.mark.parametrize("d, n, epsilon_reg, added", [
-        (4, 40, None, False), (4, 2, None, True), (4, 40, 0.3, True), (3, 2, 0.0, False)])
-    def test_reports_predictor_steps_and_epsilon(self, rng, d, n, epsilon_reg, added):
-        # n = 2 < |ruler| leaves Rhat singular, so auto_epsilon fires; the
-        # added identity keeps it definite where epsilon_reg = 0 adds nothing
-        Rhat = wishart_rhat(rng, d, n) + (np.eye(d) if epsilon_reg == 0.0 else 0.0)
-        sol = qspa_solve(Rhat, full_ruler(d), DELTA11, QspaOptions(epsilon_reg=epsilon_reg), n=n)
-        want = auto_epsilon(Rhat, n) if epsilon_reg is None else epsilon_reg
-        assert sol.epsilon == want and isinstance(sol.epsilon, float)
+    @pytest.mark.parametrize("d, n, added", [(4, 40, False), (4, 2, True)])
+    def test_reports_predictor_steps_and_epsilon(self, rng, d, n, added):
+        # n = 2 < |ruler| leaves Rhat singular, so auto_epsilon fires
+        Rhat = wishart_rhat(rng, d, n)
+        sol = qspa_solve(Rhat, full_ruler(d), DELTA11, n=n)
+        assert sol.epsilon == auto_epsilon(Rhat, n) and isinstance(sol.epsilon, float)
         assert (sol.epsilon > 0) == added
         assert sol.converged and 0 < sol.predictor_steps <= len(sol.trace)
 
     def test_shortcut_reports_no_predictor_and_its_epsilon(self):
         Rhat = random_toeplitz_covariance(4, 77).dense
         auto = qspa_solve(Rhat, full_ruler(4), DELTA0)
-        fixed = qspa_solve(Rhat, full_ruler(4), DELTA0, QspaOptions(epsilon_reg=0.25))
         assert (auto.newton_systems, auto.predictor_steps, auto.epsilon) == (0, 0, 0.0)
-        assert (fixed.newton_systems, fixed.predictor_steps, fixed.epsilon) == (0, 0, 0.25)
 
     def test_trace_csv(self, rng):
         Rhat = wishart_rhat(rng, 2, 20)
@@ -323,11 +302,10 @@ class TestStructuredHessian:
 
     def test_solver_unchanged_on_golden_problems(self, monkeypatch):
         problems = golden_problems()
-        solved = [qspa_solve(Rhat, ruler, spec, opts, n=n)
-                  for Rhat, ruler, spec, opts, n in problems]
+        solved = [qspa_solve(Rhat, ruler, spec, n=n) for Rhat, ruler, spec, n in problems]
         monkeypatch.setattr(_BarrierProblem, "lag_hessian", stacked_hessian)
-        for (Rhat, ruler, spec, opts, n), sol in zip(problems, solved):
-            ref = qspa_solve(Rhat, ruler, spec, opts, n=n)
+        for (Rhat, ruler, spec, n), sol in zip(problems, solved):
+            ref = qspa_solve(Rhat, ruler, spec, n=n)
             assert ((sol.iterations, sol.newton_systems, sol.evaluations, sol.converged)
                     == (ref.iterations, ref.newton_systems, ref.evaluations, ref.converged))
             assert sol.objective == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
@@ -370,8 +348,8 @@ class TestBarrierPath:
 
     def test_as_close_to_the_reference_as_the_fixed_schedule(self):
         gaps = []
-        for Rhat, ruler, spec, opts, n in golden_problems() + tuple(criterion8_problems(5)):
-            sol = qspa_solve(Rhat, ruler, spec, opts, n=n)
+        for Rhat, ruler, spec, n in golden_problems() + tuple(criterion8_problems(5)):
+            sol = qspa_solve(Rhat, ruler, spec, n=n)
             ref = reference_qspa_solve(Rhat, ruler, spec, n=n)
             assert sol.converged and ref.converged
             gaps.append((abs(sol.objective - ref.objective) / abs(ref.objective),
@@ -384,8 +362,8 @@ class TestBarrierPath:
         # 328 steps from the margin start, 642 from the start lifted 1e-6
         # inside the feasible set, 1701 with the fixed schedule; the bound
         # leaves room for rounding differences between BLAS builds
-        steps = sum(qspa_solve(Rhat, ruler, spec, opts, n=n).iterations
-                    for Rhat, ruler, spec, opts, n in golden_problems())
+        steps = sum(qspa_solve(Rhat, ruler, spec, n=n).iterations
+                    for Rhat, ruler, spec, n in golden_problems())
         assert steps <= 400
 
     @pytest.mark.parametrize("d, rspec", [(8, "full"), (16, "alpha:0.5")])

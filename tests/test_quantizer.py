@@ -384,8 +384,8 @@ class TestPlaneKernel:
 
 class TestLevelSelection:
     def test_tail_bound_unit_case(self):
-        # log(n |Omega|) + delta' = 1 and k = 2 gives exactly sqrt(gamma0)
-        assert select_level_tail_bound(1.0, 1, 1, 2, delta_prime=1.0) == pytest.approx(1.0)
+        # n |Omega| = 1 and k = 2 leave sqrt(gamma0 delta'), delta' = log 10
+        assert select_level_tail_bound(1.0 / math.log(10.0), 1, 1, 2) == pytest.approx(1.0)
 
     def test_extra_bit_halves_level(self):
         a = select_level_tail_bound(2.0, 100, 7, 3)

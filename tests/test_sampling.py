@@ -275,6 +275,30 @@ class TestBatchFileProperties:
         with pytest.raises(QtcovError, match=r"payload=codes in .*b\.qtb is not read"):
             _load_blob(blob)
 
+    @pytest.mark.parametrize("line", [b"delta_r=3.0", b"seed=5"])
+    def test_field_set_twice_is_batch_format_error(self, line):
+        # a second delta_r would set the level whose bias the estimators remove
+        blob = _saved_blob(_simulated_batch(4, 10, None, 1.0, 3))
+        blob = blob.replace(b"\npayload=", b"\n" + line + b"\npayload=", 1)
+        key = line.split(b"=")[0].decode()
+        with pytest.raises(QtcovError, match=rf"batch header in .*b\.qtb sets {key} twice$"):
+            _load_blob(blob)
+
+    def test_field_qtcov_does_not_write_is_batch_format_error(self):
+        blob = _saved_blob(_simulated_batch(4, 10, 2, 1.0, 3))
+        blob = blob.replace(b"\npayload=", b"\nbits=3\npayload=", 1)
+        with pytest.raises(QtcovError, match=r"batch header in .*b\.qtb has field 'bits', "
+                                             r"which qtcov does not write"):
+            _load_blob(blob)
+
+    def test_bit_depth_on_a_raw_batch_is_batch_format_error(self):
+        blob = _saved_blob(_simulated_batch(4, 10, None, 1.0, 3, quantized=False))
+        assert b"stage=raw\n" in blob and b"delta_r=" not in blob
+        blob = blob.replace(b"\npayload=", b"\nbits_k=2\npayload=", 1)
+        with pytest.raises(QtcovError, match=r"batch header in .*b\.qtb sets bits_k without "
+                                             r"delta_r: a raw batch has no quantizer fields"):
+            _load_blob(blob)
+
     def test_missing_field_is_batch_format_error(self):
         blob = _saved_blob(_simulated_batch(4, 10, 2, 1.0, 3))
         head, payload = blob.split(b"\n\n", 1)
