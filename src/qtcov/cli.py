@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,9 +30,15 @@ def _parse_delta(text):
 
 def _load_truth(path):
     try:
-        gens = np.loadtxt(path, dtype=complex, ndmin=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is named below
+            gens = np.loadtxt(path, dtype=complex, ndmin=1)
     except ValueError as err:
         raise QtcovError(f"truth file {path} is not a list of complex generators: {err}") from None
+    if gens.size == 0:
+        raise QtcovError(f"truth file {path} holds no generators")
+    if not np.isfinite(gens).all():
+        raise QtcovError(f"truth file {path} holds a non-finite generator")
     return HermitianToeplitz(gens)
 
 

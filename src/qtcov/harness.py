@@ -18,9 +18,7 @@ the scoring function (relative spectral error, or MUSIC frequency MSE) differ.
 The estimates of one (d, n, trial), from all its rulers and cells, are scored
 together once the trial's estimators have run: one stacked SVD call gives
 their spectral errors, while MUSIC runs on each estimate alone.  Only the
-estimates wait for scoring, never their batches or Gram matrices.  Where the
-stacked call raises, each estimate is scored alone, so an error still fails
-only the cell whose estimate caused it.
+estimates wait for scoring, never their batches or Gram matrices.
 Each grid cell is one `_Cell` record, which gathers its trial values, its
 degraded-trial counts and its first error, and writes its own rows.  A cell
 whose qspa solves stop unconverged or whose MUSIC spectra are unresolved
@@ -44,8 +42,8 @@ from . import rng
 from .doa import DoaScene, estimate_frequencies, frequency_mse
 from .errors import EmptyTable, QtcovError
 from .estimators import qscm, qtscm, quantized_sample_covariance, spectral_norm
-from .quantizer import (QuantizationSpec, _check_depth, quantize_batch,
-                        select_level_datadriven, select_level_tail_bound, unit_dither)
+from .quantizer import (QuantizationSpec, _check_depth, quantize_batch, select_level_tail_bound,
+                        unit_dither)
 from .qspa import qspa_solve
 from .rulers import full_ruler, resolve_ruler
 from .sampling import SampleBatch, random_toeplitz_covariance, sample_complex_gaussian
@@ -108,7 +106,7 @@ class ExperimentConfig:
     rulers: tuple = ("full",)
     deltas: tuple = ((1.0, 1.0),)     # (delta_r, delta_i) pairs
     bits: tuple = ()                  # finite bit depths; None entry = unclipped reference
-    level_rule: str = "fixed"         # fixed | tail_bound | datadriven
+    level_rule: str = "fixed"         # fixed | tail_bound
     n_values: tuple = (500,)
     trials: int = 100
     seed: int = 1234
@@ -135,7 +133,7 @@ class ExperimentConfig:
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise QtcovError(f"unknown estimator {est!r}")
-        if self.level_rule not in ("fixed", "tail_bound", "datadriven"):
+        if self.level_rule not in ("fixed", "tail_bound"):
             raise QtcovError(f"unknown level rule {self.level_rule!r}")
         for k in self.bits:
             if k is not None:
@@ -162,6 +160,8 @@ class ExperimentConfig:
                     raise QtcovError(f"rulers {_entry('rulers', spelled[ruler])} and "
                                      f"{_entry('rulers', rspec)} are the same ruler at d = {d}")
                 spelled[ruler] = rspec
+            if set(self.estimators) == {"qscm"} and not any(r.is_full() for r in spelled):
+                raise QtcovError(f"no grid cell at d = {d}: qscm needs a full ruler")
         if self.scene is not None and self.music_grid < 8 * self.scene.d:
             raise QtcovError(f"music_grid {self.music_grid} < 8d = {8 * self.scene.d}")
         if self.profile not in PROFILE_CAPS:
@@ -334,31 +334,22 @@ def default_config(experiment, profile="ci"):
 
 def _configured_levels(cfg, k, delta_pair):
     """The (delta_r, delta_i) a cell of bit depth k takes from its configured
-    pair, or None where the level rule picks the level from the data.
-
-    A k-bit quantizer uses delta_r for both parts.  The tail_bound rule picks
-    every level once any bit depth is finite: a None depth then reuses the
-    level of the largest configured depth (the plateau reference).
-    """
-    finite_ks = [b for b in cfg.bits if b is not None]
-    if cfg.level_rule == "datadriven" or (cfg.level_rule == "tail_bound"
-                                          and (k is not None or finite_ks)):
+    pair (a k-bit quantizer uses delta_r for both parts), or None where the
+    tail_bound rule sets it from gamma_0, n and |ruler|: at every depth once
+    any depth is finite, a None depth taking the largest depth's level."""
+    if cfg.level_rule == "tail_bound" and any(b is not None for b in (k, *cfg.bits)):
         return None
     return delta_pair if k is None else (delta_pair[0], delta_pair[0])
 
 
-def _cell_spec(cfg, raw, k, delta_pair, gamma0):
-    """QuantizationSpec for one grid cell under the configured level rule;
-    a None bit depth means the unclipped quantizer."""
-    levels = _configured_levels(cfg, k, delta_pair)
-    if levels is not None:
-        return QuantizationSpec(*levels, k)
-    if cfg.level_rule == "datadriven":
-        delta = select_level_datadriven(raw)
-    else:
-        ref_k = k if k is not None else max(b for b in cfg.bits if b is not None)
-        delta = select_level_tail_bound(gamma0, raw.count, raw.ruler.size, ref_k)
-    return QuantizationSpec(delta, delta, k)
+def _cell_spec(cfg, row, ruler, gamma0):
+    """QuantizationSpec of the grid cell `row` on `ruler` under the configured
+    level rule; a None bit depth means the unclipped quantizer."""
+    levels = _configured_levels(cfg, row.k, (row.delta_r, row.delta_i))
+    if levels is None:
+        ref_k = row.k if row.k is not None else max(b for b in cfg.bits if b is not None)
+        levels = (select_level_tail_bound(gamma0, row.n, ruler.size, ref_k),) * 2
+    return QuantizationSpec(*levels, row.k)
 
 
 def _problems(cfg):
@@ -392,10 +383,10 @@ def _problems(cfg):
 
 @dataclass
 class _Cell:
-    """One grid cell of a run: its prototype row, its first trial's spec, one
-    value per trial, the counts of trials whose qspa solve stopped unconverged
-    or whose MUSIC spectrum was unresolved, and its first error's note, after
-    which it runs no more trials."""
+    """One grid cell of a run: its prototype row, its spec (built after its
+    first live draw), one value per trial, the counts of trials whose qspa
+    solve stopped unconverged or whose MUSIC spectrum was unresolved, and its
+    first error's note, after which it runs no more trials."""
     row: Row
     spec: Optional[QuantizationSpec] = None
     values: list = field(default_factory=list)
@@ -444,22 +435,14 @@ def _run_ruler(cfg, ruler, block, ts, group, gamma0, pending):
         for cell in group:
             cell.fail(err)
         return
-    runs = []  # [spec, its cells], in cell order
     for cell in group:
-        row = cell.row
-        try:
-            # only the datadriven level depends on the trial's data
-            spec = (cell.spec if cell.spec is not None and cfg.level_rule != "datadriven"
-                    else _cell_spec(cfg, raw, row.k, (row.delta_r, row.delta_i), gamma0))
-        except _CELL_ERRORS as err:
-            cell.fail(err)
-            continue
         if cell.spec is None:
-            cell.spec = spec
-        if runs and runs[-1][0] == spec:
-            runs[-1][1].append(cell)
-        else:
-            runs.append([spec, [cell]])
+            try:
+                cell.spec = _cell_spec(cfg, cell.row, ruler, gamma0)
+            except _CELL_ERRORS as err:
+                cell.fail(err)
+    runs = [(spec, list(run)) for spec, run in  # (spec, its cells), in cell order
+            groupby((cell for cell in group if cell.error is None), key=lambda cell: cell.spec)]
     uses = Counter(key for spec, _ in runs for key in spec.plane_keys)
     planes = {key: None for key, count in uses.items() if count > 1}
     for spec, run in runs:

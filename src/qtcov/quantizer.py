@@ -203,6 +203,10 @@ def select_level_tail_bound(gamma0, n, ruler_size, k):
 
 
 def select_level_datadriven(batch):
-    """Max modulus over all entries of a raw batch (parameter-free level rule)."""
+    """Max modulus over all entries of a raw batch (a parameter-free level).
+
+    No level rule calls it.  It stays because bench/tracer.py's LAYERS table
+    looks it up by name, until ROADMAP item 4 removes that table.
+    """
     return float(np.max(np.abs(batch.data)))
 

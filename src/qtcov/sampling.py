@@ -119,6 +119,8 @@ def sample_complex_gaussian(T, ruler, n, seed):
 
 def save_batch(batch, path):
     """Write a batch to `path`: its header, then its values as complex128."""
+    if not np.isfinite(batch.data).all():
+        raise QtcovError("batch holds non-finite values, which a batch file does not store")
     lines = [BATCH_FORMAT,
              f"d={batch.dim}",
              f"n={batch.count}",
@@ -187,4 +189,6 @@ def load_batch(path):
         raise QtcovError(f"payload of {len(payload)} bytes in {path} does not hold "
                          f"n={n} x |ruler|={ruler.size} entries")
     data = np.frombuffer(payload, dtype="<c16").reshape(n, ruler.size).copy()
+    if not np.isfinite(data).all():
+        raise QtcovError(f"payload of {path} holds non-finite values")
     return SampleBatch(ruler, data, seed, spec)

@@ -35,7 +35,7 @@ VALUES = {
                ("2.3e-308:1", "1e-310:1", "-1:1", "nan:1", "inf:inf", "1e300:1e300", "1:2:3",
                 "1::2")),
     "bits": (("2", "1", "3, inf", "63"), ("64", "2000", "0")),
-    "level_rule": (("fixed", "tail_bound", "datadriven"), ("bogus",)),
+    "level_rule": (("fixed", "tail_bound"), ("datadriven", "bogus")),
     "n_values": (("2", "50", "10, 50"), ("1", "0", "-5")),
     "trials": (("1", "2"), ("0",)),
     "seed": (("0", "7"), ("18446744073709551616", "-18446744073709551617", "1e3")),

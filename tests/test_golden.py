@@ -34,7 +34,6 @@ GOLDEN_CONFIGS = {
     "fixed_bits": _cov(bits=(2, 3, None), deltas=((0.5, 0.5), (1.5, 1.0))),
     "tail_bound": _cov(d=6, bits=(2, 4, None), level_rule="tail_bound",
                        estimators=("qtscm", "qscm", "qspa"), trials=2),
-    "datadriven": _cov(bits=(None, 3), level_rule="datadriven", n_values=(40, 120)),
     "emit_trials": _cov(emit_trials=True, trials=4),
     "negative_level": _cov(deltas=((-1.0, -1.0), (0.5, 0.5))),
     "empty_n": _cov(n_values=(0, 20)),
@@ -59,7 +58,6 @@ GOLDEN_CONFIGS = {
 DIGESTS = {
     "all_estimators": "5b5eae713b78c36009842f11e01d66e7ed080060888f889e177b15b0134d1117",
     "d_sweep": "9e70fa559f66e2d43d8ec459b67cb65b9fd358b8ec6b040d3418f628a114fb32",
-    "datadriven": "34a52993c8710b2dd2fa1bfa8a027d765429b7d1a97dbe411e9077188d155106",
     "doa_d8": "e4718f623da67b1d0739a31620ea8b76a20f7d75c0a06f8cc2c11954cbf8ad88",
     "emit_trials": "55c4e0262ab94bd8b633a90587d1678408c650d978596d91b00072f62d6106bd",
     "empty_n": "eba87a7afb3c86b0acf8e748bc785700b88954b33e3407a419a2c2d6c1c0839b",

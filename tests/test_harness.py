@@ -181,8 +181,7 @@ class TestConfig:
          "deltas 1.0:1.0 and 1.0:2.0 give the same cells under level_rule = fixed at bits = 3"),
         ("d = 4\nlevel_rule = tail_bound\nbits = 2\ndeltas = 1, 3",
          "deltas 1.0:1.0 and 3.0:3.0 give the same cells under level_rule = tail_bound"),
-        ("d = 4\nlevel_rule = datadriven\ndeltas = 1, 3",
-         "deltas 1.0:1.0 and 3.0:3.0 give the same cells under level_rule = datadriven"),
+        ("d = 4\nlevel_rule = datadriven\ndeltas = 1, 3", "unknown level rule 'datadriven'"),
         ("d = 8\nd_values = 8, 12\nscene_freqs = 0.1, 0.3\nscene_powers = 1, 1",
          "d_values cannot sweep a scene config; the scene fixes d = 8"),
     ])
@@ -329,24 +328,29 @@ class TestRunnerSemantics:
 
     def test_level_grid_quantizes_each_plane_once_per_trial_and_ruler(self, monkeypatch):
         levels = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
-        cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), trials=2, n_values=(30,),
-                          deltas=tuple((a, b) for a in levels for b in levels))
-        plain = run_experiment(cfg).to_csv()
-        calls, specs = [], []
-        kernel, cell_spec = qtcov.quantizer._quantize_plane, harness._cell_spec
+        grid = tiny_config(d=6, rulers=("full", "alpha:0.5"), trials=2, n_values=(30,),
+                           deltas=tuple((a, b) for a in levels for b in levels))
+        # k = 2 and 3 take their own tail-bound levels, and inf reuses k = 3's
+        tail = replace(grid, deltas=((1.0, 1.0),), bits=(2, 3, None), level_rule="tail_bound")
+        # (config, its cells, its planes per trial and ruler: real + imaginary)
+        for cfg, cells, planes in ((grid, 2 * 64, 8 + 8), (tail, 2 * 3, 3 + 3)):
+            plain = run_experiment(cfg).to_csv()
+            calls, specs = [], []
+            kernel, cell_spec = qtcov.quantizer._quantize_plane, harness._cell_spec
 
-        def counted(x, delta, k):
-            calls.append((delta, k))
-            return kernel(x, delta, k)
+            def counted(x, delta, k):
+                calls.append((delta, k))
+                return kernel(x, delta, k)
 
-        def built(*args):
-            specs.append(args)
-            return cell_spec(*args)
-        monkeypatch.setattr(qtcov.quantizer, "_quantize_plane", counted)
-        monkeypatch.setattr(harness, "_cell_spec", built)
-        assert run_experiment(cfg).to_csv() == plain
-        assert len(calls) == 2 * 2 * 16  # trials x rulers x (8 real + 8 imaginary levels)
-        assert len(specs) == 2 * 64  # once per cell: a fixed level does not read the data
+            def built(*args):
+                specs.append(args)
+                return cell_spec(*args)
+            with monkeypatch.context() as m:
+                m.setattr(qtcov.quantizer, "_quantize_plane", counted)
+                m.setattr(harness, "_cell_spec", built)
+                assert run_experiment(cfg).to_csv() == plain
+            assert len(calls) == 2 * 2 * planes  # trials x rulers x planes
+            assert len(specs) == cells  # once per cell over all trials: no level reads the data
 
     @pytest.mark.parametrize("deltas, most", [
         # Delta_r-major 8 x 8 grid: one real plane and the eight imaginary ones
@@ -840,6 +844,48 @@ class TestInputErrors:
         batch.write_bytes(blob.replace(b"\npayload=complex128\n", b"\npayload=codes\n", 1))
         self.assert_clean_failure(self.run_cli("estimate", "--batch", str(batch)),
                                   "payload=codes", str(batch))
+
+    @pytest.mark.parametrize("estimator", list(harness.ESTIMATORS))
+    def test_non_finite_batch_file(self, tmp_path, estimator):
+        batch = tmp_path / "b.qtb"
+        assert main(["simulate", "--d", "4", "--n", "20", "-o", str(batch)]) == 0
+        head, payload = batch.read_bytes().split(b"\n\n", 1)
+        batch.write_bytes(head + b"\n\n" + np.array([np.nan], "<c16").tobytes() + payload[16:])
+        self.assert_clean_failure(
+            self.run_cli("estimate", "--batch", str(batch), "--estimator", estimator),
+            str(batch), "non-finite values")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "holds no generators"),
+        ("# no data\n", "holds no generators"),
+        ("nan\n0.5\n0.1\n0.0\n", "holds a non-finite generator"),
+        ("inf\n0.5\n0.1\n0.0\n", "holds a non-finite generator"),
+        ("1.0\n(0.5+infj)\n0.1\n0.0\n", "holds a non-finite generator"),
+    ], ids=["empty", "comment_only", "nan", "inf", "inf_imaginary"])
+    def test_bad_truth_file(self, tmp_path, text, message):
+        batch, truth = tmp_path / "b.qtb", tmp_path / "truth.txt"
+        assert main(["simulate", "--d", "4", "--n", "20", "-o", str(batch)]) == 0
+        truth.write_text(text)
+        r = self.run_cli("estimate", "--batch", str(batch), "--truth", str(truth))
+        self.assert_clean_failure(r, f"truth file {truth} {message}")
+        assert "Warning" not in r.stderr and r.stdout == ""
+
+    def test_datadriven_level_rule_is_unknown(self, tmp_path):
+        cfg = tmp_path / "dd.cfg"
+        cfg.write_text("qtcov-config 1\nexperiment = custom\nd = 4\nn_values = 20\n"
+                       "trials = 1\nlevel_rule = datadriven\n")
+        r = self.run_cli("experiment", "--config", str(cfg), "--outdir", str(tmp_path))
+        self.assert_clean_failure(r, "unknown level rule 'datadriven'")
+        assert not (tmp_path / "custom.csv").exists()
+
+    def test_dimension_with_no_grid_cell(self, tmp_path):
+        # qscm needs a full ruler; a run with no cell would write a header-only CSV
+        cfg = tmp_path / "qscm.cfg"
+        cfg.write_text("qtcov-config 1\nexperiment = custom\nestimators = qscm\n"
+                       "rulers = alpha:0.5\nn_values = 20\ntrials = 1\n")
+        r = self.run_cli("experiment", "--config", str(cfg), "--outdir", str(tmp_path))
+        self.assert_clean_failure(r, "no grid cell at d = 16")
+        assert not (tmp_path / "custom.csv").exists()
 
     @pytest.mark.parametrize("truth_d", [8, 1])
     def test_truth_of_another_dimension(self, tmp_path, truth_d):

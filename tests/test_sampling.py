@@ -299,6 +299,23 @@ class TestBatchFileProperties:
                                              r"delta_r: a raw batch has no quantizer fields"):
             _load_blob(blob)
 
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, -np.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_payload_is_batch_format_error(self, value):
+        # estimators given a nan or inf value would print a nan row or a raw LinAlgError
+        blob = _saved_blob(_simulated_batch(4, 10, None, 1.0, 3))
+        head, payload = blob.split(b"\n\n", 1)
+        payload = np.array([value], "<c16").tobytes() + payload[16:]
+        with pytest.raises(QtcovError, match=r"payload of .*b\.qtb holds non-finite values"):
+            _load_blob(head + b"\n\n" + payload)
+
+    def test_save_refuses_a_non_finite_batch(self, tmp_path):
+        batch = _simulated_batch(4, 10, None, 1.0, 3, quantized=False)
+        batch.data[2, 1] = np.nan
+        with pytest.raises(QtcovError, match="non-finite values"):
+            save_batch(batch, tmp_path / "b.qtb")
+        assert not (tmp_path / "b.qtb").exists()
+
     def test_missing_field_is_batch_format_error(self):
         blob = _saved_blob(_simulated_batch(4, 10, 2, 1.0, 3))
         head, payload = blob.split(b"\n\n", 1)
