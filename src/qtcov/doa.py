@@ -11,6 +11,7 @@ E_n E_n^H.  One real FFT of the c_l gives D on the grid; they also give D, D'
 and D'' anywhere for the refinement.  Its rounding error is absolute, a small
 multiple of eps * c_0: D can come out <= 0, so the grid floors it at eps * c_0."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ class DoaScene:
             raise QtcovError(f"source powers must be finite and > 0, got {self.powers}")
         if not 0 <= self.noise_var < np.inf:
             raise QtcovError(f"noise variance must be finite and >= 0, got {self.noise_var!r}")
+        if not math.isfinite(sum(map(float, self.powers)) + float(self.noise_var)):
+            raise QtcovError(f"scene_powers {self.powers} plus the noise variance "
+                             f"{self.noise_var!r} overflow: gamma_0 is not finite")
 
     @property
     def k_sources(self):

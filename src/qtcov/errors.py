@@ -1,10 +1,9 @@
 """Exception types raised by qtcov.
 
 Every domain error is a QtcovError, which is a ValueError, and its message
-says what went wrong.  A subclass exists only where something tells errors
-apart: code that catches it (MissingLag, EmptyTable), or a grid cell's CSV
-note, which names the class of the error that failed the cell (EmptyBatch).
-Every other failure raises QtcovError itself.
+says what went wrong.  A subclass exists only where code catches it and so
+tells it apart (MissingLag, EmptyTable).  Every other failure raises
+QtcovError itself.
 """
 
 
@@ -22,8 +21,4 @@ class MissingLag(QtcovError):
 
 
 class EmptyTable(QtcovError):
-    pass
-
-
-class EmptyBatch(QtcovError):
     pass

@@ -61,9 +61,11 @@ def spectral_norm(M):
 
 def relative_spectral_error(estimate, truth):
     """||estimate - truth||_2 / ||truth||_2 with dense spectral norms; the
-    two must have one dimension."""
+    two must have one dimension and finite entries."""
     est, tru = as_dense(estimate), as_dense(truth)
     if est.shape != tru.shape:
         raise QtcovError(f"estimate dimension {est.shape[0]} does not match "
                          f"truth dimension {tru.shape[0]}")
+    if not (np.isfinite(est).all() and np.isfinite(tru).all()):
+        raise QtcovError("relative spectral error of a non-finite matrix")
     return float(spectral_norm(est - tru) / spectral_norm(tru))

@@ -33,7 +33,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import groupby, product
 from typing import Optional
 
 import numpy as np
@@ -141,6 +141,7 @@ class ExperimentConfig:
         for k in self.bits or (None,):
             # deltas that give a cell the same levels would run its cells twice
             read = {}
+            usable = set()  # levels a spec takes at depth k; no tail_bound level is known yet
             for pair in self.deltas:
                 levels = _configured_levels(self, k, pair)
                 if levels in read:
@@ -149,6 +150,13 @@ class ExperimentConfig:
                                      f"level_rule = {self.level_rule} at bits = "
                                      f"{_entry('bits', k)}")
                 read[levels] = pair
+                for level in [v for v in levels or () if v not in usable]:
+                    try:  # a spec checks each part's level alone
+                        QuantizationSpec(level, level, k)
+                    except QtcovError as err:
+                        raise QtcovError(f"deltas {_entry('deltas', pair)} at bits = "
+                                         f"{_entry('bits', k)}: {err}") from None
+                    usable.add(level)
         if self.scene is not None and self.d_values:
             raise QtcovError(f"d_values cannot sweep a scene config; "
                              f"the scene fixes d = {self.scene.d}")
@@ -166,6 +174,8 @@ class ExperimentConfig:
             raise QtcovError(f"music_grid {self.music_grid} < 8d = {8 * self.scene.d}")
         if self.profile not in PROFILE_CAPS:
             raise QtcovError(f"unknown profile {self.profile!r}")
+        if min(self.n_values) < 1:
+            raise QtcovError(f"n_values lists {min(self.n_values)}; a cell needs n >= 1 samples")
         if max(self.n_values) > PROFILE_CAPS[self.profile]:
             raise QtcovError(f"n up to {max(self.n_values)} exceeds the {self.profile} "
                              f"profile cap of {PROFILE_CAPS[self.profile]}")
@@ -342,14 +352,16 @@ def _configured_levels(cfg, k, delta_pair):
     return delta_pair if k is None else (delta_pair[0], delta_pair[0])
 
 
-def _cell_spec(cfg, row, ruler, gamma0):
-    """QuantizationSpec of the grid cell `row` on `ruler` under the configured
-    level rule; a None bit depth means the unclipped quantizer."""
-    levels = _configured_levels(cfg, row.k, (row.delta_r, row.delta_i))
+def _cell_spec(cfg, k, pair, n, ruler, gamma0):
+    """QuantizationSpec of the cells of bit depth k (None: unclipped), level
+    pair `pair` and size n on `ruler` under the configured level rule.  The
+    configured levels are validated; a tail-bound level is a positive normal
+    float unless gamma_0 overflows it, which raises before any draw."""
+    levels = _configured_levels(cfg, k, pair)
     if levels is None:
-        ref_k = row.k if row.k is not None else max(b for b in cfg.bits if b is not None)
-        levels = (select_level_tail_bound(gamma0, row.n, ruler.size, ref_k),) * 2
-    return QuantizationSpec(*levels, row.k)
+        ref_k = k if k is not None else max(b for b in cfg.bits if b is not None)
+        levels = (select_level_tail_bound(gamma0, n, ruler.size, ref_k),) * 2
+    return QuantizationSpec(*levels, k)
 
 
 def _problems(cfg):
@@ -383,12 +395,12 @@ def _problems(cfg):
 
 @dataclass
 class _Cell:
-    """One grid cell of a run: its prototype row, its spec (built after its
-    first live draw), one value per trial, the counts of trials whose qspa
-    solve stopped unconverged or whose MUSIC spectrum was unresolved, and its
-    first error's note, after which it runs no more trials."""
+    """One grid cell of a run: its prototype row and spec (built with the grid,
+    before its first draw), one value per trial, the counts of trials whose
+    qspa solve stopped unconverged or whose MUSIC spectrum was unresolved,
+    and its first error's note, after which it runs no more trials."""
     row: Row
-    spec: Optional[QuantizationSpec] = None
+    spec: QuantizationSpec
     values: list = field(default_factory=list)
     nonconverged: int = 0
     unresolved: int = 0
@@ -407,7 +419,7 @@ class _Cell:
         note = "; ".join(f"{kind} {count}/{len(vals)}" for kind, count in
                          (("nonconverged", self.nonconverged), ("unresolved", self.unresolved))
                          if count)
-        proto = replace(self.row, delta_r=self.spec.delta_r, delta_i=self.spec.delta_i, note=note)
+        proto = replace(self.row, note=note)
         stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
         stats = [("mean", float(np.mean(vals))), ("stderr", stderr)]
         if emit_trials:
@@ -418,31 +430,21 @@ class _Cell:
 _CELL_ERRORS = (QtcovError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _run_ruler(cfg, ruler, block, ts, group, gamma0, pending):
+def _run_ruler(ruler, block, ts, group, pending):
     """One trial of the live cells `group` of one ruler, drawn from the
     full-dimension block of trial seed ts; appends (cell, estimate,
     converged) to `pending` for each estimate made.
 
-    The raw batch and unit dither pair are built once.  Cells with equal
-    specs are adjacent (they differ only in the estimator), and each run
-    of them shares one quantized batch and Gram matrix.  A quantized real
-    plane that several runs need is formed once and kept until its last run.
+    The raw batch and unit dither pair are built once (n >= 1 is validated).
+    Cells with equal specs are adjacent (they differ only in the estimator),
+    and each run of them shares one quantized batch and Gram matrix.  A
+    quantized real plane that several runs need is formed once and kept
+    until its last run.
     """
-    try:
-        raw = SampleBatch(ruler, ruler.columns(block), ts)
-        unit = unit_dither(raw.data.shape, ts)
-    except _CELL_ERRORS as err:
-        for cell in group:
-            cell.fail(err)
-        return
-    for cell in group:
-        if cell.spec is None:
-            try:
-                cell.spec = _cell_spec(cfg, cell.row, ruler, gamma0)
-            except _CELL_ERRORS as err:
-                cell.fail(err)
-    runs = [(spec, list(run)) for spec, run in  # (spec, its cells), in cell order
-            groupby((cell for cell in group if cell.error is None), key=lambda cell: cell.spec)]
+    raw = SampleBatch(ruler, ruler.columns(block), ts)
+    unit = unit_dither(raw.data.shape, ts)
+    # (spec, its cells), in cell order
+    runs = [(spec, list(run)) for spec, run in groupby(group, key=lambda cell: cell.spec)]
     uses = Counter(key for spec, _ in runs for key in spec.plane_keys)
     planes = {key: None for key, count in uses.items() if count > 1}
     for spec, run in runs:
@@ -507,11 +509,13 @@ def run_experiment(config):
         gamma0 = truth.generators[0].real
         full = full_ruler(d)
         rulers = {rspec: resolve_ruler(rspec, d) for rspec in cfg.rulers}
-        cells = [_Cell(Row(cfg.experiment, est, d, n, pair[0], pair[1], k, rspec, "mean",
-                           metric, 0.0))
-                 for rspec in cfg.rulers for k in (cfg.bits or (None,)) for pair in cfg.deltas
-                 for n in cfg.n_values for est in cfg.estimators
-                 if est != "qscm" or rulers[rspec].is_full()]
+        cells = []
+        for (rspec, ruler), k, pair, n in product(rulers.items(), cfg.bits or (None,),
+                                                  cfg.deltas, cfg.n_values):
+            spec = _cell_spec(cfg, k, pair, n, ruler, gamma0)  # shared by its estimators
+            cells += (_Cell(Row(cfg.experiment, est, d, n, spec.delta_r, spec.delta_i, k, rspec,
+                                "mean", metric, 0.0), spec)
+                      for est in cfg.estimators if est != "qscm" or ruler.is_full())
         for n in cfg.n_values:
             cells_of_n = [cell for cell in cells if cell.row.n == n]
             for t in range(cfg.trials):
@@ -526,7 +530,7 @@ def run_experiment(config):
                 pending = []
                 # cells of one ruler are adjacent in `cells`
                 for rspec, group in groupby(live, key=lambda cell: cell.row.ruler):
-                    _run_ruler(cfg, rulers[rspec], block, ts, list(group), gamma0, pending)
+                    _run_ruler(rulers[rspec], block, ts, list(group), pending)
                 del block  # the draw is done with; only its estimates wait for scoring
                 if pending:
                     _score(pending, score)

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import QtcovError
 from .rulers import full_ruler
-from .toeplitz import HermitianToeplitz, toeplitz_adjoint_project
+from .toeplitz import HermitianToeplitz, toeplitz_adjoint_project, toeplitz_dense
 
 
 @dataclass
@@ -212,7 +212,7 @@ class _BarrierProblem:
     def evaluate(self, v):
         """The _Point at v, or None if A(u) or T(u) - cI is not positive definite."""
         self.evaluations += 1
-        T = HermitianToeplitz(_generators_from_params(v)).dense
+        T = toeplitz_dense(_generators_from_params(v))
         A = T[self.block_pos]
         LA = _try_chol(A)
         if LA is None:

@@ -29,7 +29,7 @@ _DELTA_PRIME = math.log(10.0)  # tail_bound clips a batch with probability about
 
 def _check_level(level):
     """Raise QtcovError unless `level` is zero or a normal positive float."""
-    if not np.isfinite(level):  # nan passes every comparison below
+    if not math.isfinite(level):  # nan passes every comparison below
         raise QtcovError(f"quantization level {float(level)!r} is not finite")
     if level < 0:
         raise QtcovError("quantization levels must be nonnegative")
@@ -193,13 +193,18 @@ def select_level_tail_bound(gamma0, n, ruler_size, k):
 
     Sizes the k-bit clip range against the Rayleigh tail of the largest of
     n |Omega| sample moduli, so clipping happens with probability at most about
-    e^-delta' = 1/10 over the whole batch.
+    e^-delta' = 1/10 over the whole batch.  Raises where gamma0 is so large
+    that gamma0 * (log(n |Omega|) + delta') overflows.
     """
+    gamma0 = float(gamma0)
     if gamma0 <= 0:
         raise QtcovError(f"gamma0 must be positive, got {gamma0}")
     if n * ruler_size < 1:
         raise QtcovError("need n * |ruler| >= 1")
-    return 2.0 ** (2 - k) * math.sqrt(gamma0 * (math.log(n * ruler_size) + _DELTA_PRIME))
+    level = 2.0 ** (2 - k) * math.sqrt(gamma0 * (math.log(n * ruler_size) + _DELTA_PRIME))
+    if not math.isfinite(level):
+        raise QtcovError(f"the tail-bound level overflows at gamma0 = {gamma0!r}")
+    return level
 
 
 def select_level_datadriven(batch):

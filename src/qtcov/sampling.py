@@ -11,7 +11,7 @@ draws are reproducible through the stream derivation in `qtcov.rng`.
 import numpy as np
 
 from . import rng
-from .errors import EmptyBatch, QtcovError
+from .errors import QtcovError
 from .rulers import Ruler
 from .toeplitz import vandermonde_synthesize
 
@@ -37,7 +37,7 @@ class SampleBatch:
             raise QtcovError(
                 f"data shape {data.shape} does not match (n, |ruler|={ruler.size})")
         if data.shape[0] == 0:
-            raise EmptyBatch("batch has no samples")
+            raise QtcovError("batch has no samples")
         self.ruler = ruler
         self.data = data
         self.seed = int(seed)
@@ -98,7 +98,7 @@ def sample_complex_gaussian(T, ruler, n, seed):
     batch holds z itself, on a sparse one a copy of its ruler columns.
     """
     if n < 1:
-        raise EmptyBatch("need n >= 1")
+        raise QtcovError("need n >= 1")
     if ruler.dim != T.dim:
         raise QtcovError(f"ruler dimension {ruler.dim} != covariance dimension {T.dim}")
     F = _psd_factor(T)

@@ -26,6 +26,8 @@ class HermitianToeplitz:
         gens = np.asarray(generators, dtype=np.complex128)
         if gens.ndim != 1 or gens.size == 0:
             raise QtcovError("need at least one generator")
+        if not np.isfinite(gens).all():
+            raise QtcovError("generators must be finite")
         if gens[0].imag != 0.0:
             raise QtcovError(f"gamma_0 must be real, got imaginary part {gens[0].imag.item()}")
         self.generators = gens.copy()

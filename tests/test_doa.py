@@ -64,6 +64,8 @@ class TestScene:
         ((0.1, 0.3), (1.0, np.inf), 0.1, "powers"),
         ((0.1, 0.3), (1.0, 1.0), np.nan, "noise variance"),
         ((0.1, 0.3), (1.0, 1.0), np.inf, "noise variance"),
+        ((0.1, 0.3), (1e308, 1e308), 0.1, "scene_powers"),
+        ((0.1, 0.3), (1e308, 1.0), 1e308, "scene_powers"),
     ])
     def test_rejects_bad_source_or_noise(self, freqs, powers, noise_var, message):
         with pytest.raises(QtcovError, match=message):

@@ -2,8 +2,8 @@ import inspect
 
 from qtcov import errors
 
-# the classes something tells apart: code that catches them, or a cell's CSV note
-TOLD_APART = {"QtcovError", "MissingLag", "EmptyTable", "EmptyBatch"}
+# the classes that code catches and so tells apart
+TOLD_APART = {"QtcovError", "MissingLag", "EmptyTable"}
 
 
 def test_errors_defines_only_the_classes_told_apart():

@@ -6,7 +6,7 @@ from qtcov import (HermitianToeplitz, QuantizationSpec, Ruler, cli, full_ruler, 
                    random_toeplitz_covariance, relative_spectral_error,
                    sample_complex_gaussian, save_batch, toeplitz_adjoint_project)
 from qtcov import rng as qrng
-from qtcov.errors import EmptyBatch, QtcovError
+from qtcov.errors import QtcovError
 from qtcov.estimators import spectral_norm
 from qtcov.sampling import SampleBatch
 
@@ -37,7 +37,7 @@ class TestGram:
 
     def test_empty(self):
         # an empty batch cannot be built, so no Gram matrix of one exists
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(QtcovError, match="batch has no samples"):
             quantized(np.zeros((0, 2), complex), full_ruler(2), QuantizationSpec(0, 0))
 
 
@@ -96,7 +96,7 @@ class TestQtscm:
             assert np.max(np.abs(m - means[0])) < 8 * scale / np.sqrt(trials * n)
 
     def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(QtcovError, match="batch has no samples"):
             quantized(np.zeros((0, 2), complex), full_ruler(2), QuantizationSpec(0, 0))
 
 
@@ -152,6 +152,17 @@ class TestReport:
         T = random_toeplitz_covariance(4, 71)
         assert relative_spectral_error(T, T) == 0.0
         assert relative_spectral_error(T.dense, T) == 0.0
+
+    @pytest.mark.parametrize("where", ["estimate", "truth"])
+    def test_relative_error_rejects_a_non_finite_matrix(self, capfd, where):
+        # checked before LAPACK, which would print DLASCL lines and return nan
+        T = random_toeplitz_covariance(4, 71).dense
+        bad = T.copy()
+        bad[1, 2] = np.inf
+        args = (bad, T) if where == "estimate" else (T, bad)
+        with pytest.raises(QtcovError, match="relative spectral error of a non-finite matrix"):
+            relative_spectral_error(*args)
+        assert capfd.readouterr().err == ""
 
 
 class TestSpectralNorm:

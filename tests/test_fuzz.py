@@ -2,6 +2,10 @@
 `qtcov simulate` return 0 or 1 and never raise, and every nan row of a
 written table names its error in the note.
 
+A config that runs has passed `validate`, so no row may fail on a level, a
+bit depth or a sample size: those are fixed before the first draw, and a
+row's note names numerical trouble only.
+
 Sizes stay tiny (d <= 6, trials <= 2, n <= 50) so that each example runs in
 milliseconds.  A config example is a sensible config with at most two keys
 set to boundary, nan, +-inf, negative, huge, empty or malformed texts.  The
@@ -16,7 +20,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qtcov import cli, load_batch
@@ -47,6 +51,9 @@ VALUES = {
     "scene_powers": (("1", "1, 1", "2, 0.5"), ("0", "1e-300", "1e300")),
     "scene_noise_var": (("0.1", "1"), ("0", "1e-300", "1e300")),
 }
+# errors of a level, bit depth or sample size that `validate` rejects
+REJECTED_NOTES = ("quantization level", "finite-bit quantization", "need n >= 1",
+                  "batch has no samples")
 # the sizes are always set, so that no example falls back to a preset's
 SIZE_KEYS = ("d", "d_values", "trials", "n_values")
 SCENE_KEYS = ("scene_freqs", "scene_powers", "scene_noise_var")
@@ -94,8 +101,16 @@ def run_main(argv):
     return rc
 
 
+def custom_case(lines):
+    """A custom config example of d = 4 and one trial, plus `lines`."""
+    return "custom", f"{CONFIG_FORMAT}\nexperiment = custom\nd = 4\ntrials = 1\n{lines}\n"
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(config_texts())
+@example(custom_case("n_values = 20, 0"))
+@example(custom_case("n_values = 20\ndeltas = 0.5, -1:1"))
+@example(custom_case("n_values = 20\nbits = 2\ndeltas = 0:0"))
 def test_experiment_config_fails_cleanly_or_notes_every_nan(case):
     experiment, text = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,6 +121,8 @@ def test_experiment_config_fails_cleanly_or_notes_every_nan(case):
             with open(os.path.join(tmp, f"{experiment}.csv"), newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert all(row["note"] for row in rows if math.isnan(float(row["value"])))
+            assert not [row["note"] for row in rows
+                        if any(word in row["note"] for word in REJECTED_NOTES)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

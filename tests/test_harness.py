@@ -264,12 +264,12 @@ class TestRunnerSemantics:
         assert {r.estimator for r in table.rows} == {"qtscm"}
 
     def test_failed_cell_recorded_as_nan(self):
-        # a negative level fails spec validation inside the cell
-        cfg = tiny_config(deltas=((-1.0, -1.0),))
+        # a level near the float limit overflows the cell's Gram matrix
+        cfg = tiny_config(deltas=((1e300, 1e300),))
         table = run_experiment(cfg)
         assert len(table.rows) == 1
         assert math.isnan(table.rows[0].value)
-        assert table.rows[0].note != ""
+        assert table.rows[0].note == "FloatingPointError: overflow encountered in matmul"
 
     def test_linalg_error_recorded_for_its_cell_only(self, monkeypatch):
         def broken(batch, gram):
@@ -280,24 +280,6 @@ class TestRunnerSemantics:
         assert math.isnan(means["qscm"].value)
         assert means["qscm"].note == "LinAlgError: Matrix is not positive definite"
         assert np.isfinite(means["qtscm"].value) and means["qtscm"].note == ""
-
-    def test_subnormal_level_is_named_in_its_row_note(self):
-        table = run_experiment(parse_config("qtcov-config 1\nexperiment = custom\nd = 4\n"
-                                            "deltas = 1e-310:1e-310, 0.5:0.5\n"))
-        means = mean_rows(table)
-        assert len(means) == 2
-        assert math.isnan(means[0].value)
-        assert means[0].note == "QtcovError: quantization level 1e-310 is subnormal"
-        assert np.isfinite(means[1].value) and means[1].note == ""
-
-    def test_non_finite_level_is_named_in_its_row_note(self):
-        table = run_experiment(parse_config("qtcov-config 1\nexperiment = custom\nd = 4\n"
-                                            "deltas = nan:nan, inf:0.5, 0.5:0.5\n"))
-        means = mean_rows(table)
-        assert [r.note for r in means[:2]] == ["QtcovError: quantization level nan is not finite",
-                                               "QtcovError: quantization level inf is not finite"]
-        assert all(math.isnan(r.value) for r in means[:2])
-        assert np.isfinite(means[2].value) and means[2].note == ""
 
     def test_overflow_is_named_in_its_row_note(self):
         table = run_experiment(tiny_config(deltas=((1e300, 1e300), (0.5, 0.5))))
@@ -335,22 +317,29 @@ class TestRunnerSemantics:
         # (config, its cells, its planes per trial and ruler: real + imaginary)
         for cfg, cells, planes in ((grid, 2 * 64, 8 + 8), (tail, 2 * 3, 3 + 3)):
             plain = run_experiment(cfg).to_csv()
-            calls, specs = [], []
+            calls, events = [], []
             kernel, cell_spec = qtcov.quantizer._quantize_plane, harness._cell_spec
+            draw = harness.sample_complex_gaussian
 
             def counted(x, delta, k):
                 calls.append((delta, k))
                 return kernel(x, delta, k)
 
             def built(*args):
-                specs.append(args)
+                events.append("spec")
                 return cell_spec(*args)
+
+            def drawn(*args):
+                events.append("draw")
+                return draw(*args)
             with monkeypatch.context() as m:
                 m.setattr(qtcov.quantizer, "_quantize_plane", counted)
                 m.setattr(harness, "_cell_spec", built)
+                m.setattr(harness, "sample_complex_gaussian", drawn)
                 assert run_experiment(cfg).to_csv() == plain
             assert len(calls) == 2 * 2 * planes  # trials x rulers x planes
-            assert len(specs) == cells  # once per cell over all trials: no level reads the data
+            # one spec per cell (each has one estimator), all built before the first draw
+            assert events == ["spec"] * cells + ["draw"] * 2
 
     @pytest.mark.parametrize("deltas, most", [
         # Delta_r-major 8 x 8 grid: one real plane and the eight imaginary ones
@@ -768,6 +757,9 @@ class TestInputErrors:
         ("scene_freqs = 0.1, 0.3\nscene_powers = 1, 1\nscene_noise_var = nan", "noise variance"),
         ("scene_freqs = 0.1, 0.3\nscene_powers = 1, -1", "powers must be finite and > 0"),
         ("scene_freqs = 0.3, 2.3\nscene_powers = 1, 1", "frequencies must lie in [0, 1)"),
+        ("scene_freqs = 0.1, 0.3\nscene_powers = 1e308, 1e308", "scene_powers"),
+        ("scene_freqs = 0.1, 0.3\nscene_powers = 8e307, 8e307\nlevel_rule = tail_bound\n"
+         "bits = 2", "the tail-bound level overflows at gamma0 = 1.6e+308"),
     ])
     def test_bad_scene_in_config(self, tmp_path, capsys, lines, message):
         cfg = tmp_path / "scene.cfg"
@@ -878,6 +870,29 @@ class TestInputErrors:
         self.assert_clean_failure(r, "unknown level rule 'datadriven'")
         assert not (tmp_path / "custom.csv").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("deltas = 1e-310:1e-310, 0.5:0.5",
+         "deltas 1e-310:1e-310 at bits = inf: quantization level 1e-310 is subnormal"),
+        ("deltas = 0.5:0.5, nan:nan",
+         "deltas nan:nan at bits = inf: quantization level nan is not finite"),
+        ("deltas = 0.5:0.5, inf:0.5",
+         "deltas inf:0.5 at bits = inf: quantization level inf is not finite"),
+        ("deltas = -1:-1",
+         "deltas -1.0:-1.0 at bits = inf: quantization levels must be nonnegative"),
+        ("bits = inf, 2\ndeltas = 0:0",
+         "deltas 0.0:0.0 at bits = 2: finite-bit quantization requires delta_r == delta_i > 0"),
+        ("n_values = 20, 0", "n_values lists 0; a cell needs n >= 1 samples"),
+        ("n_values = -5", "n_values lists -5; a cell needs n >= 1 samples"),
+    ], ids=["subnormal_level", "nan_level", "inf_level", "negative_level", "zero_level_at_2_bits",
+            "n_0", "n_negative"])
+    def test_unusable_level_or_sample_size(self, tmp_path, lines, message):
+        # a level, a bit depth and n are fixed before the first draw
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"qtcov-config 1\nexperiment = custom\nd = 4\ntrials = 1\n{lines}\n")
+        r = self.run_cli("experiment", "--config", str(cfg), "--outdir", str(tmp_path))
+        self.assert_clean_failure(r, message)
+        assert not (tmp_path / "custom.csv").exists()
+
     def test_dimension_with_no_grid_cell(self, tmp_path):
         # qscm needs a full ruler; a run with no cell would write a header-only CSV
         cfg = tmp_path / "qscm.cfg"
@@ -900,7 +915,7 @@ class TestInputErrors:
 class TestOutputs:
     def test_all_nan_table_writes_no_svg_and_drops_a_stale_one(self, tmp_path):
         # an earlier plot must not stay beside a CSV it does not show
-        cfg = tiny_config(n_values=(0,), outdir=str(tmp_path))
+        cfg = tiny_config(deltas=((1e300, 1e300),), outdir=str(tmp_path))
         (tmp_path / "custom.svg").write_text("<svg/>")
         csv_path, svg_path = write_outputs(cfg, run_experiment(cfg))
         assert svg_path is None

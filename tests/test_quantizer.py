@@ -11,7 +11,7 @@ from oracles import redrawn_quantize
 from qtcov import (HermitianToeplitz, QuantizationSpec, full_ruler, quantize_batch,
                    random_toeplitz_covariance, resolve_ruler, sample_complex_gaussian,
                    select_level_datadriven, select_level_tail_bound)
-from qtcov.errors import EmptyBatch, QtcovError
+from qtcov.errors import QtcovError
 from qtcov.quantizer import unit_dither
 from qtcov.sampling import SampleBatch, load_batch, save_batch
 
@@ -401,13 +401,19 @@ class TestLevelSelection:
         with pytest.raises(QtcovError, match="gamma0 must be positive, got 0.0"):
             select_level_tail_bound(0.0, 100, 7, 2)
 
+    def test_rejects_a_gamma0_that_overflows_the_level(self):
+        # a numpy gamma0 must not raise numpy's FloatingPointError instead
+        with np.errstate(over="raise"), pytest.raises(QtcovError, match="level overflows"):
+            select_level_tail_bound(np.float64(1.6e308), 100, 7, 2)
+
     def test_datadriven_examples(self):
         r = full_ruler(2)
         batch = SampleBatch(r, np.array([[3.0, -4.0j]]), 0)
         assert select_level_datadriven(batch) == 4.0
         zero = SampleBatch(r, np.zeros((1, 2)), 0)
         assert select_level_datadriven(zero) == 0.0
-        with pytest.raises(EmptyBatch):  # no batch to select a level from
+        # no batch to select a level from
+        with pytest.raises(QtcovError, match="batch has no samples"):
             SampleBatch(r, np.zeros((0, 2)), 0)
 
     def test_datadriven_rayleigh_range(self):

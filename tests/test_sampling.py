@@ -11,7 +11,7 @@ from oracles import complex_gaussian_draw
 from qtcov import (HermitianToeplitz, QuantizationSpec, Ruler, SampleBatch, full_ruler,
                    load_batch, quantize_batch, random_toeplitz_covariance, resolve_ruler,
                    sample_complex_gaussian, save_batch)
-from qtcov.errors import EmptyBatch, QtcovError
+from qtcov.errors import QtcovError
 
 
 class TestRandomCovariance:
@@ -134,7 +134,7 @@ class TestSampleBatch:
             SampleBatch(self.RULER, np.zeros(shape), 3)
 
     def test_empty_batch_cannot_be_built(self):
-        with pytest.raises(EmptyBatch, match="batch has no samples"):
+        with pytest.raises(QtcovError, match="batch has no samples"):
             SampleBatch(self.RULER, np.zeros((0, 4)), 3)
 
 

@@ -34,6 +34,12 @@ class TestConstruction:
         with pytest.raises(QtcovError, match=r"got imaginary part 1e-14$"):
             HermitianToeplitz([1.0 + 1e-14j, 0.5])
 
+    @pytest.mark.parametrize("gens", [[np.inf, 0.5, 0.1, 0.0], [1.0, np.nan],
+                                      [1.0, complex(0.5, -np.inf)]])
+    def test_rejects_non_finite_generators(self, gens):
+        with pytest.raises(QtcovError, match="generators must be finite"):
+            HermitianToeplitz(gens)
+
     def test_rejects_empty(self):
         with pytest.raises(QtcovError, match="need at least one generator"):
             HermitianToeplitz([])
