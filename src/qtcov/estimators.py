@@ -19,11 +19,22 @@ def _check_quantized(batch):
         raise QtcovError("estimators expect a quantized batch")
 
 
-def quantized_sample_covariance(batch):
-    """Uncorrected Gram average (1/n) sum_l z^(l) z^(l)H on ruler coordinates."""
+def quantized_sample_covariance(batch, scratch=None):
+    """Uncorrected Gram average (1/n) sum_l z^(l) z^(l)H on ruler coordinates.
+
+    The conjugated batch is written into `scratch`, an array of the batch's
+    shape and dtype, or into one new array where it is omitted.  A Gram
+    matrix that is not finite, as from a batch holding nan or inf, raises
+    QtcovError.
+    """
     z = batch.data
-    # entry [j, k] = (1/n) sum_l z_j z_k^*, matching the gamma_{k-j} convention
-    return z.T @ z.conj() / batch.count
+    with np.errstate(invalid="ignore"):  # the check below names the fault
+        # entry [j, k] = (1/n) sum_l z_j z_k^*, matching the gamma_{k-j} convention
+        gram = z.T @ np.conjugate(z, out=scratch) / batch.count
+    if not np.isfinite(gram).all():
+        raise QtcovError("the Gram matrix of the batch is not finite: the batch holds "
+                         "nan or inf values")
+    return gram
 
 
 def qtscm(batch, gram=None):

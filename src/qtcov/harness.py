@@ -19,6 +19,14 @@ The estimates of one (d, n, trial), from all its rulers and cells, are scored
 together once the trial's estimators have run: one stacked SVD call gives
 their spectral errors, while MUSIC runs on each estimate alone.  Only the
 estimates wait for scoring, never their batches or Gram matrices.
+Every trial of a (d, n) group writes into the same memory: one slab per
+dimension, allocated for its largest n, whose views (`_group_views`) hold
+the sample block, the normals and then each quantized batch, the unit pair,
+and one float buffer for the dither draw, the quantizer's scratch and the
+conjugated batch of each Gram matrix.  A sparse ruler's columns are gathered
+from the block one real part at a time.  So a trial allocates no array of n
+rows, and the slab is no larger than the four arrays of n x d values that a
+trial held at once before.
 Each grid cell is one `_Cell` record, which gathers its trial values, its
 degraded-trial counts and its first error, and writes its own rows.  A cell
 whose qspa solves stop unconverged or whose MUSIC spectra are unresolved
@@ -46,7 +54,7 @@ from .quantizer import (QuantizationSpec, _check_depth, quantize_batch, select_l
                         unit_dither)
 from .qspa import qspa_solve
 from .rulers import full_ruler, resolve_ruler
-from .sampling import SampleBatch, random_toeplitz_covariance, sample_complex_gaussian
+from .sampling import random_toeplitz_covariance, sample_complex_gaussian
 from .svgplot import emit_plot
 from .toeplitz import as_dense_stack
 
@@ -430,19 +438,44 @@ class _Cell:
 _CELL_ERRORS = (QtcovError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _run_ruler(ruler, block, ts, group, pending):
-    """One trial of the live cells `group` of one ruler, drawn from the
-    full-dimension block of trial seed ts; appends (cell, estimate,
-    converged) to `pending` for each estimate made.
+def _group_views(slab, n, d, rulers):
+    """(block, w, {rspec: (unit pair, float buffer, quantized batch,
+    conjugated batch)}): the views of `slab` that every trial of a (d, n)
+    group writes.
 
-    The raw batch and unit dither pair are built once (n >= 1 is validated).
-    Cells with equal specs are adjacent (they differ only in the estimator),
-    and each run of them shares one quantized batch and Gram matrix.  A
-    quantized real plane that several runs need is formed once and kept
-    until its last run.
+    The slab holds, in turn, the block that receives each trial's
+    full-dimension draw and w for its standard normals, then each quantized
+    batch (n x d complex values each), and the ruler's float buffer and unit
+    pair (n x |ruler| complex values each).  The float buffer holds the
+    ruler's dither draw, then the quantizer's scratch planes, then the
+    conjugated batch of each Gram matrix.
     """
-    raw = SampleBatch(ruler, ruler.columns(block), ts)
-    unit = unit_dither(raw.data.shape, ts)
+    nd = n * d
+    block, w = slab[:nd].reshape(n, d), slab[nd:2 * nd]
+    views = {}
+    for rspec, ruler in rulers.items():
+        shape, size = (n, ruler.size), n * ruler.size
+        conj, pair = (slab[2 * nd + i * size:2 * nd + (i + 1) * size] for i in (0, 1))
+        views[rspec] = (pair.view(np.float64).reshape((2,) + shape),
+                        conj.view(np.float64).reshape((2,) + shape), w[:size].reshape(shape),
+                        conj.reshape(shape))
+    return block, w.reshape(n, d), views
+
+
+def _run_ruler(ruler, raw, group, pending, views):
+    """One trial of the live cells `group` of one ruler, drawn from the
+    full-ruler raw batch `raw`; appends (cell, estimate, converged) to
+    `pending` for each estimate made.  `views` are the ruler's views of the
+    run's buffers (see _group_views).
+
+    The unit dither pair is drawn once (n >= 1 is validated).  Cells with
+    equal specs are adjacent (they differ only in the estimator), and each
+    run of them shares one quantized batch and Gram matrix.  A quantized
+    real plane that several runs need is formed once and kept until its
+    last run.
+    """
+    pair, floats, quantized, conj = views
+    unit = unit_dither(pair.shape[1:], raw.seed, out=pair, scratch=floats)
     # (spec, its cells), in cell order
     runs = [(spec, list(run)) for spec, run in groupby(group, key=lambda cell: cell.spec)]
     uses = Counter(key for spec, _ in runs for key in spec.plane_keys)
@@ -450,8 +483,9 @@ def _run_ruler(ruler, block, ts, group, pending):
     for spec, run in runs:
         batch = gram = None  # the last run's, released before this one's is built
         try:
-            batch = quantize_batch(raw, spec, unit=unit, planes=planes)
-            gram = quantized_sample_covariance(batch)
+            batch = quantize_batch(raw, spec, unit=unit, planes=planes, ruler=ruler,
+                                   out=quantized, scratch=floats)
+            gram = quantized_sample_covariance(batch, scratch=conj)
         except _CELL_ERRORS as err:
             for cell in run:
                 cell.fail(err)
@@ -516,13 +550,18 @@ def run_experiment(config):
             cells += (_Cell(Row(cfg.experiment, est, d, n, spec.delta_r, spec.delta_i, k, rspec,
                                 "mean", metric, 0.0), spec)
                       for est in cfg.estimators if est != "qscm" or ruler.is_full())
+        # the four arrays of n x d values that a trial holds at once, at the
+        # largest n: one allocation, so that it is made and freed in one piece
+        slab = np.empty(max(cfg.n_values) * 2 * (d + max(r.size for r in rulers.values())),
+                        np.complex128)
         for n in cfg.n_values:
+            block, w, views = _group_views(slab, n, d, rulers)  # every trial of n writes these
             cells_of_n = [cell for cell in cells if cell.row.n == n]
             for t in range(cfg.trials):
                 ts = rng.trial_seed(cfg.seed, t)
                 live = [cell for cell in cells_of_n if cell.error is None]
                 try:
-                    block = sample_complex_gaussian(truth, full, n, ts).data
+                    raw = sample_complex_gaussian(truth, full, n, ts, out=block, scratch=w)
                 except _CELL_ERRORS as err:
                     for cell in live:
                         cell.fail(err)
@@ -530,10 +569,10 @@ def run_experiment(config):
                 pending = []
                 # cells of one ruler are adjacent in `cells`
                 for rspec, group in groupby(live, key=lambda cell: cell.row.ruler):
-                    _run_ruler(rulers[rspec], block, ts, list(group), pending)
-                del block  # the draw is done with; only its estimates wait for scoring
+                    _run_ruler(rulers[rspec], raw, list(group), pending, views[rspec])
                 if pending:
                     _score(pending, score)
+        del slab  # released before the next dimension's is made
         rows += (row for cell in cells for row in cell.rows(cfg.emit_trials))
     return ResultTable(rows)
 

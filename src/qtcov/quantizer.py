@@ -92,21 +92,23 @@ class QuantizationSpec:
                 == (other.delta_r, other.delta_i, other.bits_k))
 
 
-def _quantize_plane(x, delta, k):
+def _quantize_plane(x, delta, k, masks=None):
     """Quantize the float64 array x in place, as delta * (floor(x / delta) + 1/2).
 
     delta = 0 leaves x unchanged.  With a bit depth k, values at or above
     (2^(k-1) - 1) * delta take code 2^(k-1) and values below the mirrored
     threshold take code -2^(k-1) - 1; both masks are taken before the divide,
     so a value whose x / delta overflows (it lies beyond a threshold) only
-    gets its clip code.
+    gets its clip code.  They are written into `masks`, a (2,) + x.shape
+    bool array, allocated where it is omitted.
     """
     if delta == 0:
         return
     if k is not None:
         half = 2 ** (k - 1)
-        top = x >= (half - 1) * delta
-        bottom = x < (1 - half) * delta
+        top, bottom = np.empty((2,) + x.shape, bool) if masks is None else masks
+        np.greater_equal(x, (half - 1) * delta, out=top)
+        np.less(x, (1 - half) * delta, out=bottom)
     with np.errstate(over=None if k is None else "ignore"):
         x /= delta
     np.floor(x, out=x)
@@ -117,75 +119,104 @@ def _quantize_plane(x, delta, k):
     x *= delta
 
 
-def unit_dither(shape, seed):
+def unit_dither(shape, seed, out=None, scratch=None):
     """Level-free dither sums (u0 + u1, u2 + u3) of four U(-1/2, 1/2) arrays.
 
     Scaled by (delta_r, delta_i) they are the real and imaginary triangular
     dither of a batch of that shape, so one draw serves every level.  The
-    stream is read two arrays at a time into one reused buffer, which gives
-    the values of a single (4,) + shape draw; the two sums are views of one
-    (2,) + shape array, so nothing else stays alive.
+    stream is read two arrays at a time into `scratch`, which gives the
+    values of a single (4,) + shape draw, and the two sums are written into
+    `out`; both are (2,) + shape float64 arrays, each allocated where it is
+    omitted.  The sums are views of `out`, so nothing else stays alive.
     """
     gen = rng.stream(seed, rng.DITHER)
-    u = np.empty((2,) + tuple(shape))
-    sums = np.empty_like(u)
-    for out in sums:
+    pair = (2,) + tuple(shape)
+    u = np.empty(pair) if scratch is None else scratch
+    sums = np.empty(pair) if out is None else out
+    for total in sums:
         gen.random(out=u)
         u -= 0.5
-        np.add(u[0], u[1], out=out)
+        np.add(u[0], u[1], out=total)
     return sums[0], sums[1]
 
 
-def quantize_batch(batch, spec, unit=None, planes=None):
+def quantize_batch(batch, spec, unit=None, planes=None, ruler=None, out=None, scratch=None):
     """The quantized batch of a raw one (a batch without a spec): the same
-    ruler and seed, new data, and `spec`.  The dither is applied and discarded.
+    ruler (or `ruler`) and seed, new data, and `spec`.  The dither is applied
+    and discarded.
 
-    `unit` is a pair from `unit_dither(batch.data.shape, seed)`, drawn
+    `ruler`, if given, quantizes only the ruler columns of a raw batch on the
+    full ruler, and the quantized batch is on `ruler`: the bytes are those of
+    quantizing the raw batch of `ruler` that sample_complex_gaussian draws
+    from the same seed, and the columns are gathered one real part at a time,
+    never copied out as a complex batch.
+
+    `unit` is a pair from `unit_dither((n, |ruler|), seed)`, drawn
     independently of the Gaussian sample stream; by default it is drawn from
     the batch seed.  It is scaled by the levels of `spec`, so a pair drawn
     once serves every level and replays the same dither.  Each real plane,
     delta_r * sr + Re z and then delta_i * si + Im z, is formed in one
     contiguous float64 plane, quantized there in place with its level and
-    the spec's bit depth, and copied into the .real or .imag view of one new
-    complex128 array; no complex temporary is made, and contiguous planes
-    keep the ufuncs on their vector loops, which the stride-16 views would
-    not.  Neither the batch nor the pair is written.  Estimators only ever
-    see the returned quantized values.
+    the spec's bit depth, and copied into the .real or .imag view of `out`, an
+    (n, |ruler|) complex128 array: one new complex128 array where it is
+    omitted.  No complex temporary is made, and contiguous planes keep the
+    ufuncs on their vector loops, which the stride-16 views would not.
+    `scratch`, a (2, n, |ruler|) float64 array, holds the plane being
+    quantized and, in the other plane, the gathered part and then a k-bit
+    spec's clip masks; where it is omitted, the planes that are needed are
+    allocated.  Neither the batch nor the pair is written.  Estimators only
+    ever see the returned quantized values.
 
-    `planes` shares quantized planes between the specs of one batch and pair.
-    It is a dict owned by the caller and holds the keys of `spec.plane_keys`
-    that the caller wants kept: a key mapped to None is quantized and stored
-    there read-only, and a stored plane is copied as it is, without
-    quantizing again.  A plane whose key is absent is formed in a scratch
-    plane and dropped.  The caller drops a key after its last use.
+    `planes` shares quantized planes between the specs of one batch, ruler
+    and pair.  It is a dict owned by the caller and holds the keys of
+    `spec.plane_keys` that the caller wants kept: a key mapped to None is
+    quantized and stored there read-only, and a stored plane is copied as it
+    is, without quantizing again.  A plane whose key is absent is formed in
+    the scratch plane and dropped.  The caller drops a key after its last use.
     """
     if batch.spec is not None:
         raise QtcovError("quantize_batch expects a raw batch")
     z = batch.data
+    columns = None  # a full raw batch as (n, 2d) floats, where `ruler` takes its columns
+    if ruler is None:
+        ruler = batch.ruler
+    elif ruler.dim != batch.dim or not batch.ruler.is_full():
+        raise QtcovError(f"quantize_batch takes {ruler!r} from a raw batch on the full "
+                         f"ruler of d = {ruler.dim}, got {batch!r}")
+    elif not ruler.is_full():
+        columns = np.ascontiguousarray(z).view(np.float64)  # part p of column j: 2 j + p
+    shape = (batch.count, ruler.size)
     if unit is None:
-        unit = unit_dither(z.shape, batch.seed)
+        unit = unit_dither(shape, batch.seed)
     sr, si = unit
-    if sr.shape != z.shape or si.shape != z.shape:
+    if sr.shape != shape or si.shape != shape:
         raise QtcovError(f"dither shape {sr.shape} does not match the batch "
-                         f"shape {z.shape}")
-    data = np.empty(z.shape, np.complex128)
-    scratch = None
-    for plane, part, s, delta, key in zip((data.real, data.imag), (z.real, z.imag), (sr, si),
+                         f"shape {shape}")
+    data = np.empty(shape, np.complex128) if out is None else out
+    if scratch is None:
+        scratch = np.empty((1 if columns is None and spec.bits_k is None else 2,) + shape)
+    # a k-bit spec's clip masks go in the second plane, once the gathered part is added
+    masks = None if spec.bits_k is None else (
+        scratch[1].reshape(-1).view(np.bool_)[:2 * data.size].reshape((2,) + shape))
+    for plane, part, s, delta, key in zip((data.real, data.imag), (0, 1), (sr, si),
                                           (spec.delta_r, spec.delta_i), spec.plane_keys):
         x = planes.get(key) if planes else None
         if x is None:
             keep = planes is not None and key in planes
-            x = np.empty(z.shape) if keep or scratch is None else scratch
+            x = np.empty(shape) if keep else scratch[0]
+            if columns is None:
+                raw = z.imag if part else z.real
+            else:
+                raw = np.take(columns, 2 * ruler.positions + part, axis=1, out=scratch[1],
+                              mode="clip")
             np.multiply(s, delta, out=x)
-            x += part
-            _quantize_plane(x, delta, spec.bits_k)
+            x += raw
+            _quantize_plane(x, delta, spec.bits_k, masks)
             if keep:
                 x.flags.writeable = False
                 planes[key] = x
-            else:
-                scratch = x
         plane[...] = x
-    return SampleBatch(batch.ruler, data, batch.seed, spec)
+    return SampleBatch(ruler, data, batch.seed, spec)
 
 
 def select_level_tail_bound(gamma0, n, ruler_size, k):

@@ -87,27 +87,33 @@ def _psd_factor(T):
     return vec * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def sample_complex_gaussian(T, ruler, n, seed):
+def sample_complex_gaussian(T, ruler, n, seed, out=None, scratch=None):
     """n i.i.d. draws from CN(0, T), restricted to the ruler indices.
 
     The underlying d-dimensional draw order is fixed, so for a common seed the
     batch on a sparse ruler is exactly the column restriction of the batch on
-    the full ruler.  The standard normals w are drawn as one (2, n, d) array
-    (real parts, then imaginary parts), scaled by sqrt(1/2) in place and
-    written into one complex array, and z = w F^T; on the full ruler the
-    batch holds z itself, on a sparse one a copy of its ruler columns.
+    the full ruler.  z = w F^T is written into `out` and the standard normals
+    w into `scratch`, both (n, d) complex128 arrays, each allocated where it
+    is omitted, so the peak is w plus z.  The normals are drawn as two (n, d)
+    arrays, real parts first, each into the memory of z that the product
+    later overwrites, and scaled by sqrt(1/2) into w.real and w.imag.  On the
+    full ruler the batch holds z itself, on a sparse one a copy of its ruler
+    columns.
     """
     if n < 1:
         raise QtcovError("need n >= 1")
     if ruler.dim != T.dim:
         raise QtcovError(f"ruler dimension {ruler.dim} != covariance dimension {T.dim}")
     F = _psd_factor(T)
-    parts = rng.stream(seed, rng.GAUSS).standard_normal((2, n, T.dim))
-    parts *= np.sqrt(0.5)
-    w = np.empty((n, T.dim), np.complex128)
-    w.real, w.imag = parts
-    del parts  # freed before z is allocated: the peak is w plus z
-    z = w @ F.T
+    shape = (n, T.dim)
+    z = np.empty(shape, np.complex128) if out is None else out
+    w = np.empty(shape, np.complex128) if scratch is None else scratch
+    normals = z.reshape(-1).view(np.float64)[:n * T.dim].reshape(shape)
+    gen = rng.stream(seed, rng.GAUSS)
+    for part in (w.real, w.imag):
+        gen.standard_normal(out=normals)
+        np.multiply(normals, np.sqrt(0.5), out=part)
+    np.matmul(w, F.T, out=z)
     return SampleBatch(ruler, ruler.columns(z), seed)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qtcov import (HermitianToeplitz, QuantizationSpec, Ruler, cli, full_ruler, 
 from qtcov import rng as qrng
 from qtcov.errors import QtcovError
 from qtcov.estimators import spectral_norm
+from qtcov.harness import ESTIMATORS
 from qtcov.sampling import SampleBatch
 
 OMEGA_A = [1, 2, 3, 4, 5, 6, 7, 8, 16]
@@ -34,6 +37,33 @@ class TestGram:
         b = quantize_batch(raw, QuantizationSpec(1.0, 1.0))
         R = quantized_sample_covariance(b)
         assert np.linalg.norm(R - 1.5 * np.eye(2), 2) < 0.05
+
+    def test_conjugate_goes_into_scratch(self):
+        raw = sample_complex_gaussian(random_toeplitz_covariance(16, 3), full_ruler(16),
+                                      10_000, 4)
+        b = quantize_batch(raw, QuantizationSpec(1.0, 0.5))
+        scratch = np.full_like(b.data, complex(np.nan, np.inf))
+        tracemalloc.start()
+        try:
+            gram = quantized_sample_covariance(b, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gram.tobytes() == quantized_sample_covariance(b).tobytes()
+        assert scratch.tobytes() == b.data.conj().tobytes()
+        assert peak <= 0.01 * b.data.nbytes
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_a_non_finite_batch_fails_before_each_estimator(self, estimator, value):
+        # before, qscm returned nan, qtscm raised at HermitianToeplitz and
+        # qspa a LinAlgError from its eigenvalue solver
+        data = np.ones((5, 4), complex)
+        data[2, 1] = value
+        raw = SampleBatch(full_ruler(4), data, 0)
+        b = quantize_batch(raw, QuantizationSpec(1.0, 1.0))
+        with pytest.raises(QtcovError, match="Gram matrix of the batch is not finite"):
+            ESTIMATORS[estimator](b, quantized_sample_covariance(b))
 
     def test_empty(self):
         # an empty batch cannot be built, so no Gram matrix of one exists

@@ -6,7 +6,9 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -321,17 +323,17 @@ class TestRunnerSemantics:
             kernel, cell_spec = qtcov.quantizer._quantize_plane, harness._cell_spec
             draw = harness.sample_complex_gaussian
 
-            def counted(x, delta, k):
+            def counted(x, delta, k, *masks):
                 calls.append((delta, k))
-                return kernel(x, delta, k)
+                return kernel(x, delta, k, *masks)
 
             def built(*args):
                 events.append("spec")
                 return cell_spec(*args)
 
-            def drawn(*args):
+            def drawn(*args, **kwargs):
                 events.append("draw")
-                return draw(*args)
+                return draw(*args, **kwargs)
             with monkeypatch.context() as m:
                 m.setattr(qtcov.quantizer, "_quantize_plane", counted)
                 m.setattr(harness, "_cell_spec", built)
@@ -354,8 +356,8 @@ class TestRunnerSemantics:
         held = []
         quantize = harness.quantize_batch
 
-        def watched(raw, spec, unit=None, planes=None):
-            out = quantize(raw, spec, unit=unit, planes=planes)
+        def watched(raw, spec, unit=None, planes=None, **buffers):
+            out = quantize(raw, spec, unit=unit, planes=planes, **buffers)
             kept = [key for key, plane in planes.items() if plane is not None]
             held.append(tuple(sum(key[0] == part for key in kept) for part in (0, 1)))
             return out
@@ -364,6 +366,40 @@ class TestRunnerSemantics:
         assert len(held) == 2 * 2 * 2 * len(deltas)  # n values x trials x rulers x pairs
         assert tuple(map(max, zip(*held))) == most
 
+    def test_each_exp5_cell_matches_a_run_of_its_ruler_and_n_alone(self):
+        # the trials of a (d, n) group share one set of buffers
+        cfg = replace(default_config("exp5"), trials=3)
+        rows = run_experiment(cfg).rows
+        for rspec, n in product(cfg.rulers, cfg.n_values):
+            alone = run_experiment(replace(cfg, rulers=(rspec,), n_values=(n,))).rows
+            assert alone == [row for row in rows if (row.ruler, row.n) == (rspec, n)]
+
+    def test_a_config_repeats_its_bytes_after_runs_of_other_shapes(self):
+        a = tiny_config(d=6, rulers=("full", "alpha:0.5"), bits=(2, None), n_values=(40, 90),
+                        deltas=((1.0, 1.0), (0.5, 1.5)), estimators=("qtscm", "qscm"))
+        first = run_experiment(a).to_csv()
+        for b in (replace(a, d=8), replace(a, n_values=(200,)), replace(a, d=4, trials=1)):
+            run_experiment(b)
+            assert run_experiment(a).to_csv() == first
+
+    def test_a_doa_scene_run_holds_four_row_sized_arrays(self):
+        # block, w (then the quantized batch), one float buffer and the unit
+        # pair, each n x d complex values: 9.77 MiB at n = 1e4 and d = 16
+        cfg = replace(default_config("exp5"), n_values=(10_000,), estimators=("qtscm", "qscm"),
+                      trials=1)
+        run_experiment(cfg)  # memoized rulers and first-call set-up are not a trial's
+        peaks = {}
+        for trials in (1, 3):
+            tracemalloc.start()
+            try:
+                run_experiment(replace(cfg, trials=trials))
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= 10.3 * 2 ** 20
+        # the trials' values take a few KiB; a trial's own array would take MiBs
+        assert peaks[3] - peaks[1] < 16 * 10_000
+
     def test_one_gram_matrix_per_quantized_batch(self, monkeypatch):
         cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
                           estimators=("qtscm", "qscm", "qspa"), trials=3)
@@ -371,9 +407,9 @@ class TestRunnerSemantics:
         grams = []
         gram = qtcov.estimators.quantized_sample_covariance
 
-        def counted(batch):
+        def counted(batch, **buffers):
             grams.append(batch)
-            return gram(batch)
+            return gram(batch, **buffers)
         monkeypatch.setattr(harness, "quantized_sample_covariance", counted)
         monkeypatch.setattr(qtcov.estimators, "quantized_sample_covariance", counted)
         assert run_experiment(cfg).to_csv() == plain

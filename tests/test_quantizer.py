@@ -311,6 +311,69 @@ class TestSharedPlanes:
         assert list(planes) == [imag_key] and planes[imag_key].shape == raw.data.shape
 
 
+class TestBuffers:
+    """unit_dither and quantize_batch written into buffers that hold another
+    call's values, and quantize_batch taking a ruler's columns from a
+    full-ruler batch, as the experiment runner calls them, give the bytes of
+    fresh calls on the ruler's own batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           rspec=st.sampled_from(("full", "alpha:0.5", "1,2,4,7,8", "1,2,3,4,5,6,8")),
+           reals=st.lists(LEVELS, min_size=1, max_size=3, unique=True),
+           imags=st.lists(LEVELS, min_size=1, max_size=3, unique=True),
+           depths=st.lists(st.sampled_from((None, 1, 2, 3)), min_size=1, max_size=2,
+                           unique=True))
+    @example(seed=9, rspec="alpha:0.5", reals=[0.5, 1.5], imags=[1.5, 0.0], depths=[None, 2])
+    def test_buffered_ruler_columns_are_byte_identical(self, seed, rspec, reals, imags, depths):
+        T = random_toeplitz_covariance(8, 21)
+        ruler = resolve_ruler(rspec, 8)
+        full = sample_complex_gaussian(T, full_ruler(8), 40, seed)
+        raw = sample_complex_gaussian(T, ruler, 40, seed)
+        before = bits_of(full.data)
+        pair, floats = np.full((2, 2) + raw.data.shape, np.nan)
+        out = np.full(raw.data.shape, complex(np.inf, np.nan))
+        unit = unit_dither(raw.data.shape, seed, out=pair, scratch=floats)
+        assert bits_of(unit) == bits_of(unit_dither(raw.data.shape, seed))
+        assert all(np.shares_memory(part, pair) for part in unit)
+        specs = [QuantizationSpec(a, b) if k is None else QuantizationSpec(a, a, k)
+                 for k in depths for a in reals for b in (imags if k is None else imags[:1])
+                 if k is None or a > 0]
+        planes = dict.fromkeys(key for spec in specs for key in spec.plane_keys)
+        for spec in specs:
+            got = quantize_batch(full, spec, unit=unit, planes=planes, ruler=ruler, out=out,
+                                 scratch=floats)
+            assert got.data is out and got.ruler == ruler and got.spec == spec
+            assert bits_of(got.data) == bits_of(quantize_batch(raw, spec).data)
+        assert bits_of(full.data) == before
+
+    @pytest.mark.parametrize("rspec", ["full", "alpha:0.5"])
+    @pytest.mark.parametrize("spec", [QuantizationSpec(1.5, 0.5), QuantizationSpec(2.0, 2.0, 2)])
+    def test_buffered_calls_allocate_no_batch_sized_array(self, rspec, spec):
+        T = random_toeplitz_covariance(16, 4)
+        ruler = resolve_ruler(rspec, 16)
+        full = sample_complex_gaussian(T, full_ruler(16), 10_000, 5)
+        pair, floats = np.empty((2, 2, 10_000, ruler.size))
+        out = np.empty((10_000, ruler.size), complex)
+        tracemalloc.start()
+        try:
+            unit = unit_dither(out.shape, 5, out=pair, scratch=floats)
+            quantize_batch(full, spec, unit=unit, ruler=ruler, out=out, scratch=floats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * out.nbytes
+
+    def test_ruler_columns_come_from_a_full_batch_of_their_dimension(self):
+        T = random_toeplitz_covariance(8, 2)
+        sparse = sample_complex_gaussian(T, resolve_ruler("alpha:0.5", 8), 10, 1)
+        full = sample_complex_gaussian(T, full_ruler(8), 10, 1)
+        spec = QuantizationSpec(1.0, 1.0)
+        for raw, ruler in ((sparse, resolve_ruler("alpha:0.5", 8)), (full, full_ruler(6))):
+            with pytest.raises(QtcovError, match="from a raw batch on the full ruler of d"):
+                quantize_batch(raw, spec, ruler=ruler)
+
+
 class TestPlaneKernel:
     """quantize_batch's in-place plane kernel gives the bits of the
     whole-array quantizers kept in tests/oracles.py, without and with a bit

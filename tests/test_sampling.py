@@ -79,14 +79,19 @@ class TestComplexGaussian:
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 12), n=st.integers(1, 40),
            rspec=st.sampled_from(("full", "alpha:0.5")))
     def test_matches_oracle_bytes(self, seed, d, n, rspec):
-        # one (2, n, d) draw written into w.real and w.imag gives the bits of
-        # two (n, d) draws joined by a + 1j*b
+        # two (n, d) draws scaled into w.real and w.imag give the bits of two
+        # (n, d) draws joined by a + 1j*b, also when z and w are written into
+        # buffers that hold another draw's values
         T = random_toeplitz_covariance(d, seed % 97)
         ruler = resolve_ruler(rspec, d)
         batch = sample_complex_gaussian(T, ruler, n, seed)
         assert batch.data.tobytes() == complex_gaussian_draw(T, ruler, n, seed).tobytes()
-        full = sample_complex_gaussian(T, full_ruler(d), n, seed)
+        out, scratch = np.full((2, n, d), complex(np.nan, np.inf))
+        full = sample_complex_gaussian(T, full_ruler(d), n, seed, out=out, scratch=scratch)
+        assert full.data is out
         assert batch.data.tobytes() == full.data[:, ruler.positions].tobytes()
+        again = sample_complex_gaussian(T, ruler, n, seed, out=out, scratch=scratch)
+        assert again.data.tobytes() == batch.data.tobytes()
 
     def test_peak_allocation(self):
         # the normals, the complex w and z = w F^T; the full-ruler batch is z
