@@ -54,9 +54,8 @@ def cmd_ruler(args):
     ruler = resolve_ruler(args.ruler, args.d)
     print(f"ruler {ruler.to_string()} (d={ruler.dim}, |ruler|={ruler.size})")
     print(f"coverage coefficient phi = {coverage_coefficient(ruler):.6f}")
-    if args.lags:
-        for s in range(ruler.dim):
-            print(f"  lag {s:3d}: {ruler.lag_sizes[s]} pairs")
+    for s in range(ruler.dim):  # phi sums 1 / count over the lags
+        print(f"  lag {s:3d}: {ruler.lag_sizes[s]} pairs")
     return 0
 
 
@@ -104,10 +103,18 @@ def cmd_estimate(args):
     return 0
 
 
+def _read_config(path):
+    """The config in the UTF-8 text file `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as err:
+        raise QtcovError(f"config file {path} is not UTF-8 text: {err}") from None
+
+
 def cmd_experiment(args):
     if args.config:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+        cfg = _read_config(args.config)
     else:
         cfg = default_config(args.preset, profile=args.profile or "ci")
     # the flags override the config's keys, and the result is what prints and runs
@@ -124,9 +131,7 @@ def cmd_experiment(args):
 
 def cmd_doa(args):
     if args.scene:
-        with open(args.scene) as fh:
-            cfg = parse_config(fh.read())
-        scene = cfg.scene
+        scene = _read_config(args.scene).scene
         if scene is None:
             raise QtcovError("scene config lacks scene_* keys")
     else:
@@ -154,7 +159,6 @@ def build_parser():
     pr.add_argument("--d", type=int, required=True)
     pr.add_argument("--ruler", required=True,
                     help='"full", "alpha:X", "A", "B", or a comma list of indices')
-    pr.add_argument("--lags", action="store_true", help="print per-lag pair counts")
     pr.set_defaults(func=cmd_ruler)
 
     ps = sub.add_parser("simulate", help="generate and quantize a sample batch")

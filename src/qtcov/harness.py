@@ -28,10 +28,12 @@ from the block one real part at a time.  So a trial allocates no array of n
 rows, and the slab is no larger than the four arrays of n x d values that a
 trial held at once before.
 Each grid cell is one `_Cell` record, which gathers its trial values, its
-degraded-trial counts and its first error, and writes its own rows.  A cell
-whose qspa solves stop unconverged or whose MUSIC spectra are unresolved
-keeps its value and says so in its note.  Runs are sequential and
-deterministic: re-running a config byte-reproduces its CSV.
+degraded-trial counts and its first error, and writes its own rows.  `_grid`
+alone makes the cells, and `validate` builds the run's grid, so a config that
+validates is a grid that runs.  A cell whose qspa solves stop unconverged or
+whose MUSIC spectra are unresolved keeps its value and says so in its note.
+Runs are sequential and deterministic: re-running a config byte-reproduces
+its CSV.
 """
 
 import contextlib
@@ -126,6 +128,13 @@ class ExperimentConfig:
     profile: str = "ci"
 
     def validate(self):
+        self._grids()
+        return self
+
+    def _grids(self):
+        """(d, truth, {rspec: ruler}, cells) per dimension the run covers, once
+        the config passes its checks: a config that validates is a grid that
+        runs, built before the first draw."""
         if self.experiment not in PRESETS:
             raise QtcovError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
@@ -146,38 +155,9 @@ class ExperimentConfig:
         for k in self.bits:
             if k is not None:
                 _check_depth(k)
-        for k in self.bits or (None,):
-            # deltas that give a cell the same levels would run its cells twice
-            read = {}
-            usable = set()  # levels a spec takes at depth k; no tail_bound level is known yet
-            for pair in self.deltas:
-                levels = _configured_levels(self, k, pair)
-                if levels in read:
-                    raise QtcovError(f"deltas {_entry('deltas', read[levels])} and "
-                                     f"{_entry('deltas', pair)} give the same cells under "
-                                     f"level_rule = {self.level_rule} at bits = "
-                                     f"{_entry('bits', k)}")
-                read[levels] = pair
-                for level in [v for v in levels or () if v not in usable]:
-                    try:  # a spec checks each part's level alone
-                        QuantizationSpec(level, level, k)
-                    except QtcovError as err:
-                        raise QtcovError(f"deltas {_entry('deltas', pair)} at bits = "
-                                         f"{_entry('bits', k)}: {err}") from None
-                    usable.add(level)
         if self.scene is not None and self.d_values:
             raise QtcovError(f"d_values cannot sweep a scene config; "
                              f"the scene fixes d = {self.scene.d}")
-        for d in self.dims():
-            spelled = {}
-            for rspec in self.rulers:
-                ruler = resolve_ruler(rspec, d)
-                if ruler in spelled:
-                    raise QtcovError(f"rulers {_entry('rulers', spelled[ruler])} and "
-                                     f"{_entry('rulers', rspec)} are the same ruler at d = {d}")
-                spelled[ruler] = rspec
-            if set(self.estimators) == {"qscm"} and not any(r.is_full() for r in spelled):
-                raise QtcovError(f"no grid cell at d = {d}: qscm needs a full ruler")
         if self.scene is not None and self.music_grid < 8 * self.scene.d:
             raise QtcovError(f"music_grid {self.music_grid} < 8d = {8 * self.scene.d}")
         if self.profile not in PROFILE_CAPS:
@@ -187,7 +167,8 @@ class ExperimentConfig:
         if max(self.n_values) > PROFILE_CAPS[self.profile]:
             raise QtcovError(f"n up to {max(self.n_values)} exceeds the {self.profile} "
                              f"profile cap of {PROFILE_CAPS[self.profile]}")
-        return self
+        truths = {d: _truth(self, d) for d in self.dims()}
+        return [(d, T, *_grid(self, d, T.generators[0].real)) for d, T in truths.items()]
 
     def dims(self):
         """The dimensions a run covers: the scene's, or the d sweep."""
@@ -350,35 +331,33 @@ def default_config(experiment, profile="ci"):
 
 # --- runners -------------------------------------------------------------------
 
-def _configured_levels(cfg, k, delta_pair):
-    """The (delta_r, delta_i) a cell of bit depth k takes from its configured
-    pair (a k-bit quantizer uses delta_r for both parts), or None where the
-    tail_bound rule sets it from gamma_0, n and |ruler|: at every depth once
-    any depth is finite, a None depth taking the largest depth's level."""
-    if cfg.level_rule == "tail_bound" and any(b is not None for b in (k, *cfg.bits)):
-        return None
-    return delta_pair if k is None else (delta_pair[0], delta_pair[0])
-
-
 def _cell_spec(cfg, k, pair, n, ruler, gamma0):
     """QuantizationSpec of the cells of bit depth k (None: unclipped), level
-    pair `pair` and size n on `ruler` under the configured level rule.  The
-    configured levels are validated; a tail-bound level is a positive normal
-    float unless gamma_0 overflows it, which raises before any draw."""
-    levels = _configured_levels(cfg, k, pair)
-    if levels is None:
+    pair `pair` and size n on `ruler` under the configured level rule: a
+    k-bit cell uses delta_r for both parts, and tail_bound sets the level from
+    gamma_0, n and |ruler| at every depth once any depth is finite (a None
+    depth takes the largest depth's level, and only an overflow raises)."""
+    if cfg.level_rule == "tail_bound" and any(b is not None for b in (k, *cfg.bits)):
         ref_k = k if k is not None else max(b for b in cfg.bits if b is not None)
-        levels = (select_level_tail_bound(gamma0, n, ruler.size, ref_k),) * 2
-    return QuantizationSpec(*levels, k)
+        return QuantizationSpec(*(select_level_tail_bound(gamma0, n, ruler.size, ref_k),) * 2, k)
+    try:
+        return QuantizationSpec(*(pair if k is None else (pair[0], pair[0])), k)
+    except QtcovError as err:
+        raise QtcovError(f"deltas {_entry('deltas', pair)} at bits = {_entry('bits', k)}: "
+                         f"{err}") from None
 
 
-def _problems(cfg):
-    """(d, truth, metric, score) per dimension: the DOA scene scored by MUSIC
-    frequency MSE, or one random Toeplitz truth per d scored by relative
-    spectral error.  score(estimates) returns one (value, resolved) per
-    estimate: MUSIC runs on each estimate alone, while the spectral errors of
-    all the estimates come from one SVD call on their stacked dense
-    differences from the truth, whose norm is computed once."""
+def _truth(cfg, d):
+    """The truth of dimension d: the scene's, or one drawn from the config seed."""
+    return random_toeplitz_covariance(d, cfg.seed) if cfg.scene is None else cfg.scene.covariance()
+
+
+def _scorer(cfg, truth):
+    """score(estimates) -> one (value, resolved) per estimate: the MUSIC
+    frequency MSE of the DOA scene, which runs on each estimate alone, or the
+    relative spectral error, where the errors of all the estimates come from
+    one SVD call on their stacked dense differences from the truth, whose
+    norm is computed once."""
     if cfg.scene is not None:
         scene = cfg.scene
 
@@ -388,17 +367,14 @@ def _problems(cfg):
                 resolved, freqs = estimate_frequencies(est, scene.k_sources, cfg.music_grid)
                 scored.append((frequency_mse(freqs, scene.freqs), resolved))
             return scored
-        yield scene.d, scene.covariance(), "freq_mse", freq_mse
-        return
-    for d in cfg.dims():
-        T = random_toeplitz_covariance(d, cfg.seed)
-        truth = T.dense
-        norm = spectral_norm(truth)
+        return freq_mse
+    dense = truth.dense
+    norm = spectral_norm(dense)
 
-        def rel_errors(ests, truth=truth, norm=norm):
-            errors = spectral_norm(as_dense_stack(ests) - truth) / norm
-            return [(float(e), True) for e in errors]
-        yield d, T, "rel_error_spectral", rel_errors
+    def rel_errors(ests):
+        errors = spectral_norm(as_dense_stack(ests) - dense) / norm
+        return [(float(e), True) for e in errors]
+    return rel_errors
 
 
 @dataclass
@@ -433,6 +409,35 @@ class _Cell:
         if emit_trials:
             stats += [(f"trial:{t}", float(v)) for t, v in enumerate(vals)]
         return [replace(proto, stat=stat, value=value) for stat, value in stats]
+
+
+def _grid(cfg, d, gamma0):
+    """({rspec: ruler}, cells) of dimension d, whose truth has lag-0 generator
+    gamma0: one `_Cell` per (ruler, bit depth, level pair, n) and estimator,
+    with qscm on a full ruler only.  Entries that give one cell twice, levels
+    a spec cannot use and a dimension with no cell raise QtcovError."""
+    rulers = {rspec: resolve_ruler(rspec, d) for rspec in cfg.rulers}
+    metric = "rel_error_spectral" if cfg.scene is None else "freq_mse"
+    cells, made = [], {}
+    for (rspec, ruler), k, pair, n in product(rulers.items(), cfg.bits or (None,),
+                                              cfg.deltas, cfg.n_values):
+        spec = _cell_spec(cfg, k, pair, n, ruler, gamma0)  # shared by its estimators
+        key = (ruler, spec.delta_r, spec.delta_i, spec.bits_k, n)
+        if key in made:
+            first, first_pair = made[key]
+            if first != rspec:
+                raise QtcovError(f"rulers {_entry('rulers', first)} and "
+                                 f"{_entry('rulers', rspec)} are the same ruler at d = {d}")
+            raise QtcovError(f"deltas {_entry('deltas', first_pair)} and "
+                             f"{_entry('deltas', pair)} give the same cells under level_rule = "
+                             f"{cfg.level_rule} at bits = {_entry('bits', k)}")
+        made[key] = rspec, pair
+        cells += (_Cell(Row(cfg.experiment, est, d, n, spec.delta_r, spec.delta_i, k, rspec,
+                            "mean", metric, 0.0), spec)
+                  for est in cfg.estimators if est != "qscm" or ruler.is_full())
+    if not cells:
+        raise QtcovError(f"no grid cell at d = {d}: qscm needs a full ruler")
+    return rulers, cells
 
 
 _CELL_ERRORS = (QtcovError, np.linalg.LinAlgError, FloatingPointError)
@@ -527,7 +532,7 @@ def _score(pending, score):
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
-def run_experiment(config):
+def run_experiment(cfg):
     """Run a config; returns the ResultTable (deterministic in the config).
 
     A cell's first QtcovError, numpy LinAlgError or floating-point overflow,
@@ -537,19 +542,10 @@ def run_experiment(config):
     unresolved MUSIC spectra keeps its value, and its note counts them, e.g.
     "nonconverged 3/100".
     """
-    cfg = config.validate()
     rows = []
-    for d, truth, metric, score in _problems(cfg):
-        gamma0 = truth.generators[0].real
+    for d, truth, rulers, cells in cfg._grids():
+        score = _scorer(cfg, truth)
         full = full_ruler(d)
-        rulers = {rspec: resolve_ruler(rspec, d) for rspec in cfg.rulers}
-        cells = []
-        for (rspec, ruler), k, pair, n in product(rulers.items(), cfg.bits or (None,),
-                                                  cfg.deltas, cfg.n_values):
-            spec = _cell_spec(cfg, k, pair, n, ruler, gamma0)  # shared by its estimators
-            cells += (_Cell(Row(cfg.experiment, est, d, n, spec.delta_r, spec.delta_i, k, rspec,
-                                "mean", metric, 0.0), spec)
-                      for est in cfg.estimators if est != "qscm" or ruler.is_full())
         # the four arrays of n x d values that a trial holds at once, at the
         # largest n: one allocation, so that it is made and freed in one piece
         slab = np.empty(max(cfg.n_values) * 2 * (d + max(r.size for r in rulers.values())),

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import QtcovError
 from .rulers import full_ruler
-from .toeplitz import HermitianToeplitz, toeplitz_adjoint_project, toeplitz_dense
+from .toeplitz import HermitianToeplitz, pair_lag_sums, toeplitz_adjoint_project, toeplitz_dense
 
 
 @dataclass
@@ -112,16 +112,12 @@ def _generators_from_params(v):
 
 def _lag_sums(W, ruler):
     """h[s] = sum of W over ordered lag-s pairs (the unnormalized adjoint)."""
-    vals = W[ruler.pair_rows, ruler.pair_cols]
-    return (np.bincount(ruler.pair_lags, weights=vals.real, minlength=ruler.dim)
-            + 1j * np.bincount(ruler.pair_lags, weights=vals.imag, minlength=ruler.dim))
+    return pair_lag_sums(W[ruler.pair_rows, ruler.pair_cols], ruler)
 
 
 def _grad_from_lag_sums(h):
-    g = np.empty(2 * h.size - 1)
-    g[0] = h[0].real
-    g[1::2] = 2.0 * h[1:].real
-    g[2::2] = 2.0 * h[1:].imag
+    g = _params_from_generators(h)
+    g[1:] *= 2.0  # a lag s >= 1 sits in both triangles
     return g
 
 

@@ -109,6 +109,12 @@ def vandermonde_synthesize(freqs, powers, d):
     return HermitianToeplitz(gens)
 
 
+def pair_lag_sums(vals, ruler):
+    """h[s] = sum of `vals`, one value per ordered ruler pair, over the lag-s pairs."""
+    return (np.bincount(ruler.pair_lags, weights=vals.real, minlength=ruler.dim)
+            + 1j * np.bincount(ruler.pair_lags, weights=vals.imag, minlength=ruler.dim))
+
+
 def toeplitz_adjoint_project(M, ruler):
     """Per-lag averages of a Hermitian matrix indexed by ruler entries.
 
@@ -126,10 +132,6 @@ def toeplitz_adjoint_project(M, ruler):
     # Anchor each lag at its first pair and average the deviations; this keeps
     # the mean exact when a diagonal is constant.
     anchor = vals[ruler.lag_starts]
-    dev = vals - anchor[ruler.pair_lags]
-    d = ruler.dim
-    sums = (np.bincount(ruler.pair_lags, weights=dev.real, minlength=d)
-            + 1j * np.bincount(ruler.pair_lags, weights=dev.imag, minlength=d))
-    out = anchor + sums / ruler.lag_sizes
+    out = anchor + pair_lag_sums(vals - anchor[ruler.pair_lags], ruler) / ruler.lag_sizes
     out[0] = out[0].real
     return out

@@ -4,7 +4,8 @@ written table names its error in the note.
 
 A config that runs has passed `validate`, so no row may fail on a level, a
 bit depth or a sample size: those are fixed before the first draw, and a
-row's note names numerical trouble only.
+row's note names numerical trouble only.  `validate` builds the grid that
+runs, so `--show-config` fails exactly where the run fails.
 
 Sizes stay tiny (d <= 6, trials <= 2, n <= 50) so that each example runs in
 milliseconds.  A config example is a sensible config with at most two keys
@@ -111,13 +112,19 @@ def custom_case(lines):
 @example(custom_case("n_values = 20, 0"))
 @example(custom_case("n_values = 20\ndeltas = 0.5, -1:1"))
 @example(custom_case("n_values = 20\nbits = 2\ndeltas = 0:0"))
+@example(custom_case("n_values = 20\nscene_freqs = 0.1, 0.1\nscene_powers = 1, 1"))
+@example(custom_case("n_values = 20\nscene_freqs = 0.1, 0.3\nscene_powers = 8e307, 8e307\n"
+                     "level_rule = tail_bound\nbits = 2"))
 def test_experiment_config_fails_cleanly_or_notes_every_nan(case):
     experiment, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.cfg")
         with open(path, "w") as fh:
             fh.write(text)
-        if run_main(["experiment", "--config", path, "--outdir", tmp]) == 0:
+        argv = ["experiment", "--config", path, "--outdir", tmp]
+        rc = run_main(argv)
+        assert run_main(argv + ["--show-config"]) == rc  # no config error shows only in the run
+        if rc == 0:
             with open(os.path.join(tmp, f"{experiment}.csv"), newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert all(row["note"] for row in rows if math.isnan(float(row["value"])))

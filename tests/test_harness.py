@@ -149,6 +149,10 @@ class TestConfig:
         ("deltas =", "deltas must list at least one entry"),
         ("scene_noise_var = auto", "'scene_noise_var': cannot parse 'auto'"),
         ("d = 4\nscene_freqs = 0.1\nscene_powers = 1\nmusic_grid = 31", "music_grid 31 < 8d = 32"),
+        # validate builds each dimension's truth and grid as the run does
+        ("d = 4\nscene_freqs = 0.1, 0.1\nscene_powers = 1, 1", "frequencies must be distinct"),
+        ("d = 4\nscene_freqs = 0.1, 0.3\nscene_powers = 8e307, 8e307\nlevel_rule = tail_bound\n"
+         "bits = 2", "the tail-bound level overflows at gamma0 = 1.6e+308"),
     ])
     def test_rejects_bad_value(self, lines, message):
         with pytest.raises(QtcovError, match=re.escape(message)):
@@ -448,7 +452,8 @@ class TestStackedScoring:
     @pytest.mark.parametrize("d", [4, 8, 16, 32])
     def test_stacked_errors_are_bit_equal_to_single_ones(self, rng, d):
         from conftest import random_hermitian
-        [(_, T, _, score)] = harness._problems(tiny_config(d=d))
+        T = qtcov.random_toeplitz_covariance(d, 11)
+        score = harness._scorer(tiny_config(d=d), T)
         truth = T.dense
         norm = spectral_norm(truth)
         ests = []
@@ -620,6 +625,11 @@ class TestCli:
         assert r.returncode == 0
         assert "1,2,3,4,8,12,16" in r.stdout
         assert "12.80" in r.stdout
+        # the per-lag pair counts, whose reciprocals phi sums
+        counts = [int(c) for c in re.findall(r"^  lag +\d+: (\d+) pairs$", r.stdout, re.M)]
+        assert counts == list(resolve_ruler("alpha:0.5", 16).lag_sizes)
+        phi = re.search(r"phi = (\S+)", r.stdout).group(1)
+        assert phi == f"{sum(1 / c for c in counts):.6f}"
 
     def test_ruler_command_rejects_non_ruler(self):
         r = self.run_cli("ruler", "--d", "4", "--ruler", "1,4")
@@ -803,6 +813,17 @@ class TestInputErrors:
                        f"trials = 1\n{lines}\n")
         assert main(["experiment", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["experiment", "--config"], ["doa", "--scene"]])
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfeqtcov-config 1\nexperiment = custom\n")
+        assert main(command + [str(cfg)] + (["--outdir", str(tmp_path)]
+                                           if command[0] == "experiment" else [])) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: config file {cfg} is not UTF-8 text")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
     def test_bit_depth_above_63(self, tmp_path, capsys):
         batch = tmp_path / "b.qtb"

@@ -5,6 +5,7 @@ import re
 import shlex
 
 from qtcov import cli, harness
+from qtcov.errors import QtcovError
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,10 +16,34 @@ def test_quick_start_runs():
     exec(compile(blocks[0], str(README), "exec"), {})
 
 
+def _printed(cfg):
+    """key -> value text of the config as config_to_text prints it."""
+    lines = harness.config_to_text(cfg).splitlines()[1:]
+    return dict(line.split(" = ", 1) for line in lines)
+
+
+def _scene_default(key):
+    """The value parse_config gives scene key `key` when a config leaves it
+    out, or "none" for a key that a scene config must set."""
+    lines = [f"{other} = 0.5" for other in ("scene_freqs", "scene_powers") if other != key]
+    text = "\n".join([harness.CONFIG_FORMAT, "experiment = custom", *lines]) + "\n"
+    try:
+        cfg = harness.parse_config(text)
+    except QtcovError as err:
+        assert f"needs {key}" in str(err)
+        return "none"
+    return _printed(cfg)[key]
+
+
 def test_config_key_table_lists_every_key_in_order():
     section = README.read_text().split("### Config files", 1)[1].split("\n## ", 1)[0]
-    keys = re.findall(r"^\| `(\w+)` \|", section, re.M)
-    assert keys == list(harness.CONFIG_KEYS)
+    rows = re.findall(r"^\| `(\w+)` \| .* \| (.*) \|$", section, re.M)
+    assert [key for key, _ in rows] == list(harness.CONFIG_KEYS)
+    # the `custom` default column, with "empty ..." for an empty value
+    defaults = _printed(harness.default_config("custom"))
+    for key, default in rows:
+        expect = _scene_default(key) if key.startswith("scene_") else defaults[key]
+        assert re.sub(r"^empty\b.*", "", default.strip("`")) == expect, key
 
 
 def _command_lines():
