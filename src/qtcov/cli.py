@@ -11,9 +11,8 @@ from . import __version__
 from .doa import estimate_frequencies, frequency_mse
 from .errors import QtcovError
 from .estimators import quantized_sample_covariance, relative_spectral_error
-from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, PRESETS, PROFILE_CAPS, config_to_text,
-                      default_config, parse_config, parse_level_pair, run_experiment,
-                      write_outputs)
+from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, PRESETS, PROFILE_CAPS, _parse_unchecked,
+                      _preset, config_to_text, parse_level_pair, run_experiment, write_outputs)
 from .quantizer import QuantizationSpec, quantize_batch
 from .rulers import coverage_coefficient, resolve_ruler
 from .sampling import (load_batch, random_toeplitz_covariance,
@@ -104,10 +103,10 @@ def cmd_estimate(args):
 
 
 def _read_config(path):
-    """The config in the UTF-8 text file `path`."""
+    """The config in the UTF-8 text file `path`, not yet validated."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_config(fh.read())
+            return _parse_unchecked(fh.read())
     except UnicodeDecodeError as err:
         raise QtcovError(f"config file {path} is not UTF-8 text: {err}") from None
 
@@ -116,12 +115,14 @@ def cmd_experiment(args):
     if args.config:
         cfg = _read_config(args.config)
     else:
-        cfg = default_config(args.preset, profile=args.profile or "ci")
-    # the flags override the config's keys, and the result is what prints and runs
+        cfg = _preset(args.preset, profile=args.profile or "ci")
+    # the flags override the config's keys before it is validated, and the
+    # result is what prints and runs; run_experiment validates as it builds
+    # the grid, so the config is checked (and its truths drawn) once
     overrides = {"profile": args.profile, "seed": args.seed, "outdir": args.outdir}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None}).validate()
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if args.show_config:
-        sys.stdout.write(config_to_text(cfg))
+        sys.stdout.write(config_to_text(cfg.validate()))
         return 0
     table = run_experiment(cfg)
     csv_path, svg_path = write_outputs(cfg, table)
@@ -131,7 +132,7 @@ def cmd_experiment(args):
 
 def cmd_doa(args):
     if args.scene:
-        scene = _read_config(args.scene).scene
+        scene = _read_config(args.scene).validate().scene
         if scene is None:
             raise QtcovError("scene config lacks scene_* keys")
     else:

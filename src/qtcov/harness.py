@@ -272,7 +272,13 @@ def _target(key):
 
 
 def parse_config(text):
-    """Parse the flat key=value experiment config format."""
+    """Parse and validate the flat key=value experiment config format."""
+    return _parse_unchecked(text).validate()
+
+
+def _parse_unchecked(text):
+    """The config that `text` spells, before its grid is checked: the CLI
+    applies its flags to it first and then validates once."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != CONFIG_FORMAT:
@@ -288,7 +294,7 @@ def parse_config(text):
 
     if "experiment" not in kv:
         raise QtcovError("config needs an experiment id")
-    cfg = default_config(kv.pop("experiment"))
+    cfg = _preset(kv.pop("experiment"))
     values = {"": {}, "scene": {}}
     for key, val in kv.items():
         if key not in CONFIG_KEYS:
@@ -305,7 +311,7 @@ def parse_config(text):
             if name not in values["scene"]:
                 raise QtcovError(f"scene config needs scene_{name}")
         cfg = replace(cfg, scene=DoaScene(cfg.d, **{"noise_var": 0.1, **values["scene"]}))
-    return cfg.validate()
+    return cfg
 
 
 def config_to_text(cfg):
@@ -322,11 +328,16 @@ def config_to_text(cfg):
 def default_config(experiment, profile="ci"):
     """Preset config of a built-in experiment (desk scale), its n_values cut at
     the profile's cap."""
+    return _preset(experiment, profile).validate()
+
+
+def _preset(experiment, profile="ci"):
+    """default_config before its grid is checked."""
     if experiment not in PRESETS:
         raise QtcovError(f"unknown experiment {experiment!r}")
     cfg = ExperimentConfig(experiment, profile=profile, **PRESETS[experiment][1])
     cap = PROFILE_CAPS.get(profile, math.inf)  # validate names an unknown profile
-    return replace(cfg, n_values=tuple(n for n in cfg.n_values if n <= cap)).validate()
+    return replace(cfg, n_values=tuple(n for n in cfg.n_values if n <= cap))
 
 
 # --- runners -------------------------------------------------------------------

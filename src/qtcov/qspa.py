@@ -22,8 +22,12 @@ coordinates with a path-following log barrier
 using damped Newton steps.  The schedule has no knobs: since f >= 2|Omega|
 and a centered point at mu is within theta * mu of the optimum (theta = d +
 |Omega|, the barrier parameter), mu starts at (f(u0) - 2|Omega|) / theta at
-the start u0, and shrinks by a factor 20 per centering.  u0 is the
-bias-removed projection of Rhat, lifted so that lambda_min(T(u0) - cI) is at
+the start u0, and shrinks by a factor 20 per centering.  A centering stops
+once the Newton decrement lambda meets lambda^2 / 2 <= kappa mu (kappa =
+3e-2): path-following needs each center only within a neighbourhood of the
+central path proportional to mu, since the next mu moves the center anyway,
+and the last centering, at the smallest mu, sets the final accuracy.  u0 is
+the bias-removed projection of Rhat, lifted so that lambda_min(T(u0) - cI) is at
 least 1e-2 tr(Rhat) / |Omega|, a margin in the data's own units: a Newton
 step on a log barrier can only about double its distance to the boundary, so
 a start an absolute 1e-6 from it spends most of the first centering getting
@@ -306,6 +310,7 @@ def qspa_solve(Rhat, ruler, spec, n=None):
 
 
 _MU_SHRINK = 0.05     # mu factor per centering
+_CENTER_KAPPA = 3e-2  # a centering stops once lambda^2 / 2 <= kappa mu
 _NEWTON_TOL = 1e-8    # converged once (2d - 1) mu is below it at a tight center
 _MAX_OUTER = 40       # centerings per solve
 _MAX_INNER = 50       # damped Newton steps per centering
@@ -365,9 +370,12 @@ def _barrier_iterations(prob, v, eps, tight_lift=None):
             kkt = math.sqrt(max(lam2, 0.0))
             if best is None:
                 best = (p, kkt)
-            # Loose centering at large mu (the center is about to move anyway),
-            # tight once mu is small.
-            ctol = max(1e-14 * (1.0 + abs(val)), min(1e-2 * mu, 1e-9 * (1.0 + abs(val))))
+            # Center only to a neighbourhood proportional to mu, lambda^2 / 2
+            # <= kappa mu: a center's objective is within theta * mu of the
+            # optimum and the next mu moves it anyway, so a tighter centering
+            # buys nothing until the last mu (Boyd & Vandenberghe 11.5).  The
+            # floor is the barrier value's rounding level.
+            ctol = max(1e-14 * (1.0 + abs(val)), _CENTER_KAPPA * mu)
             centered = lam2 / 2.0 <= ctol
             if centered:
                 break

@@ -54,16 +54,16 @@ GOLDEN_CONFIGS = {
 }
 
 DIGESTS = {
-    "all_estimators": "5b5eae713b78c36009842f11e01d66e7ed080060888f889e177b15b0134d1117",
+    "all_estimators": "4ab6f287a29109a2caa8b765477d78531802798678b611434317d0a17cc34e03",
     "d_sweep": "9e70fa559f66e2d43d8ec459b67cb65b9fd358b8ec6b040d3418f628a114fb32",
-    "doa_d8": "e4718f623da67b1d0739a31620ea8b76a20f7d75c0a06f8cc2c11954cbf8ad88",
+    "doa_d8": "9b3234f6fb2e0733afb8cf15a20afaf057ae37a3d58fc5ef8cf79869c620af85",
     "emit_trials": "55c4e0262ab94bd8b633a90587d1678408c650d978596d91b00072f62d6106bd",
     "exp1": "6bb8296d2be5f7a42a73d933a58c0599757a6916370669722e8c4fc05cd46e23",
     "exp2": "6950bdf102e590a0dfd9ab360ce68a080e7846341b030423f6754d51a65ad3f8",
     "exp5": "9a8bb7799a3c1d600a18ed0c9633fe487456e65c64c074eb2437f59434c0c73a",
     "fixed_bits": "0eeeae63b3c885fda9a6a5dbf08ea68deb18549221c01bcb00df6a93e6b27695",
     "shared_planes": "3962cf23c884cb5d370d7c64a77b9297ab56bd669ffef2ac4e3fd59b6a861d29",
-    "tail_bound": "720928786047c206a34ac6736ffed35ca14474cb34a91bd4b73a0a2fa083567a",
+    "tail_bound": "3ff410deddd4151becdcdb2a1785407264d0935a8bdafdc03b42e68ab8d7a9f9",
 }
 
 

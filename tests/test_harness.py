@@ -703,6 +703,25 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "exceeds the ci profile cap" in err
 
+    def test_profile_flag_applies_before_the_file_is_checked(self, tmp_path, capsys):
+        # the file's n is above the ci cap that it would run at without the flag
+        path = tmp_path / "my.cfg"
+        path.write_text("qtcov-config 1\nexperiment = custom\nn_values = 100000\n")
+        assert main(["experiment", "--config", str(path), "--profile", "full",
+                     "--show-config"]) == 0
+        out, err = capsys.readouterr()
+        assert "profile = full\n" in out and err == ""
+
+    def test_a_config_run_draws_each_truth_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.cfg"
+        path.write_text("qtcov-config 1\nexperiment = custom\nd_values = 4, 6\n"
+                        "n_values = 30\ntrials = 1\n")
+        drawn = []
+        truth = harness._truth
+        monkeypatch.setattr(harness, "_truth", lambda cfg, d: drawn.append(d) or truth(cfg, d))
+        assert main(["experiment", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+        assert sorted(drawn) == [4, 6]
+
     def test_doa_command(self):
         r = self.run_cli("doa", "--n", "500", "--seed", "2", "--estimator",
                          "qtscm", "--grid", "1024")
