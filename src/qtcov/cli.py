@@ -102,18 +102,19 @@ def cmd_estimate(args):
     return 0
 
 
-def _read_config(path):
-    """The config in the UTF-8 text file `path`, not yet validated."""
+def _read_config(path, profile=None):
+    """The config in the UTF-8 text file `path`, not yet validated, its
+    preset built at `profile` where given (see harness._parse_unchecked)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return _parse_unchecked(fh.read())
+            return _parse_unchecked(fh.read(), profile)
     except UnicodeDecodeError as err:
         raise QtcovError(f"config file {path} is not UTF-8 text: {err}") from None
 
 
 def cmd_experiment(args):
     if args.config:
-        cfg = _read_config(args.config)
+        cfg = _read_config(args.config, args.profile)
     else:
         cfg = _preset(args.preset, profile=args.profile or "ci")
     # the flags override the config's keys before it is validated, and the

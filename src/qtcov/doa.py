@@ -94,9 +94,10 @@ def _pick_peaks(spectrum, K):
 
 def _refine(c, lo, hi):
     """Minimizers of D on the brackets [lo_k, hi_k], all together: 30 golden-section
-    steps, keeping an end that never moved (D falls towards it), then 3 Newton
-    steps on D', each only where D'' > 0 and the step stays in [lo_k, hi_k].
-    Newton resolves broad minima that the rounding of D leaves about 1e-6 wide."""
+    steps, each evaluating D at both its points in one call, keeping an end
+    that never moved (D falls towards it), then 3 Newton steps on D', each
+    only where D'' > 0 and the step stays in [lo_k, hi_k].  Newton resolves
+    broad minima that the rounding of D leaves about 1e-6 wide."""
     lags = 2j * np.pi * np.arange(c.size)
     coef = np.concatenate([c[:1], 2.0 * c[1:]])  # D = Re sum_l coef_l e^{i2pi l f}
     derivs = np.stack([lags * coef, lags ** 2 * coef], axis=1)  # of D' and D''
@@ -107,7 +108,8 @@ def _refine(c, lo, hi):
     a, b = lo, hi
     for _ in range(30):
         w = 0.6180339887498949 * (b - a)  # (sqrt(5) - 1) / 2, the golden section
-        up = poly(b - w, coef) > poly(a + w, coef)  # the minimum lies in [b - w, b]
+        left, right = poly(np.concatenate([b - w, a + w]), coef).reshape(2, -1)
+        up = left > right  # the minimum lies in [b - w, b]
         a, b = np.where(up, b - w, a), np.where(up, b, a + w)
     f = np.where(b == hi, hi, np.where(a == lo, lo, 0.5 * (a + b)))
     for _ in range(3):

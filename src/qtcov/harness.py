@@ -6,27 +6,32 @@ independent trials are run with trial t seeded as seed XOR t.  Trials are the
 outer loop: for each (d, n, trial) the full-dimension raw sample block is
 drawn once, and every (ruler, bits, level) grid cell of that (d, n) works from
 its ruler columns, so grid cells are compared under common random numbers
-while trials stay independent.  The dither is drawn once per (trial, ruler)
-as a level-free unit pair and shared by every level of that ruler; each
-quantization spec is applied once and its batch and Gram matrix shared by the
-estimators of that cell.  Each quantized real plane, keyed by (part, level,
-bit depth), is formed once per (trial, ruler) and shared by every spec that
-needs it, then dropped after its last use: the 8 x 8 level grid of exp1 forms
-16 planes per trial, not 128, and holds at most one real and eight imaginary
-planes at a time.  One runner serves both metrics; only the truth and
-the scoring function (relative spectral error, or MUSIC frequency MSE) differ.
+while trials stay independent.  The dither stream is read once per trial:
+a ruler's level-free unit pair is the prefix sums of that stream, so every
+ruler's pair is cut exactly from the draw of the widest one, with the rulers
+run smallest first, and a pair is shared by every level of its ruler (and by
+every ruler of its size).  Each quantization spec is applied once and its
+batch and Gram matrix shared by the estimators of that cell.  Each quantized
+real plane, keyed by (part, level, bit depth), is formed once per (trial,
+ruler) and shared by every spec that needs it, then dropped after its last
+use: the 8 x 8 level grid of exp1 forms 16 planes per trial, not 128, and
+holds at most one real and eight imaginary planes at a time.  One runner
+serves both metrics; only the truth and the scoring function (relative
+spectral error, or MUSIC frequency MSE) differ.
 The estimates of one (d, n, trial), from all its rulers and cells, are scored
 together once the trial's estimators have run: one stacked SVD call gives
 their spectral errors, while MUSIC runs on each estimate alone.  Only the
 estimates wait for scoring, never their batches or Gram matrices.
 Every trial of a (d, n) group writes into the same memory: one slab per
 dimension, allocated for its largest n, whose views (`_group_views`) hold
-the sample block, the normals and then each quantized batch, the unit pair,
-and one float buffer for the dither draw, the quantizer's scratch and the
-conjugated batch of each Gram matrix.  A sparse ruler's columns are gathered
-from the block one real part at a time.  So a trial allocates no array of n
-rows, and the slab is no larger than the four arrays of n x d values that a
-trial held at once before.
+the sample block, the normals and then each quantized batch, and the
+trial's dither draw, in which each ruler's unit pair is formed beside one
+float buffer for the quantizer's scratch and the conjugated batch of each
+Gram matrix.  A sparse ruler's columns are gathered from the block one real
+part at a time.  So a trial allocates no array of n rows.  The slab holds
+two arrays of n x d values and two of n x max|ruler| (four of n x d for the
+DOA scene), unless a narrower ruler is wider than half the widest (two
+thirds where w has room for its pair), as in exp2: the draw then needs more.
 Each grid cell is one `_Cell` record, which gathers its trial values, its
 degraded-trial counts and its first error, and writes its own rows.  `_grid`
 alone makes the cells, and `validate` builds the run's grid, so a config that
@@ -52,8 +57,8 @@ from . import rng
 from .doa import DoaScene, estimate_frequencies, frequency_mse
 from .errors import EmptyTable, QtcovError
 from .estimators import qscm, qtscm, quantized_sample_covariance, spectral_norm
-from .quantizer import (QuantizationSpec, _check_depth, quantize_batch, select_level_tail_bound,
-                        unit_dither)
+from .quantizer import (QuantizationSpec, _check_depth, centred_uniforms, pair_sums,
+                        quantize_batch, select_level_tail_bound)
 from .qspa import qspa_solve
 from .rulers import full_ruler, resolve_ruler
 from .sampling import random_toeplitz_covariance, sample_complex_gaussian
@@ -276,9 +281,12 @@ def parse_config(text):
     return _parse_unchecked(text).validate()
 
 
-def _parse_unchecked(text):
+def _parse_unchecked(text, profile=None):
     """The config that `text` spells, before its grid is checked: the CLI
-    applies its flags to it first and then validates once."""
+    applies its flags to it first and then validates once.  The preset it
+    names is built at `profile` (the --profile flag) where given, else at
+    the file's profile key, else at ci, so the preset's n sweep is that
+    profile's."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != CONFIG_FORMAT:
@@ -294,7 +302,7 @@ def _parse_unchecked(text):
 
     if "experiment" not in kv:
         raise QtcovError("config needs an experiment id")
-    cfg = _preset(kv.pop("experiment"))
+    cfg = _preset(kv.pop("experiment"), profile or kv.get("profile", "ci"))
     values = {"": {}, "scene": {}}
     for key, val in kv.items():
         if key not in CONFIG_KEYS:
@@ -454,44 +462,106 @@ def _grid(cfg, d, gamma0):
 _CELL_ERRORS = (QtcovError, np.linalg.LinAlgError, FloatingPointError)
 
 
+def _dither_widths(rulers):
+    """(M, m): the largest ruler size, and the largest size below it (0 where
+    every ruler has size M)."""
+    sizes = {ruler.size for ruler in rulers.values()}
+    return max(sizes), max(sizes - {max(sizes)}, default=0)
+
+
+def _slab_size(n, d, rulers):
+    """Complex values of the slab of a (d, n) group (see _group_views)."""
+    wide, narrow = _dither_widths(rulers)
+    # block and w, then the draw: 4 n M floats, or 4 n m, a float buffer and,
+    # where w has no room for it, the pair of a narrower ruler
+    return n * (2 * d + max(2 * wide, (3 if 2 * narrow <= d else 4) * narrow))
+
+
 def _group_views(slab, n, d, rulers):
-    """(block, w, {rspec: (unit pair, float buffer, quantized batch,
-    conjugated batch)}): the views of `slab` that every trial of a (d, n)
-    group writes.
+    """(block, w, draw, prefix, {rspec: (unit pair, float buffer, quantized
+    batch, conjugated batch)}): the views of `slab` that every trial of a
+    (d, n) group writes.
 
     The slab holds, in turn, the block that receives each trial's
     full-dimension draw and w for its standard normals, then each quantized
-    batch (n x d complex values each), and the ruler's float buffer and unit
-    pair (n x |ruler| complex values each).  The float buffer holds the
-    ruler's dither draw, then the quantizer's scratch planes, then the
-    conjugated batch of each Gram matrix.
+    batch (n x d complex values each), and then `draw`, the float64 values
+    that hold the trial's dither stream.  With M the largest ruler size and m
+    the largest size below it, `draw` starts with the stream's first
+    prefix = 4 n m uniforms, from which the unit pair of each narrower ruler
+    is cut.  Its float buffer follows them, and so does its pair, unless w
+    has room for the pair after the quantized batch (2 |ruler| <= d); each
+    takes 2 n |ruler| floats.  The rest of the 4 n M uniforms are read next,
+    over those buffers, and a widest ruler's pair is formed in place in the
+    first half of the draw, its float buffer the second half.  A float
+    buffer holds the quantizer's scratch planes, then the conjugated batch of
+    each Gram matrix.  So `draw` takes 4 n M floats, the two row-sized arrays
+    that a widest ruler's pair and float buffer take, unless some ruler is
+    narrower than M but wider than M / 2 (M / 1.5 where w holds its pair).
     """
     nd = n * d
     block, w = slab[:nd].reshape(n, d), slab[nd:2 * nd]
+    draw = slab[2 * nd:_slab_size(n, d, rulers)].view(np.float64)
+    wide, narrow = _dither_widths(rulers)
+    prefix = 4 * n * narrow
     views = {}
     for rspec, ruler in rulers.items():
         shape, size = (n, ruler.size), n * ruler.size
-        conj, pair = (slab[2 * nd + i * size:2 * nd + (i + 1) * size] for i in (0, 1))
-        views[rspec] = (pair.view(np.float64).reshape((2,) + shape),
-                        conj.view(np.float64).reshape((2,) + shape), w[:size].reshape(shape),
-                        conj.reshape(shape))
-    return block, w.reshape(n, d), views
+        if ruler.size == wide:
+            pair, floats = draw[:2 * size], draw[2 * size:4 * size]
+        elif 2 * ruler.size <= d:
+            pair, floats = w[size:2 * size].view(np.float64), draw[prefix:prefix + 2 * size]
+        else:
+            pair, floats = draw[prefix:prefix + 2 * size], draw[prefix + 2 * size:prefix + 4 * size]
+        views[rspec] = (pair.reshape((2,) + shape), floats.reshape((2,) + shape),
+                        w[:size].reshape(shape), floats.view(np.complex128).reshape(shape))
+    return block, w.reshape(n, d), draw, prefix, views
 
 
-def _run_ruler(ruler, raw, group, pending, views):
-    """One trial of the live cells `group` of one ruler, drawn from the
-    full-ruler raw batch `raw`; appends (cell, estimate, converged) to
-    `pending` for each estimate made.  `views` are the ruler's views of the
-    run's buffers (see _group_views).
+def _run_trial(raw, live, rulers, views, draw, prefix, pending):
+    """One trial of the live cells `live`, drawn from the full-ruler raw batch
+    `raw`; appends (cell, estimate, converged) to `pending` for each estimate
+    made.  `views`, `draw` and `prefix` are the (d, n) group's views of the
+    slab (see _group_views).
 
-    The unit dither pair is drawn once (n >= 1 is validated).  Cells with
-    equal specs are adjacent (they differ only in the estimator), and each
-    run of them shares one quantized batch and Gram matrix.  A quantized
-    real plane that several runs need is formed once and kept until its
-    last run.
+    The trial's dither stream is read once: its first `prefix` uniforms, then,
+    when the widest ruler is reached, the rest.  So its rulers run smallest
+    first, and rulers of one size share one unit pair (it depends only on
+    the shape and the seed).  `pending` then lists the estimates in that
+    order rather than the cells' order; each is scored on its own, so no
+    value depends on it.
     """
-    pair, floats, quantized, conj = views
-    unit = unit_dither(pair.shape[1:], raw.seed, out=pair, scratch=floats)
+    gen = rng.stream(raw.seed, rng.DITHER)
+    centred_uniforms(gen, draw[:prefix])
+    wide, _ = _dither_widths(rulers)
+    # cells of one ruler are adjacent in `live`; sorting is stable
+    groups = sorted(((rspec, list(group)) for rspec, group in
+                     groupby(live, key=lambda cell: cell.row.ruler)),
+                    key=lambda rg: rulers[rg[0]].size)
+    formed = None
+    for rspec, group in groups:
+        ruler = rulers[rspec]
+        pair, *buffers = views[rspec]
+        if ruler.size != formed:
+            uniforms = draw[:2 * pair.size]  # the 4 n |ruler| that the pair sums
+            if ruler.size == wide:
+                centred_uniforms(gen, uniforms[prefix:])
+            unit = pair_sums(uniforms.reshape((2,) + pair.shape), pair)
+            formed = ruler.size
+        _run_ruler(ruler, raw, group, pending, unit, *buffers)
+
+
+def _run_ruler(ruler, raw, group, pending, unit, floats, quantized, conj):
+    """One trial of the live cells `group` of one ruler, drawn from the
+    full-ruler raw batch `raw` under the ruler's unit dither pair `unit`;
+    appends (cell, estimate, converged) to `pending` for each estimate made.
+    `floats`, `quantized` and `conj` are the ruler's buffers (see
+    _group_views).
+
+    Cells with equal specs are adjacent (they differ only in the estimator),
+    and each run of them shares one quantized batch and Gram matrix.  A
+    quantized real plane that several runs need is formed once and kept
+    until its last run.
+    """
     # (spec, its cells), in cell order
     runs = [(spec, list(run)) for spec, run in groupby(group, key=lambda cell: cell.spec)]
     uses = Counter(key for spec, _ in runs for key in spec.plane_keys)
@@ -557,12 +627,12 @@ def run_experiment(cfg):
     for d, truth, rulers, cells in cfg._grids():
         score = _scorer(cfg, truth)
         full = full_ruler(d)
-        # the four arrays of n x d values that a trial holds at once, at the
-        # largest n: one allocation, so that it is made and freed in one piece
-        slab = np.empty(max(cfg.n_values) * 2 * (d + max(r.size for r in rulers.values())),
-                        np.complex128)
+        # the arrays that a trial holds at once, at the largest n: one
+        # allocation, so that it is made and freed in one piece
+        slab = np.empty(_slab_size(max(cfg.n_values), d, rulers), np.complex128)
         for n in cfg.n_values:
-            block, w, views = _group_views(slab, n, d, rulers)  # every trial of n writes these
+            # every trial of n writes these
+            block, w, draw, prefix, views = _group_views(slab, n, d, rulers)
             cells_of_n = [cell for cell in cells if cell.row.n == n]
             for t in range(cfg.trials):
                 ts = rng.trial_seed(cfg.seed, t)
@@ -574,9 +644,7 @@ def run_experiment(cfg):
                         cell.fail(err)
                     continue
                 pending = []
-                # cells of one ruler are adjacent in `cells`
-                for rspec, group in groupby(live, key=lambda cell: cell.row.ruler):
-                    _run_ruler(rulers[rspec], raw, list(group), pending, views[rspec])
+                _run_trial(raw, live, rulers, views, draw, prefix, pending)
                 if pending:
                     _score(pending, score)
         del slab  # released before the next dimension's is made

@@ -13,6 +13,11 @@ from `unit_dither` by the spec's levels and runs each real plane through one
 in-place kernel, so a pair drawn once replays or shares the dither across
 levels.  A real plane depends only on its part, level and bit depth, so specs
 of one batch and pair can also share the quantized planes themselves.
+
+The pair of an (n, m) batch is the prefix sums of its DITHER stream: its four
+quarters of n m centred uniforms, summed two by two (`pair_sums`).  A longer
+read of the same stream starts with the same values, so the pair of every
+narrower ruler is cut exactly from the draw of the widest one.
 """
 
 import math
@@ -119,25 +124,51 @@ def _quantize_plane(x, delta, k, masks=None):
     x *= delta
 
 
+def centred_uniforms(gen, out):
+    """Fill the float64 array `out` with the next out.size uniforms of `gen`,
+    in order, each shifted by -1/2 onto U(-1/2, 1/2); returns `out`.
+
+    A uniform is a multiple of 2^-53 below 1, so the shift is exact.  Reading
+    a stream in several calls gives the values of one longer call.
+    """
+    gen.random(out=out)
+    out -= 0.5
+    return out
+
+
+def pair_sums(halves, out):
+    """The unit pair (u0 + u1, u2 + u3), written into `out`, a (2,) + shape
+    float64 array, from `halves`: two (2,) + shape arrays of centred uniforms
+    from `centred_uniforms`, (u0, u1) and then (u2, u3) in stream order.
+
+    The halves are read in turn, so `halves` may be an iterator that draws
+    each one when it is reached, and `out` may be the first half itself (the
+    sums are then formed in place: u0 + u1 over u0, u2 + u3 over u1).
+    Returns the two sums, as views of `out`.
+    """
+    for total, (a, b) in zip(out, halves):
+        np.add(a, b, out=total)
+    return out[0], out[1]
+
+
 def unit_dither(shape, seed, out=None, scratch=None):
     """Level-free dither sums (u0 + u1, u2 + u3) of four U(-1/2, 1/2) arrays.
 
     Scaled by (delta_r, delta_i) they are the real and imaginary triangular
     dither of a batch of that shape, so one draw serves every level.  The
-    stream is read two arrays at a time into `scratch`, which gives the
-    values of a single (4,) + shape draw, and the two sums are written into
-    `out`; both are (2,) + shape float64 arrays, each allocated where it is
-    omitted.  The sums are views of `out`, so nothing else stays alive.
+    arrays are the first 4 * size values of the seed's DITHER stream, in
+    order: a pair is the prefix sums of its stream (see `pair_sums`), so the
+    pair of a smaller shape is cut exactly from the draw of a larger one.
+    The stream is read two arrays at a time into `scratch`, and the two sums
+    are written into `out`; both are (2,) + shape float64 arrays, each
+    allocated where it is omitted.  The sums are views of `out`, so nothing
+    else stays alive.
     """
     gen = rng.stream(seed, rng.DITHER)
     pair = (2,) + tuple(shape)
     u = np.empty(pair) if scratch is None else scratch
     sums = np.empty(pair) if out is None else out
-    for total in sums:
-        gen.random(out=u)
-        u -= 0.5
-        np.add(u[0], u[1], out=total)
-    return sums[0], sums[1]
+    return pair_sums((centred_uniforms(gen, u) for _ in sums), sums)
 
 
 def quantize_batch(batch, spec, unit=None, planes=None, ruler=None, out=None, scratch=None):
@@ -242,7 +273,7 @@ def select_level_datadriven(batch):
     """Max modulus over all entries of a raw batch (a parameter-free level).
 
     No level rule calls it.  It stays because bench/tracer.py's LAYERS table
-    looks it up by name, until ROADMAP item 4 removes that table.
+    looks it up by name, until ROADMAP item 5 removes that table.
     """
     return float(np.max(np.abs(batch.data)))
 

@@ -86,3 +86,15 @@ def test_captures_read_what_the_runner_passes(timed):
     assert captures.resolved == [True]
     [(_, _, mse)] = captures.mse_calls
     assert mse == mean
+
+
+@pytest.mark.parametrize("name", sorted(bench_run.WORKLOADS))
+def test_each_workload_reaches_its_traced_layers(name, tmp_path):
+    # run.py fails a --trace 1 run whose layers record no call; the one-cell
+    # warm-up experiment calls into every layer the workload lists
+    workload = bench_run.WORKLOADS[name]
+    path = bench_run.write(tmp_path / "warmup.cfg", workload.config_text(1, warmup=True))
+    trace = tracer.Tracer()
+    with trace.installed(timed=True):
+        bench_run.experiment(cli, str(path), str(tmp_path))
+    assert [layer for layer in workload.layers if trace.stats[layer].calls == 0] == []

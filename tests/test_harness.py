@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qtcov
 from qtcov import cli, harness, qspa
@@ -25,6 +27,7 @@ from qtcov.harness import (PRESETS, ExperimentConfig, ResultTable, Row, config_t
                            run_experiment, write_outputs)
 from qtcov.estimators import spectral_norm
 from qtcov.qspa import QspaSolution
+from qtcov.quantizer import unit_dither
 from qtcov.svgplot import emit_plot
 from qtcov.toeplitz import as_dense
 
@@ -294,25 +297,56 @@ class TestRunnerSemantics:
         assert means[0].note.startswith("FloatingPointError: overflow")
         assert np.isfinite(means[1].value) and means[1].note == ""
 
-    def test_dither_drawn_per_ruler_and_each_spec_quantized_once(self, monkeypatch):
+    def test_dither_drawn_once_per_trial_and_each_spec_quantized_once(self, monkeypatch):
         cfg = tiny_config(d=6, rulers=("full", "alpha:0.5"), deltas=((0.5, 0.5), (1.5, 0.5)),
                           estimators=("qtscm", "qspa"), trials=3)
         plain = run_experiment(cfg).to_csv()
-        calls = {"unit_dither": 0, "quantize_batch": 0}
-
-        def counted(name):
-            fn = getattr(harness, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-        for name in calls:
-            monkeypatch.setattr(harness, name, counted(name))
+        streams, quantized = [], []
+        stream, quantize = qrng.stream, harness.quantize_batch
+        monkeypatch.setattr(qrng, "stream", lambda seed, *path: streams.append((seed, path))
+                            or stream(seed, *path))
+        monkeypatch.setattr(harness, "quantize_batch", lambda *args, **kwargs:
+                            quantized.append(args[1]) or quantize(*args, **kwargs))
         table = run_experiment(cfg)
         assert table.to_csv() == plain
         assert len(mean_rows(table)) == 8  # 2 rulers x 2 levels x 2 estimators
-        assert calls == {"unit_dither": 3 * 2, "quantize_batch": 3 * 2 * 2}
+        # one stream read per trial serves both rulers' pairs
+        dither = [seed for seed, path in streams if path == (qrng.DITHER,)]
+        assert dither == [qrng.trial_seed(cfg.seed, t) for t in range(3)]
+        assert len(quantized) == 3 * 2 * 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+           extra=st.integers(0, 8), n=st.integers(1, 40), seed=st.integers(0, 2 ** 64 - 1))
+    @example(sizes=[5], extra=0, n=7, seed=1)          # one ruler
+    @example(sizes=[6, 6], extra=0, n=7, seed=2)       # equal sizes share one pair
+    @example(sizes=[9, 9, 7], extra=7, n=30, seed=3)   # exp2: 7 is wider than 9 / 2
+    @example(sizes=[9, 9, 7], extra=0, n=30, seed=3)   # and w has no room for its pair
+    @example(sizes=[16, 7], extra=0, n=30, seed=4)     # exp5
+    @example(sizes=[3, 12, 6, 6], extra=0, n=11, seed=5)
+    def test_each_ruler_pair_is_cut_exactly_from_the_trial_draw(self, sizes, extra, n, seed):
+        # rulers stand in by their sizes, at d = the largest size + extra;
+        # the slab starts as nan and each ruler's run writes nan over its
+        # buffers, so a pair that read a value the stream did not write, or
+        # that shares memory with a buffer, would show it
+        rulers = {f"r{i}": SimpleNamespace(size=m) for i, m in enumerate(sizes)}
+        d = max(sizes) + extra
+        slab = np.full(harness._slab_size(n, d, rulers), complex(np.nan, np.nan))
+        _, _, draw, prefix, views = harness._group_views(slab, n, d, rulers)
+        live = [SimpleNamespace(row=SimpleNamespace(ruler=rspec)) for rspec in rulers]
+        seen = []
+
+        def run_ruler(ruler, raw, group, pending, unit, *buffers):
+            for buffer in buffers:
+                buffer[...] = np.nan
+            seen.append((ruler.size, [part.tobytes() for part in unit]))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(harness, "_run_ruler", run_ruler)
+            harness._run_trial(SimpleNamespace(seed=seed), live, rulers, views, draw, prefix,
+                               [])
+        assert [size for size, _ in seen] == sorted(sizes)  # smallest first, each once
+        for size, unit in seen:
+            assert unit == [part.tobytes() for part in unit_dither((n, size), seed)]
 
     def test_level_grid_quantizes_each_plane_once_per_trial_and_ruler(self, monkeypatch):
         levels = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
@@ -371,12 +405,15 @@ class TestRunnerSemantics:
         assert tuple(map(max, zip(*held))) == most
 
     def test_each_exp5_cell_matches_a_run_of_its_ruler_and_n_alone(self):
-        # the trials of a (d, n) group share one set of buffers
-        cfg = replace(default_config("exp5"), trials=3)
-        rows = run_experiment(cfg).rows
-        for rspec, n in product(cfg.rulers, cfg.n_values):
-            alone = run_experiment(replace(cfg, rulers=(rspec,), n_values=(n,))).rows
-            assert alone == [row for row in rows if (row.ruler, row.n) == (rspec, n)]
+        # the trials of a (d, n) group share one set of buffers and one dither
+        # draw; exp2's rulers have sizes 9, 9 and 7, so a narrower ruler is
+        # wider than half the widest
+        for cfg in (replace(default_config("exp5"), trials=3),
+                    replace(default_config("exp2"), n_values=(100, 1000), trials=3)):
+            rows = run_experiment(cfg).rows
+            for rspec, n in product(cfg.rulers, cfg.n_values):
+                alone = run_experiment(replace(cfg, rulers=(rspec,), n_values=(n,))).rows
+                assert alone == [row for row in rows if (row.ruler, row.n) == (rspec, n)]
 
     def test_a_config_repeats_its_bytes_after_runs_of_other_shapes(self):
         a = tiny_config(d=6, rulers=("full", "alpha:0.5"), bits=(2, None), n_values=(40, 90),
@@ -711,6 +748,22 @@ class TestCli:
                      "--show-config"]) == 0
         out, err = capsys.readouterr()
         assert "profile = full\n" in out and err == ""
+
+    @pytest.mark.parametrize("key, flags, profile", [
+        ("", ["--profile", "full"], "full"),
+        ("profile = full\n", [], "full"),
+        ("profile = full\n", ["--profile", "ci"], "ci"),
+    ], ids=["flag", "file-key", "flag-over-file-key"])
+    def test_a_file_naming_a_preset_runs_its_profile_sweep(self, tmp_path, capsys, key, flags,
+                                                           profile):
+        # the preset's n sweep is cut at the profile that the run ends up with
+        path = tmp_path / "e2.cfg"
+        path.write_text("qtcov-config 1\nexperiment = exp2\n" + key)
+        assert main(["experiment", "--config", str(path), "--show-config", *flags]) == 0
+        shown = capsys.readouterr().out
+        assert main(["experiment", "--preset", "exp2", "--profile", profile,
+                     "--show-config"]) == 0
+        assert shown == capsys.readouterr().out
 
     def test_a_config_run_draws_each_truth_once(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.cfg"
