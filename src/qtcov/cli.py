@@ -3,7 +3,6 @@
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -11,8 +10,8 @@ from . import __version__
 from .doa import estimate_frequencies, frequency_mse
 from .errors import QtcovError
 from .estimators import quantized_sample_covariance, relative_spectral_error
-from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, PRESETS, PROFILE_CAPS, _parse_unchecked,
-                      _preset, config_to_text, parse_level_pair, run_experiment, write_outputs)
+from .harness import (ESTIMATORS, FIVE_SOURCE_SCENE, PRESETS, PROFILE_CAPS, config_to_text,
+                      layer_config, parse_level_pair, run_experiment, write_outputs)
 from .quantizer import QuantizationSpec, quantize_batch
 from .rulers import coverage_coefficient, resolve_ruler
 from .sampling import (load_batch, random_toeplitz_covariance,
@@ -102,26 +101,19 @@ def cmd_estimate(args):
     return 0
 
 
-def _read_config(path, profile=None):
-    """The config in the UTF-8 text file `path`, not yet validated, its
-    preset built at `profile` where given (see harness._parse_unchecked)."""
+def _read_config(path):
+    """The text of the UTF-8 config file `path`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return _parse_unchecked(fh.read(), profile)
+            return fh.read()
     except UnicodeDecodeError as err:
         raise QtcovError(f"config file {path} is not UTF-8 text: {err}") from None
 
 
 def cmd_experiment(args):
-    if args.config:
-        cfg = _read_config(args.config, args.profile)
-    else:
-        cfg = _preset(args.preset, profile=args.profile or "ci")
-    # the flags override the config's keys before it is validated, and the
-    # result is what prints and runs; run_experiment validates as it builds
-    # the grid, so the config is checked (and its truths drawn) once
-    overrides = {"profile": args.profile, "seed": args.seed, "outdir": args.outdir}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    # the config that prints is the one that runs, validated as it runs
+    text = _read_config(args.config) if args.config else None
+    cfg = layer_config(text, args.preset, args.profile, args.seed, args.outdir)
     if args.show_config:
         sys.stdout.write(config_to_text(cfg.validate()))
         return 0
@@ -133,7 +125,7 @@ def cmd_experiment(args):
 
 def cmd_doa(args):
     if args.scene:
-        scene = _read_config(args.scene).validate().scene
+        scene = layer_config(_read_config(args.scene)).validate().scene
         if scene is None:
             raise QtcovError("scene config lacks scene_* keys")
     else:

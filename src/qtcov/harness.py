@@ -276,33 +276,32 @@ def _target(key):
     return (owner, name) if owner == "scene" else ("", key)
 
 
-def parse_config(text):
-    """Parse and validate the flat key=value experiment config format."""
-    return _parse_unchecked(text).validate()
-
-
-def _parse_unchecked(text, profile=None):
-    """The config that `text` spells, before its grid is checked: the CLI
-    applies its flags to it first and then validates once.  The preset it
-    names is built at `profile` (the --profile flag) where given, else at
-    the file's profile key, else at ci, so the preset's n sweep is that
-    profile's."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != CONFIG_FORMAT:
-        raise QtcovError(f"config must start with the schema line {CONFIG_FORMAT!r}")
+def layer_config(text=None, preset=None, profile=None, seed=None, outdir=None):
+    """The config of a config file's `text`, or else of the preset named
+    `preset`, under the CLI's --profile, --seed and --outdir values (None:
+    unset), before its grid is checked.  It is layered once: the preset's
+    fields at the final profile (the flag, else the file's profile key, else
+    ci), so that the preset's n sweep is that profile's; then the file's keys;
+    then the flags that are set.  run_experiment validates the result as it
+    builds the grid, so a run checks its config (and draws its truths) once."""
     kv = {}
-    for ln in lines[1:]:
-        if "=" not in ln:
-            raise QtcovError(f"expected key = value, got {ln!r}")
-        key, val = (s.strip() for s in ln.split("=", 1))
-        if key in kv:
-            raise QtcovError(f"config key {key!r} is set twice")
-        kv[key] = val
-
-    if "experiment" not in kv:
-        raise QtcovError("config needs an experiment id")
-    cfg = _preset(kv.pop("experiment"), profile or kv.get("profile", "ci"))
+    if text is not None:
+        lines = [ln.strip() for ln in text.splitlines()]
+        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        if not lines or lines[0] != CONFIG_FORMAT:
+            raise QtcovError(f"config must start with the schema line {CONFIG_FORMAT!r}")
+        for ln in lines[1:]:
+            if "=" not in ln:
+                raise QtcovError(f"expected key = value, got {ln!r}")
+            key, val = (s.strip() for s in ln.split("=", 1))
+            if key in kv:
+                raise QtcovError(f"config key {key!r} is set twice")
+            kv[key] = val
+        if "experiment" not in kv:
+            raise QtcovError("config needs an experiment id")
+        preset = kv.pop("experiment")
+    if preset not in PRESETS:
+        raise QtcovError(f"unknown experiment {preset!r}")
     values = {"": {}, "scene": {}}
     for key, val in kv.items():
         if key not in CONFIG_KEYS:
@@ -313,13 +312,23 @@ def _parse_unchecked(text, profile=None):
             raise QtcovError(f"config key {key!r}: cannot parse {val!r} ({err})") from None
         owner, name = _target(key)
         values[owner][name] = value
-    cfg = replace(cfg, **values[""])
+    flags = {"profile": profile, "seed": seed, "outdir": outdir}
+    values[""].update((k, v) for k, v in flags.items() if v is not None)
+    cfg = ExperimentConfig(preset, **PRESETS[preset][1])
+    # the preset's n sweep stops at the final profile's cap; validate names a bad profile
+    cap = PROFILE_CAPS.get(values[""].get("profile", "ci"), math.inf)
+    cfg = replace(cfg, **{"n_values": tuple(n for n in cfg.n_values if n <= cap), **values[""]})
     if values["scene"]:
         for name in ("freqs", "powers"):
             if name not in values["scene"]:
                 raise QtcovError(f"scene config needs scene_{name}")
         cfg = replace(cfg, scene=DoaScene(cfg.d, **{"noise_var": 0.1, **values["scene"]}))
     return cfg
+
+
+def parse_config(text):
+    """Parse and validate the flat key=value experiment config format."""
+    return layer_config(text).validate()
 
 
 def config_to_text(cfg):
@@ -336,16 +345,7 @@ def config_to_text(cfg):
 def default_config(experiment, profile="ci"):
     """Preset config of a built-in experiment (desk scale), its n_values cut at
     the profile's cap."""
-    return _preset(experiment, profile).validate()
-
-
-def _preset(experiment, profile="ci"):
-    """default_config before its grid is checked."""
-    if experiment not in PRESETS:
-        raise QtcovError(f"unknown experiment {experiment!r}")
-    cfg = ExperimentConfig(experiment, profile=profile, **PRESETS[experiment][1])
-    cap = PROFILE_CAPS.get(profile, math.inf)  # validate names an unknown profile
-    return replace(cfg, n_values=tuple(n for n in cfg.n_values if n <= cap))
+    return layer_config(preset=experiment, profile=profile).validate()
 
 
 # --- runners -------------------------------------------------------------------

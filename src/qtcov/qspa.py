@@ -426,14 +426,16 @@ def _solve_newton(H, rhs):
 
     A Cholesky factorization tests H (plus a growing diagonal jitter) for
     positive definiteness; the solve itself is one LU solve, cheaper than
-    inverting the factor."""
+    inverting the factor.  An H that the eighth try still finds indefinite
+    raises LinAlgError."""
     jitter = 0.0
     scale = float(np.trace(H)) / H.shape[0]
-    for _ in range(8):
+    for attempt in range(8):
         Hj = H + jitter * np.eye(H.shape[0])
         try:
             np.linalg.cholesky(Hj)
             return -np.linalg.solve(Hj, rhs)
         except np.linalg.LinAlgError:
+            if attempt == 7:
+                raise
             jitter = max(2.0 * jitter, 1e-12 * max(scale, 1.0))
-    return -np.linalg.lstsq(H, rhs, rcond=None)[0]

@@ -886,6 +886,14 @@ class TestInputErrors:
         assert main(["experiment", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_doa_scene_config_without_scene_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "plain.cfg"
+        cfg.write_text("qtcov-config 1\nexperiment = custom\nd = 8\n")
+        assert main(["doa", "--scene", str(cfg), "--n", "200", "--estimator", "qtscm",
+                     "--grid", "256"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: scene config lacks scene_* keys\n"
+
     @pytest.mark.parametrize("command", [["experiment", "--config"], ["doa", "--scene"]])
     def test_config_file_that_is_not_utf8(self, tmp_path, capsys, command):
         cfg = tmp_path / "bad.cfg"

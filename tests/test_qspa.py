@@ -11,7 +11,8 @@ from qtcov import (HermitianToeplitz, QuantizationSpec, auto_epsilon, full_ruler
                    relative_spectral_error, resolve_ruler,
                    sample_complex_gaussian, toeplitz_adjoint_project)
 from qtcov.errors import QtcovError
-from qtcov.qspa import _barrier_iterations, _BarrierProblem, _params_from_generators
+from qtcov.qspa import (_barrier_iterations, _BarrierProblem, _params_from_generators,
+                        _solve_newton)
 
 from oracles import (fitting_objective_d2, grid_oracle_d2, reference_qspa_solve,
                      stacked_lag_hessian, wishart_rhat)
@@ -336,6 +337,13 @@ class TestFactorOnce:
             counts = [k for (shape, _), k in factored.items() if shape == (size, size)]
             assert len(counts) > sol.iterations
             assert max(counts) == 1
+
+
+class TestNewtonSystem:
+    def test_a_hessian_the_jitters_leave_indefinite_raises(self):
+        # the runner records the LinAlgError as the cell's note
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_newton(-np.eye(3), np.ones(3))
 
 
 class TestBarrierPath:

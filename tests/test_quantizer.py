@@ -312,10 +312,9 @@ class TestSharedPlanes:
 
 
 class TestBuffers:
-    """unit_dither and quantize_batch written into buffers that hold another
-    call's values, and quantize_batch taking a ruler's columns from a
-    full-ruler batch, as the experiment runner calls them, give the bytes of
-    fresh calls on the ruler's own batch."""
+    """quantize_batch written into buffers that hold another call's values,
+    and taking a ruler's columns from a full-ruler batch, as the experiment
+    runner calls it, gives the bytes of fresh calls on the ruler's own batch."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -331,11 +330,9 @@ class TestBuffers:
         full = sample_complex_gaussian(T, full_ruler(8), 40, seed)
         raw = sample_complex_gaussian(T, ruler, 40, seed)
         before = bits_of(full.data)
-        pair, floats = np.full((2, 2) + raw.data.shape, np.nan)
+        floats = np.full((2,) + raw.data.shape, np.nan)
         out = np.full(raw.data.shape, complex(np.inf, np.nan))
-        unit = unit_dither(raw.data.shape, seed, out=pair, scratch=floats)
-        assert bits_of(unit) == bits_of(unit_dither(raw.data.shape, seed))
-        assert all(np.shares_memory(part, pair) for part in unit)
+        unit = unit_dither(raw.data.shape, seed)
         specs = [QuantizationSpec(a, b) if k is None else QuantizationSpec(a, a, k)
                  for k in depths for a in reals for b in (imags if k is None else imags[:1])
                  if k is None or a > 0]
@@ -353,11 +350,11 @@ class TestBuffers:
         T = random_toeplitz_covariance(16, 4)
         ruler = resolve_ruler(rspec, 16)
         full = sample_complex_gaussian(T, full_ruler(16), 10_000, 5)
-        pair, floats = np.empty((2, 2, 10_000, ruler.size))
+        floats = np.empty((2, 10_000, ruler.size))
         out = np.empty((10_000, ruler.size), complex)
+        unit = unit_dither(out.shape, 5)
         tracemalloc.start()
         try:
-            unit = unit_dither(out.shape, 5, out=pair, scratch=floats)
             quantize_batch(full, spec, unit=unit, ruler=ruler, out=out, scratch=floats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
